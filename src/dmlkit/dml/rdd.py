@@ -18,7 +18,9 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
 
     Kernel-weighted OLS of y on an intercept, the treatment indicator
     D = 1(x >= cutoff), the scaled running variable, and its interaction
-    with D; optional covariates Z enter linearly.
+    with D; optional covariates Z enter linearly. Standard errors are
+    HC0 under the kernel weights, and ``influence`` holds each used
+    row's HC0 influence on the jump.
     """
     y = np.asarray(y, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
@@ -44,12 +46,18 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     se = float(var.std_errors[1])
     z = stats.norm.ppf(1.0 - alpha / 2.0)
     n_used = int(np.sum(keep))
+    # HC0 influence of the jump under the kernel weights: its mean square
+    # is the sandwich variance robust_variance reports, so
+    # sqrt(mean(influence**2) / n_used) is the standard error.
+    jump_row = np.linalg.inv(fit.second_moment)[1] @ fit.X.T
+    influence = (np.sqrt(n_used * fit.weights / np.sum(fit.weights))
+                 * fit.residuals * jump_row)
     return DmlResult(
         estimates=np.array([tau]),
         std_errors=np.array([se]),
         ci_lower=np.array([tau - z * se]),
         ci_upper=np.array([tau + z * se]),
-        influence=np.zeros(n_used),
+        influence=influence,
         variance=np.array([se**2 * n_used]),
         alpha=alpha,
         n=n_used,

@@ -197,105 +197,115 @@ class LassoPluginLearner:
 # ---------------------------------------------------------------------------
 # Regression trees
 
-
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+# Split scoring works on blocks of at most this many (feature, row)
+# cells, so the temporaries of a node stay small however tall the data.
+_BLOCK_CELLS = 1 << 16
 
 
 class RegressionTree:
     """Greedy binary regression tree with midpoint split candidates.
 
+    The fitted tree is stored as parallel arrays indexed by node id, in
+    depth-first order with the root at 0: at an internal node ``i``, rows
+    with ``x[feature[i]] <= threshold[i]`` go to ``left[i]`` and the rest
+    to ``right[i]``; at a leaf ``feature[i]`` is -1. ``value[i]`` is the
+    weighted mean outcome of the training rows that reached node ``i``.
     Ties in SSE improvement break to the lower feature index, then the
     lower threshold, so fitting is fully deterministic.
     """
 
-    def __init__(self, root: TreeNode, max_depth: int, min_leaf: int):
-        self.root = root
+    def __init__(self, feature, threshold, left, right, value,
+                 max_depth: int, min_leaf: int):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=float)
+        self.left = np.asarray(left, dtype=np.intp)
+        self.right = np.asarray(right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=float)
         self.max_depth = max_depth
         self.min_leaf = min_leaf
 
     def predict(self, X) -> np.ndarray:
+        """Route every row down one level per pass until all sit at leaves."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[:, None]
-        out = np.empty(X.shape[0])
-        idx = np.arange(X.shape[0])
-        self._route(self.root, X, idx, out)
-        return out
-
-    def _route(self, node: TreeNode, X, idx, out) -> None:
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        mask = X[idx, node.feature] <= node.threshold
-        self._route(node.left, X, idx[mask], out)
-        self._route(node.right, X, idx[~mask], out)
-
-    def leaves(self) -> list[TreeNode]:
-        found, todo = [], [self.root]
-        while todo:
-            node = todo.pop()
-            if node.is_leaf:
-                found.append(node)
-            else:
-                todo.extend([node.left, node.right])
-        return found
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0]) if self.feature[0] >= 0 else node[:0]
+        while rows.size:
+            at = node[rows]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            at = np.where(go_left, self.left[at], self.right[at])
+            node[rows] = at
+            rows = rows[self.feature[at] >= 0]
+        return self.value[node]
 
 
-def _best_split(Xn, yn, wn, features, min_leaf):
-    """Best (feature, threshold, gain) on the node's rows, or None."""
-    best = None  # (negative_gain_for_compare is implicit; keep explicit gain)
-    wy = wn * yn
-    wy2 = wn * yn * yn
-    total_w = wn.sum()
-    total_wy = wy.sum()
-    base_sse = wy2.sum() - total_wy**2 / total_w if total_w > 0 else 0.0
-    for j in features:
-        order = np.argsort(Xn[:, j], kind="stable")
-        xs = Xn[order, j]
-        boundaries = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-        if boundaries.size == 0:
-            continue
-        cw = np.cumsum(wn[order])
-        cwy = np.cumsum(wy[order])
-        counts = boundaries
-        ok = (counts >= min_leaf) & (xs.size - counts >= min_leaf)
-        if not np.any(ok):
-            continue
-        lw = cw[boundaries - 1]
-        lwy = cwy[boundaries - 1]
+def _best_split(order, xs, w_wy, features, min_leaf, total_w, total_wy):
+    """Best (feature, threshold, gain) among a node's usable midpoints,
+    or None when it has none.
+
+    ``order`` and ``xs`` hold, per feature, the node's row ids and their
+    values in ascending value order. Each block of candidate features is
+    scored from one cumulative sum of the sorted weights and weighted
+    outcomes; the gain of a split is its weighted SSE reduction.
+    """
+    m = order.shape[1]
+    # Left-side sizes that leave at least min_leaf rows on each side; a
+    # size i splits between sorted positions i - 1 and i.
+    lo, hi = min_leaf, m - min_leaf
+    step = max(1, _BLOCK_CELLS // m)
+    best = None
+    for start in range(0, features.size, step):
+        block = features[start:start + step]
+        cum = np.cumsum(np.take(w_wy, order[block, :hi], axis=1), axis=2)
+        lw, lwy = cum[0, :, lo - 1:], cum[1, :, lo - 1:]
         rw = total_w - lw
         rwy = total_wy - lwy
         with np.errstate(divide="ignore", invalid="ignore"):
-            score = np.where(
-                (lw > 0) & (rw > 0), lwy**2 / lw + rwy**2 / rw, -np.inf
-            )
-        score = np.where(ok, score, -np.inf)
-        b = int(np.argmax(score))
-        if not np.isfinite(score[b]):
-            continue
-        gain = float(score[b]) - (total_wy**2 / total_w)
-        threshold = 0.5 * (xs[boundaries[b] - 1] + xs[boundaries[b]])
-        if best is None or gain > best[2] + 1e-12:
-            best = (j, float(threshold), gain)
-    if best is None or best[2] <= 1e-12 * (1.0 + base_sse):
-        return None
+            score = lwy**2 / lw + rwy**2 / rw
+        x = xs[block]
+        usable = (lw > 0) & (rw > 0) & (x[:, lo:hi + 1] > x[:, lo - 1:hi])
+        score[~usable] = -np.inf
+        pos = np.argmax(score, axis=1)
+        top = score[np.arange(block.size), pos]
+        for k in np.flatnonzero(np.isfinite(top)):
+            gain = float(top[k]) - (total_wy**2 / total_w)
+            if best is None or gain > best[2] + 1e-12:
+                i = lo + pos[k]
+                best = (int(block[k]), float(0.5 * (x[k, i - 1] + x[k, i])),
+                        gain)
     return best
+
+
+def _partition(order, xs, goes_left):
+    """Split each column's sorted rows into (left, right), keeping order."""
+    keep = goes_left[order].ravel()
+    p = order.shape[0]
+    return tuple(
+        (np.compress(side, order).reshape(p, -1),
+         np.compress(side, xs).reshape(p, -1))
+        for side in (keep, ~keep)
+    )
 
 
 def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
              mtry: int | None = None, rng: np.random.Generator | None = None
              ) -> RegressionTree:
-    """Fit a regression tree by recursive best-SSE-improvement splitting."""
+    """Fit a regression tree by greedy best-SSE-improvement splitting.
+
+    Exact greedy search on presorted columns (Chen & Guestrin 2016,
+    arXiv:1603.02754, section 4.1). Each column is sorted once per tree
+    by a stable argsort, and each split hands its children their rows in
+    that order by a stable partition of every column, so a node always
+    sees its rows sorted by value with ties in row order. A node scores
+    all its candidate features (all p, or ``mtry`` drawn from ``rng``) at
+    once at every midpoint between distinct sorted values that leaves
+    ``min_leaf`` rows on each side. Within a feature the lowest threshold
+    wins among equal gains; across features, in ascending order, a
+    feature displaces the best so far only when its gain is larger by
+    more than 1e-12. Nodes grow depth first, left before right, which
+    is also the order of the ``rng`` draws.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -304,33 +314,70 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if min_leaf < 1:
         raise DimensionMismatch("min_leaf must be >= 1")
+    w_wy = np.stack([w, w * y])
+    wy2 = w_wy[1] * y
+    goes_left = np.empty(n, dtype=bool)
+    feature, threshold, left, right, value = [], [], [], [], []
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        wn = w[idx]
+    def can_split(size, depth):
+        return depth < max_depth and size >= 2 * min_leaf
+
+    sorted_rows = None
+    if can_split(n, 0):
+        order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
+        sorted_rows = (order, np.take_along_axis(X.T, order, axis=1))
+        del order
+    # Nodes to grow, popped depth first and left before right, so node
+    # ids run in that order and a left child's id is its parent's plus
+    # one. Each entry: the node's rows in row order, (order, xs) for
+    # _best_split or None when it cannot split, its depth, and the
+    # parent whose right child it is (-1 for a left child or the root).
+    todo = [(np.arange(n), sorted_rows, 0, -1)]
+    while todo:
+        idx, sorted_rows, depth, parent = todo.pop()
+        node = len(value)
+        if parent >= 0:
+            right[parent] = node
+        total_w = w[idx].sum()
+        total_wy = w_wy[1, idx].sum()
         yn = y[idx]
-        value = float(np.sum(wn * yn) / np.sum(wn)) if np.sum(wn) > 0 else float(np.mean(yn))
-        node = TreeNode(value=value)
-        if depth >= max_depth or idx.size < 2 * min_leaf:
-            return node
-        if np.all(yn == yn[0]):
-            return node
+        value.append(float(total_wy / total_w) if total_w > 0
+                     else float(np.mean(yn)))
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        if sorted_rows is None or np.all(yn == yn[0]):
+            continue
         if mtry is not None and mtry < p:
             features = np.sort(rng.choice(p, size=mtry, replace=False))
         else:
             features = np.arange(p)
-        split = _best_split(X[idx], yn, wn, features, min_leaf)
+        split = _best_split(*sorted_rows, w_wy, features, min_leaf,
+                            total_w, total_wy)
         if split is None:
-            return node
-        j, threshold, _ = split
-        mask = X[idx, j] <= threshold
-        node.feature = j
-        node.threshold = threshold
-        node.left = grow(idx[mask], depth + 1)
-        node.right = grow(idx[~mask], depth + 1)
-        return node
-
-    root = grow(np.arange(n), 0)
-    return RegressionTree(root, max_depth, min_leaf)
+            continue
+        j, cut, gain = split
+        # The gain must stand out from rounding in the node's SSE.
+        base_sse = (wy2[idx].sum() - total_wy**2 / total_w if total_w > 0
+                    else 0.0)
+        if gain <= 1e-12 * (1.0 + base_sse):
+            continue
+        feature[node] = j
+        threshold[node] = cut
+        left[node] = node + 1
+        mask = X[idx, j] <= cut
+        idx_l, idx_r = idx[mask], idx[~mask]
+        grow_l = can_split(idx_l.size, depth + 1)
+        grow_r = can_split(idx_r.size, depth + 1)
+        rows_l = rows_r = None
+        if grow_l or grow_r:
+            goes_left[idx] = mask
+            rows_l, rows_r = _partition(*sorted_rows, goes_left)
+        todo.append((idx_r, rows_r if grow_r else None, depth + 1, node))
+        todo.append((idx_l, rows_l if grow_l else None, depth + 1, -1))
+    return RegressionTree(feature, threshold, left, right, value,
+                          max_depth, min_leaf)
 
 
 class TreeLearner:

@@ -424,3 +424,15 @@ class TestRdd:
         assert res.diagnostics["n_right"] == 2
         # Two points per side pin each line: boundary values 4 and 3.
         assert res.theta == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kernel", ["triangular", "uniform"])
+    def test_influence_reproduces_standard_error(self, kernel):
+        r = np.random.default_rng(30)
+        x = r.uniform(-1.0, 1.0, 400)
+        Z = r.standard_normal((400, 2))
+        y = (0.5 * x + 1.0 * (x >= 0) + Z[:, 0]
+             + (1.0 + x**2) * r.standard_normal(400))
+        res = rdd_sharp(y, x, cutoff=0.0, bandwidth=0.6, kernel=kernel, Z=Z)
+        assert res.influence.shape == (res.n,)
+        assert np.sqrt(np.mean(res.influence**2) / res.n) == pytest.approx(
+            res.std_errors[0], rel=1e-10)

@@ -322,3 +322,161 @@ class TestLassoPluginLearner:
         pred = LassoPluginLearner().fit(X, y)
         mse = np.mean((y - pred.predict(X)) ** 2)
         assert mse < 0.1
+
+
+# Frozen per-feature split search and recursive grow that the presorted
+# tree_fit must reproduce node for node: one argsort and one pair of
+# cumsums per feature per node.
+def _reference_best_split(Xn, yn, wn, features, min_leaf):
+    best = None
+    wy = wn * yn
+    wy2 = wn * yn * yn
+    total_w = wn.sum()
+    total_wy = wy.sum()
+    base_sse = wy2.sum() - total_wy**2 / total_w if total_w > 0 else 0.0
+    for j in features:
+        order = np.argsort(Xn[:, j], kind="stable")
+        xs = Xn[order, j]
+        boundaries = np.flatnonzero(xs[1:] > xs[:-1]) + 1
+        if boundaries.size == 0:
+            continue
+        cw = np.cumsum(wn[order])
+        cwy = np.cumsum(wy[order])
+        counts = boundaries
+        ok = (counts >= min_leaf) & (xs.size - counts >= min_leaf)
+        if not np.any(ok):
+            continue
+        lw = cw[boundaries - 1]
+        lwy = cwy[boundaries - 1]
+        rw = total_w - lw
+        rwy = total_wy - lwy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(
+                (lw > 0) & (rw > 0), lwy**2 / lw + rwy**2 / rw, -np.inf
+            )
+        score = np.where(ok, score, -np.inf)
+        b = int(np.argmax(score))
+        if not np.isfinite(score[b]):
+            continue
+        gain = float(score[b]) - (total_wy**2 / total_w)
+        threshold = 0.5 * (xs[boundaries[b] - 1] + xs[boundaries[b]])
+        if best is None or gain > best[2] + 1e-12:
+            best = (j, float(threshold), gain)
+    if best is None or best[2] <= 1e-12 * (1.0 + base_sse):
+        return None
+    return best
+
+
+def _reference_tree(X, y, max_depth, min_leaf, weights=None, mtry=None,
+                    rng=None):
+    """Nodes as nested dicts; grown exactly as the per-feature search did."""
+    n, p = X.shape
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+
+    def grow(idx, depth):
+        wn = w[idx]
+        yn = y[idx]
+        value = (float(np.sum(wn * yn) / np.sum(wn)) if np.sum(wn) > 0
+                 else float(np.mean(yn)))
+        node = {"feature": -1, "threshold": 0.0, "value": value}
+        if depth >= max_depth or idx.size < 2 * min_leaf:
+            return node
+        if np.all(yn == yn[0]):
+            return node
+        if mtry is not None and mtry < p:
+            features = np.sort(rng.choice(p, size=mtry, replace=False))
+        else:
+            features = np.arange(p)
+        split = _reference_best_split(X[idx], yn, wn, features, min_leaf)
+        if split is None:
+            return node
+        j, threshold, _ = split
+        mask = X[idx, j] <= threshold
+        node.update(feature=j, threshold=threshold,
+                    left=grow(idx[mask], depth + 1),
+                    right=grow(idx[~mask], depth + 1))
+        return node
+
+    return grow(np.arange(n), 0)
+
+
+def _reference_nodes(node):
+    """(feature, threshold, value) in depth-first, left-first order."""
+    out = [(node["feature"], node["threshold"], node["value"])]
+    if node["feature"] >= 0:
+        out += _reference_nodes(node["left"]) + _reference_nodes(node["right"])
+    return out
+
+
+def _reference_predict(node, X):
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        at = node
+        while at["feature"] >= 0:
+            side = "left" if row[at["feature"]] <= at["threshold"] else "right"
+            at = at[side]
+        out[i] = at["value"]
+    return out
+
+
+def _split_search_case(name):
+    r = np.random.default_rng(7)
+    n, p = 120, 4
+    X = r.standard_normal((n, p))
+    y = X[:, 0] + np.sin(2.0 * X[:, 1]) + 0.5 * r.standard_normal(n)
+    kw = {"max_depth": 6, "min_leaf": 1}
+    if name == "ties":
+        # Outcomes and weights span six decades, so adding up a group of
+        # tied rows in another order moves the splits of this draw.
+        r = np.random.default_rng(52)
+        X = np.round(r.standard_normal((n, p)), 1)
+        y = (np.round(X[:, 0] + 0.5 * r.standard_normal(n), 1)
+             * 10 ** r.uniform(-3, 3, n))
+        kw["weights"] = 10 ** r.uniform(-3, 3, n)
+    elif name == "bootstrap":
+        rows = r.integers(0, n, size=n)
+        X, y = X[rows], y[rows]
+    elif name == "zero_weights":
+        w = r.uniform(size=n)
+        w[r.uniform(size=n) < 0.4] = 0.0
+        w[X[:, 0] > 1.0] = 0.0  # whole branches without weight
+        kw["weights"] = w
+    elif name == "mtry":
+        kw.update(mtry=2, rng=np.random.default_rng(5), min_leaf=3)
+        rows = r.integers(0, n, size=n)
+        X, y = np.round(X[rows], 1), y[rows]
+    elif name == "min_leaf":
+        kw.update(max_depth=8, min_leaf=7)
+    elif name == "constant":
+        X[:, 2] = 3.0
+        y[X[:, 0] > 0.5] = 1.25
+    elif name == "constant_y":
+        y = np.full(n, -0.75)
+    elif name == "tall":
+        # More cells than one scoring block, so blocks must tie-break in
+        # feature order.
+        n, p = 30_000, 5
+        X = np.round(r.standard_normal((n, p)), 2)
+        X[:, 3] = X[:, 1]  # equal gains across blocks
+        y = X[:, 1] + r.standard_normal(n)
+        kw["max_depth"] = 2
+    return X, y, kw
+
+
+class TestPresortedSplitSearch:
+    @pytest.mark.parametrize("case", ["ties", "bootstrap", "zero_weights",
+                                      "mtry", "min_leaf", "constant",
+                                      "constant_y", "tall"])
+    def test_matches_per_feature_search(self, case):
+        X, y, kw = _split_search_case(case)
+        ref_kw = dict(kw)
+        if "rng" in ref_kw:
+            ref_kw["rng"] = np.random.default_rng(5)
+        ref = _reference_tree(X, y, **ref_kw)
+        tree = tree_fit(X, y, **kw)
+        assert list(zip(tree.feature.tolist(), tree.threshold.tolist(),
+                        tree.value.tolist())) == _reference_nodes(ref)
+        r = np.random.default_rng(1)
+        fresh = np.round(r.standard_normal((200, X.shape[1])), 1)
+        Xq = np.vstack([X[:500], fresh])
+        assert np.array_equal(tree.predict(Xq), _reference_predict(ref, Xq))

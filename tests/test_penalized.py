@@ -266,3 +266,66 @@ class TestSparseRecovery:
         # sample, so the 0.05 proximity claim is checked in aggregate.
         assert np.median(shortfalls) <= 0.05
         assert max(shortfalls) <= 0.10
+
+
+def _kkt_gap_loop(Xc, yc, beta, lam, lam_ridge, loadings):
+    """Coordinate-by-coordinate form the vectorised gap must reproduce."""
+    r = yc - Xc @ beta
+    grad = 2.0 * (Xc.T @ r) - 2.0 * lam_ridge * beta
+    gap = 0.0
+    for j in range(beta.size):
+        bound = lam * loadings[j]
+        if beta[j] != 0.0:
+            gap = max(gap, abs(abs(grad[j]) - bound))
+            gap = max(gap, abs(grad[j] - np.sign(beta[j]) * bound))
+        else:
+            gap = max(gap, max(abs(grad[j]) - bound, 0.0))
+    return gap
+
+
+class TestKktGap:
+    @given(st.integers(0, 10_000))
+    def test_matches_coordinate_loop(self, seed):
+        from dmlkit.penalized import _kkt_gap
+
+        r = np.random.default_rng(seed)
+        n, p = int(r.integers(5, 40)), int(r.integers(1, 30))
+        Xc = r.standard_normal((n, p))
+        yc = r.standard_normal(n)
+        beta = r.standard_normal(p) * (r.uniform(size=p) < 0.5)
+        loadings = r.uniform(0.0, 2.0, p) * (r.uniform(size=p) < 0.9)
+        lam = float(r.choice([0.0, 0.1, 10.0, 1e3]))
+        lam_ridge = float(r.choice([0.0, 0.5]))
+        assert _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings) == \
+            _kkt_gap_loop(Xc, yc, beta, lam, lam_ridge, loadings)
+
+    def test_certified_fit_matches_loop(self):
+        from dmlkit.penalized import _kkt_gap
+
+        X, y = _random_problem(3)
+        fit = lasso_fit(X, y, lam=5.0)
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        args = (Xs, y - y.mean(), fit._standardized_coefficients, 5.0, 0.0,
+                np.ones(X.shape[1]))
+        assert _kkt_gap(*args) == _kkt_gap_loop(*args)
+
+
+def test_objective_increase_raises_no_convergence(monkeypatch):
+    import dmlkit.penalized as penalized
+    from dmlkit.errors import NoConvergence
+
+    class _WrongWaySoftThreshold:
+        """numpy, except that soft-thresholding steps to the wrong sign."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def sign(v):
+            return -np.sign(v)
+
+    X, y = _random_problem(4)
+    monkeypatch.setattr(penalized, "np", _WrongWaySoftThreshold())
+    with pytest.raises(NoConvergence, match="objective increased"):
+        penalized._coordinate_descent(X - X.mean(axis=0), y - y.mean(), 1.0,
+                                      0.0, np.ones(X.shape[1]))
