@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from ..dml.engine import normal_interval
 from ..double_lasso import simultaneous_critical_value
 from ..errors import ConstantModel
-from ..linalg import ols_fit
+from ..linalg import as_matrix, ols_fit
 
 CONSTANT_TOL = 1e-12
 
@@ -48,26 +49,22 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
     the latter via the Gaussian sup-norm Monte Carlo.
     """
     signals = np.asarray(signals, dtype=float).ravel()
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim == 1:
-        basis = basis[:, None]
+    basis = as_matrix(basis)
     fit = ols_fit(basis, signals)
     cov = _sandwich(basis, fit.residuals)
     se = np.sqrt(np.diag(cov))
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    lower, upper = normal_interval(fit.coefficients, se, alpha)
     out = BlpResult(
         coefficients=fit.coefficients,
         covariance=cov,
         std_errors=se,
-        ci_lower=fit.coefficients - z * se,
-        ci_upper=fit.coefficients + z * se,
+        ci_lower=lower,
+        ci_upper=upper,
         alpha=alpha,
         n=signals.size,
     )
     if eval_basis is not None:
-        G = np.asarray(eval_basis, dtype=float)
-        if G.ndim == 1:
-            G = G[:, None]
+        G = as_matrix(eval_basis)
         fitted = G @ fit.coefficients
         point_cov = G @ cov @ G.T
         point_se = np.sqrt(np.clip(np.diag(point_cov), 0.0, None))
@@ -75,8 +72,9 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
         corr = point_cov / safe[:, None] / safe[None, :]
         c = simultaneous_critical_value(corr, alpha, seed=seed)
         out.grid_fit = fitted
-        out.grid_pointwise = (fitted - z * point_se, fitted + z * point_se)
-        out.grid_uniform = (fitted - c * point_se, fitted + c * point_se)
+        out.grid_pointwise = normal_interval(fitted, point_se, alpha)
+        out.grid_uniform = normal_interval(fitted, point_se, alpha,
+                                           critical_value=c)
         out.uniform_critical_value = c
     return out
 
@@ -97,7 +95,6 @@ def heterogeneity_blp_test(tau_values, signals, alpha: float = 0.05) -> dict:
     fit = ols_fit(basis, signals)
     cov = _sandwich(basis, fit.residuals)
     se = np.sqrt(np.diag(cov))
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
     slope = float(fit.coefficients[1])
     pval = 2.0 * stats.norm.sf(abs(slope) / se[1]) if se[1] > 0 else 0.0
     return {
@@ -105,6 +102,6 @@ def heterogeneity_blp_test(tau_values, signals, alpha: float = 0.05) -> dict:
         "slope": slope,
         "se": se,
         "p_value": float(pval),
-        "ci_slope": (slope - z * se[1], slope + z * se[1]),
+        "ci_slope": normal_interval(slope, se[1], alpha),
         "reject": pval < alpha,
     }

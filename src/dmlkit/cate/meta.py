@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dml.estimators import DEFAULT_TRIM, _check_binary, _columns
+from ..dml.estimators import DEFAULT_TRIM, _check_binary, _columns, _subset_fit
 from ..errors import OneArmEmpty, WeightOverflow
 from ..learners import cross_fit_predict
+from ..linalg import as_matrix
 from .signals import dr_signal
 
 META_KINDS = ("S", "T", "X", "DAX", "DR", "R")
@@ -29,29 +30,13 @@ class CateModel:
     metadata: dict = field(default_factory=dict)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        out = np.asarray(self.predictor.predict(X), dtype=float)
+        out = np.asarray(self.predictor.predict(as_matrix(X)), dtype=float)
         if not np.all(np.isfinite(out)):
             raise FloatingPointError("CATE model produced non-finite values")
         return out
 
     def __call__(self, X) -> np.ndarray:
         return self.predict(X)
-
-
-def _arm_crossfit(Z, y, d, learner, plan, arm: float) -> np.ndarray:
-    """Cross-fitted predictions of a model trained only on one arm."""
-    out = np.empty(y.size)
-    for k in range(plan.K):
-        test = plan.fold_indices(k)
-        train = plan.complement_indices(k)
-        rows = train[d[train] == arm]
-        if rows.size == 0:
-            raise OneArmEmpty(f"training data for fold {k} lacks arm {arm:g}")
-        out[test] = learner.fit(Z[rows], y[rows]).predict(Z[test])
-    return out
 
 
 def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
@@ -74,22 +59,20 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
     meta: dict = {}
 
     if kind == "S":
-        ZD = np.column_stack([d, Z])
+        _, fits = cross_fit_predict(learner_y, np.column_stack([d, Z]), y,
+                                    plan)
         labels = np.empty(y.size)
-        for k in range(plan.K):
+        for k, g in enumerate(fits):
             test = plan.fold_indices(k)
-            train = plan.complement_indices(k)
-            g = learner_y.fit(ZD[train], y[train])
             one = np.column_stack([np.ones(test.size), Z[test]])
             zero = np.column_stack([np.zeros(test.size), Z[test]])
             labels[test] = g.predict(one) - g.predict(zero)
     elif kind == "T":
-        g1 = _arm_crossfit(Z, y, d, learner_y, plan, 1.0)
-        g0 = _arm_crossfit(Z, y, d, learner_y, plan, 0.0)
-        labels = g1 - g0
+        labels = (_subset_fit(learner_y, Z, y, plan, d == 1.0)
+                  - _subset_fit(learner_y, Z, y, plan, d == 0.0))
     elif kind in ("X", "DAX"):
-        g1 = _arm_crossfit(Z, y, d, learner_y, plan, 1.0)
-        g0 = _arm_crossfit(Z, y, d, learner_y, plan, 0.0)
+        g1 = _subset_fit(learner_y, Z, y, plan, d == 1.0)
+        g0 = _subset_fit(learner_y, Z, y, plan, d == 0.0)
         mu, _ = cross_fit_predict(learner_prop, Z, d, plan)
         mu = np.clip(mu, trim, 1.0 - trim)
         treated = d == 1.0

@@ -7,6 +7,7 @@ import numpy as np
 from ..dml.engine import DmlResult, linear_score_result
 from ..errors import DimensionMismatch
 from ..learners import tree_fit
+from ..linalg import as_matrix
 
 
 def policy_value(pi, signals, alpha: float = 0.05) -> DmlResult:
@@ -76,9 +77,7 @@ def policy_learn(signals, X, max_depth: int = 2, min_leaf: int = 10,
     signals.
     """
     signals = np.asarray(signals, dtype=float).ravel()
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     adjusted = signals - cost
     labels = np.where(adjusted >= 0.0, 1.0, -1.0)
     weights = np.abs(adjusted)

@@ -4,9 +4,10 @@ robust signals from a held-out scoring sample."""
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
+from ..dml.engine import normal_interval
 from ..errors import DimensionMismatch, IndistinguishableModels
+from ..linalg import as_matrix
 from .meta import CateModel
 
 QAGG_MAX_ITERS = 5000
@@ -60,9 +61,8 @@ def compare_models(tau_i, tau_j, signals, alpha: float = 0.05,
     delta = float(np.mean(delta_obs))
     variance = float(np.mean((delta_obs - delta) ** 2))
     se = float(np.sqrt(variance / signals.size))
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
     return {"delta": delta, "se": se, "variance": variance,
-            "ci": (delta - z * se, delta + z * se)}
+            "ci": normal_interval(delta, se, alpha)}
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -106,9 +106,7 @@ def ensemble(predictions, signals, method: str = "qagg",
     ``fix_intercept_to`` recenters the combined model to a caller-
     supplied ATE estimate.
     """
-    P = np.asarray(predictions, dtype=float)
-    if P.ndim == 1:
-        P = P[:, None]
+    P = as_matrix(predictions)
     s = np.asarray(signals, dtype=float).ravel()
     n, M = P.shape
     if M < 1:

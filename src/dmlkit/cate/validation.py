@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from ..dml.engine import normal_interval
 from ..double_lasso import simultaneous_critical_value
 from ..errors import EmptyBin, EmptyTopGroup
 
@@ -51,10 +52,8 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
     n = signals.size
     dr_means = np.empty(K)
     model_means = np.empty(K)
-    lo = np.empty(K)
-    hi = np.empty(K)
+    se = np.empty(K)
     counts = np.empty(K, dtype=int)
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
     for k in range(K):
         mask = assignment == k
         counts[k] = int(np.sum(mask))
@@ -62,9 +61,8 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
             raise EmptyBin(f"bin {k} contains no test observations")
         dr_means[k] = float(np.mean(signals[mask]))
         model_means[k] = float(np.mean(tau_test[mask]))
-        se = float(np.std(signals[mask]) / np.sqrt(counts[k]))
-        lo[k] = dr_means[k] - z * se
-        hi[k] = dr_means[k] + z * se
+        se[k] = float(np.std(signals[mask]) / np.sqrt(counts[k]))
+    lo, hi = normal_interval(dr_means, se, alpha)
     gaps = np.abs(dr_means - model_means)
     shares = counts / n
     return CalibrationReport(
@@ -173,8 +171,8 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
         np.fill_diagonal(corr, 1.0)
         c_two = simultaneous_critical_value(corr, alpha, seed=seed)
         c_one = simultaneous_critical_value(corr, alpha / 2.0, seed=seed)
-        two = (values - c_two * se, values + c_two * se)
-        one = values - c_one * se
+        two = normal_interval(values, se, alpha, critical_value=c_two)
+        one = normal_interval(values, se, alpha, critical_value=c_one)[0]
         return two, one, se
 
     toc_band, toc_lower, _ = bands(toc, V_toc)
@@ -189,7 +187,7 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
         a = float(values @ dq)
         infl = psi @ dq
         se = float(np.sqrt(np.mean(infl**2) / n))
-        return a, se, a - z_one * se
+        return a, se, normal_interval(a, se, alpha, critical_value=z_one)[0]
 
     autoc, autoc_se, autoc_lower = area(toc, psi_toc)
     auqc, auqc_se, auqc_lower = area(qini, psi_qini)

@@ -4,12 +4,9 @@ from .ingest import ingest_csv
 from .main import (main, make_learner, run_estimate, run_placebo,
                    run_simulation)
 
-did_placebo = run_placebo
-
 __all__ = [
     "REGISTRY",
     "RunConfig",
-    "did_placebo",
     "get_dgp",
     "ingest_csv",
     "load_config",

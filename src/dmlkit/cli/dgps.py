@@ -16,6 +16,7 @@ import numpy as np
 
 from ..cate import dr_signal, ensemble, meta_learn
 from ..dml import dml_late, dml_plm
+from ..dml.engine import normal_interval
 from ..double_lasso import double_lasso, naive_single_selection
 from ..errors import UnknownDgp
 from ..learners import (ForestLearner, LinearLearner, LogisticLearner,
@@ -148,7 +149,7 @@ def _est_weak_iv(data, truth, seed):
     eps = ry - est * rd
     V = float(np.mean(rz**2 * eps**2) / np.mean(rz * rd) ** 2)
     se = np.sqrt(V / n)
-    wald_lo, wald_hi = est - 1.959963984540054 * se, est + 1.959963984540054 * se
+    wald_lo, wald_hi = normal_interval(est, se, 0.05)
     # Acceptance of theta0 itself is exact; the full region uses a grid.
     at_truth = robust_region(ry, rd, rz, np.array([theta0]))
     return {
@@ -321,8 +322,8 @@ def _est_ovb(data, truth, seed):
     se = float(np.sqrt(np.mean(rd**2 * eps**2) / np.mean(rd**2) ** 2 / n))
     pop = sem_population()
     bound = ovb_bound(beta_short, pop["r2_y"], pop["r2_d"], pop["s"])
-    lo = bound.lower - 1.959963984540054 * se
-    hi = bound.upper + 1.959963984540054 * se
+    lo = normal_interval(bound.lower, se, 0.05)[0]
+    hi = normal_interval(bound.upper, se, 0.05)[1]
     return {
         "estimate": beta_short,
         "bias_bound": bound.bias_bound,

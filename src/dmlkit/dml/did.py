@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EmptyCell, NoTreatedUnits, OneArmEmpty
+from ..errors import EmptyCell, NoTreatedUnits
+from ..learners import cross_fit_predict
 from .engine import DmlResult, linear_score_result
-from .estimators import DEFAULT_TRIM, _check_binary, _columns, _rmse
+from .estimators import (DEFAULT_TRIM, _check_binary, _columns, _rmse,
+                         _subset_fit)
 
 
 def did_canonical(y, d, t, alpha: float = 0.05) -> DmlResult:
@@ -60,18 +62,9 @@ def dml_did_panel(y1, y2, d, X, learner_g, learner_m, plan,
     X = _columns(X, dy.size)
     if not np.any(d == 1):
         raise NoTreatedUnits("no treated units")
-    n = dy.size
     p_hat = float(np.mean(d))
-    g0 = np.empty(n)
-    m = np.empty(n)
-    for k in range(plan.K):
-        test = plan.fold_indices(k)
-        train = plan.complement_indices(k)
-        control = train[d[train] == 0.0]
-        if control.size == 0:
-            raise OneArmEmpty(f"training data for fold {k} has no controls")
-        g0[test] = learner_g.fit(X[control], dy[control]).predict(X[test])
-        m[test] = learner_m.fit(X[train], d[train]).predict(X[test])
+    g0 = _subset_fit(learner_g, X, dy, plan, d == 0.0)
+    m, _ = cross_fit_predict(learner_m, X, d, plan)
     trimmed = int(np.sum(m > 1.0 - trim))
     m = np.clip(m, trim, 1.0 - trim)
     psi_b = (d - m) / (p_hat * (1.0 - m)) * (dy - g0)
@@ -101,7 +94,6 @@ def dml_did_rcs(y, t, d, X, learner_g, learner_m, plan,
         raise EmptyCell("period indicator must take values 1 and 2")
     post = (t == 2.0).astype(float)
     X = _columns(X, y.size)
-    n = y.size
     p_hat = float(np.mean(d))
     lam = float(np.mean(post))
     if p_hat == 0.0:
@@ -112,24 +104,14 @@ def dml_did_rcs(y, t, d, X, learner_g, learner_m, plan,
     cells = {}
     for dd in (0.0, 1.0):
         for tt in (0.0, 1.0):
-            cells[(dd, tt)] = np.flatnonzero((d == dd) & (post == tt))
-            if cells[(dd, tt)].size == 0:
+            cells[(dd, tt)] = (d == dd) & (post == tt)
+            if not np.any(cells[(dd, tt)]):
                 raise EmptyCell(f"cell (d={int(dd)}, t={int(tt) + 1}) is empty")
-    degenerate_lambda = any(idx.size < 2 for idx in cells.values())
+    degenerate_lambda = any(np.sum(rows) < 2 for rows in cells.values())
 
-    g = {key: np.empty(n) for key in cells}
-    m = np.empty(n)
-    for k in range(plan.K):
-        test = plan.fold_indices(k)
-        train = plan.complement_indices(k)
-        for (dd, tt) in cells:
-            rows = train[(d[train] == dd) & (post[train] == tt)]
-            if rows.size == 0:
-                raise EmptyCell(
-                    f"training data for fold {k} lacks cell (d={int(dd)}, t={int(tt) + 1})"
-                )
-            g[(dd, tt)][test] = learner_g.fit(X[rows], y[rows]).predict(X[test])
-        m[test] = learner_m.fit(X[train], d[train]).predict(X[test])
+    g = {key: _subset_fit(learner_g, X, y, plan, rows, error=EmptyCell)
+         for key, rows in cells.items()}
+    m, _ = cross_fit_predict(learner_m, X, d, plan)
     trimmed = int(np.sum(m > 1.0 - trim))
     m = np.clip(m, trim, 1.0 - trim)
 

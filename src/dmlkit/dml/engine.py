@@ -51,6 +51,19 @@ class DmlResult:
         return float(self.ci_lower[0]), float(self.ci_upper[0])
 
 
+def normal_interval(estimates, std_errors, alpha: float,
+                    critical_value: float | None = None):
+    """Two-sided interval estimates -/+ c * std_errors, elementwise.
+
+    c is the normal 1 - alpha/2 quantile, or ``critical_value`` when
+    given (a sup-t critical value turns pointwise intervals into a
+    simultaneous band). Returns (lower, upper).
+    """
+    c = (stats.norm.ppf(1.0 - alpha / 2.0) if critical_value is None
+         else critical_value)
+    return estimates - c * std_errors, estimates + c * std_errors
+
+
 def linear_score_result(psi_a, psi_b, alpha: float = 0.05,
                         jacobian: float | None = None,
                         trim_count: int = 0,
@@ -72,13 +85,14 @@ def linear_score_result(psi_a, psi_b, alpha: float = 0.05,
         raise SingularJacobian("variance Jacobian is numerically zero")
     influence = (psi_b - psi_a * theta) / J
     variance = float(np.mean(influence**2) - np.mean(influence) ** 2)
-    se = float(np.sqrt(variance / n))
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    estimates = np.array([theta])
+    std_errors = np.array([np.sqrt(variance / n)])
+    lower, upper = normal_interval(estimates, std_errors, alpha)
     return DmlResult(
-        estimates=np.array([theta]),
-        std_errors=np.array([se]),
-        ci_lower=np.array([theta - z * se]),
-        ci_upper=np.array([theta + z * se]),
+        estimates=estimates,
+        std_errors=std_errors,
+        ci_lower=lower,
+        ci_upper=upper,
         influence=influence,
         variance=np.array([variance]),
         alpha=alpha,

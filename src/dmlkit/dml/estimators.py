@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..errors import (
     DimensionMismatch,
     EmptyGroup,
     ExactlyZeroCovariance,
+    FoldTooSmall,
     NoCompliance,
     NoTreatedUnits,
     OneArmEmpty,
     WeakResidualVariation,
 )
 from ..learners import cross_fit_predict
-from .engine import DmlResult, linear_score_result
+from ..linalg import as_matrix
+from .engine import DmlResult, linear_score_result, normal_interval
 
 DEFAULT_TRIM = 0.01
 WEAK_VARIATION_RTOL = 1e-10
@@ -24,9 +25,7 @@ WEAK_VARIATION_RTOL = 1e-10
 def _columns(X, n) -> np.ndarray:
     if X is None:
         return np.empty((n, 0))
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     if X.shape[0] != n:
         raise DimensionMismatch("covariate row count mismatch")
     return X
@@ -43,45 +42,42 @@ def _rmse(target, pred) -> float:
     return float(np.sqrt(np.mean((np.asarray(target) - pred) ** 2)))
 
 
+def _subset_fit(learner, X, target, plan, rows, error=OneArmEmpty):
+    """Cross-fitted predictions of a model trained only on ``rows`` (an
+    arm or a cell); raises ``error`` when a fold has none to train on."""
+    try:
+        return cross_fit_predict(learner, X, target, plan, rows=rows)[0]
+    except FoldTooSmall as exc:
+        raise error(f"training data lacks an arm or cell: {exc}") from exc
+
+
+def _plm_residuals(y, d, X, learner_l, learner_m, plan):
+    """Cross-fitted residuals Y - l(X) and D - m(X) with their RMSEs."""
+    X = _columns(X, y.size)
+    ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
+    m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
+    rd = d - m_hat
+    if float(np.mean(rd**2)) < WEAK_VARIATION_RTOL * float(np.mean(d**2)):
+        raise WeakResidualVariation("treatment residual variation is degenerate")
+    return y - ell_hat, rd, {"rmse_y": _rmse(y, ell_hat),
+                             "rmse_d": _rmse(d, m_hat)}
+
+
 def dml_plm(y, d, X, learner_l, learner_m, plan, alpha: float = 0.05) -> DmlResult:
     """Partially linear model: residual-on-residual slope with
     cross-fitted conditional means of Y and D given X."""
     y = np.asarray(y, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    X = _columns(X, y.size)
-    ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
-    m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
-    ry = y - ell_hat
-    rd = d - m_hat
-    if float(np.mean(rd**2)) < WEAK_VARIATION_RTOL * float(np.mean(d**2)):
-        raise WeakResidualVariation("treatment residual variation is degenerate")
-    return linear_score_result(
-        psi_a=rd * rd,
-        psi_b=rd * ry,
-        alpha=alpha,
-        diagnostics={"rmse_y": _rmse(y, ell_hat), "rmse_d": _rmse(d, m_hat)},
-    )
+    ry, rd, diag = _plm_residuals(y, d, X, learner_l, learner_m, plan)
+    return linear_score_result(psi_a=rd * rd, psi_b=rd * ry, alpha=alpha,
+                               diagnostics=diag)
 
 
 def _fit_irm_nuisances(y, d, X, learner_g, learner_m, plan, trim):
     """Cross-fit g(d, X) by treatment arm and the clipped propensity."""
-    n = y.size
-    g1 = np.empty(n)
-    g0 = np.empty(n)
-    m = np.empty(n)
-    for k in range(plan.K):
-        test = plan.fold_indices(k)
-        train = plan.complement_indices(k)
-        treated = train[d[train] == 1.0]
-        control = train[d[train] == 0.0]
-        if treated.size == 0 or control.size == 0:
-            raise OneArmEmpty(f"training data for fold {k} lacks a treatment arm")
-        p1 = learner_g.fit(X[treated], y[treated])
-        p0 = learner_g.fit(X[control], y[control])
-        pm = learner_m.fit(X[train], d[train])
-        g1[test] = p1.predict(X[test])
-        g0[test] = p0.predict(X[test])
-        m[test] = pm.predict(X[test])
+    g1 = _subset_fit(learner_g, X, y, plan, d == 1.0)
+    g0 = _subset_fit(learner_g, X, y, plan, d == 0.0)
+    m, _ = cross_fit_predict(learner_m, X, d, plan)
     trimmed = int(np.sum((m < trim) | (m > 1.0 - trim)))
     m = np.clip(m, trim, 1.0 - trim)
     return g1, g0, m, trimmed
@@ -148,7 +144,7 @@ def dml_gate(y, d, X, groups, learner_g, learner_m, plan,
             degenerate.append(lab)
             variances[j] = np.nan
     se = np.sqrt(variances / n)
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    lower, upper = normal_interval(estimates, se, alpha)
     diag = dict(diag)
     diag["group_labels"] = labels
     if degenerate:
@@ -156,8 +152,8 @@ def dml_gate(y, d, X, groups, learner_g, learner_m, plan,
     return DmlResult(
         estimates=estimates,
         std_errors=se,
-        ci_lower=estimates - z * se,
-        ci_upper=estimates + z * se,
+        ci_lower=lower,
+        ci_upper=upper,
         influence=influence,
         variance=variances,
         alpha=alpha,
@@ -179,17 +175,8 @@ def dml_atet(y, d, X, learner_g0, learner_m, plan,
     X = _columns(X, y.size)
     if not np.any(d == 1):
         raise NoTreatedUnits("no treated observations")
-    n = y.size
-    g0 = np.empty(n)
-    m = np.empty(n)
-    for k in range(plan.K):
-        test = plan.fold_indices(k)
-        train = plan.complement_indices(k)
-        control = train[d[train] == 0.0]
-        if control.size == 0:
-            raise OneArmEmpty(f"training data for fold {k} has no controls")
-        g0[test] = learner_g0.fit(X[control], y[control]).predict(X[test])
-        m[test] = learner_m.fit(X[train], d[train]).predict(X[test])
+    g0 = _subset_fit(learner_g0, X, y, plan, d == 0.0)
+    m, _ = cross_fit_predict(learner_m, X, d, plan)
     trimmed = int(np.sum(m > 1.0 - trim))
     m = np.clip(m, trim, 1.0 - trim)
     hm = d - (1.0 - d) * m / (1.0 - m)
@@ -245,24 +232,12 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
     X = _columns(X, y.size)
     if not (np.any(z == 1) and np.any(z == 0)):
         raise OneArmEmpty("both instrument arms must be present")
-    n = y.size
-    mu1 = np.empty(n)
-    mu0 = np.empty(n)
-    m1 = np.empty(n)
-    m0 = np.empty(n)
-    p = np.empty(n)
-    for k in range(plan.K):
-        test = plan.fold_indices(k)
-        train = plan.complement_indices(k)
-        on = train[z[train] == 1.0]
-        off = train[z[train] == 0.0]
-        if on.size == 0 or off.size == 0:
-            raise OneArmEmpty(f"training data for fold {k} lacks an instrument arm")
-        mu1[test] = learner_mu.fit(X[on], y[on]).predict(X[test])
-        mu0[test] = learner_mu.fit(X[off], y[off]).predict(X[test])
-        m1[test] = learner_m.fit(X[on], d[on]).predict(X[test])
-        m0[test] = learner_m.fit(X[off], d[off]).predict(X[test])
-        p[test] = learner_p.fit(X[train], z[train]).predict(X[test])
+    on, off = z == 1.0, z == 0.0
+    mu1 = _subset_fit(learner_mu, X, y, plan, on)
+    mu0 = _subset_fit(learner_mu, X, y, plan, off)
+    m1 = _subset_fit(learner_m, X, d, plan, on)
+    m0 = _subset_fit(learner_m, X, d, plan, off)
+    p, _ = cross_fit_predict(learner_p, X, z, plan)
     trimmed = int(np.sum((p < trim) | (p > 1.0 - trim)))
     p = np.clip(p, trim, 1.0 - trim)
     m1 = np.clip(m1, 0.0, 1.0)

@@ -10,11 +10,10 @@ relative ATE by the delta method.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..errors import OneArmEmpty
 from ..linalg import ols_fit
-from .engine import DmlResult
+from .engine import DmlResult, normal_interval
 from .estimators import _check_binary, _columns
 
 
@@ -79,16 +78,18 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
         rel_se = float(np.sqrt(grad @ cov @ grad))
     else:
         rel_se = np.nan
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    estimates, std_errors = np.array([ate]), np.array([se])
+    lower, upper = normal_interval(estimates, std_errors, alpha)
+    rel_ci = normal_interval(rel, rel_se, alpha)
 
     # Influence values of the ATE contrast (mean-zero by construction).
     dt = d - np.mean(d)
     influence = eps * dt / np.mean(dt**2)
     return DmlResult(
-        estimates=np.array([ate]),
-        std_errors=np.array([se]),
-        ci_lower=np.array([ate - z * se]),
-        ci_upper=np.array([ate + z * se]),
+        estimates=estimates,
+        std_errors=std_errors,
+        ci_lower=lower,
+        ci_upper=upper,
         influence=influence,
         variance=np.array([se**2 * n]),
         alpha=alpha,
@@ -98,8 +99,8 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
             "mean_control": mu0,
             "relative_ate": rel,
             "relative_ate_se": rel_se,
-            "relative_ate_ci": (rel - z * rel_se, rel + z * rel_se),
+            "relative_ate_ci": rel_ci,
             "efficacy": -rel,
-            "efficacy_ci": (-(rel + z * rel_se), -(rel - z * rel_se)),
+            "efficacy_ci": (-rel_ci[1], -rel_ci[0]),
         },
     )

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..errors import OneSideEmpty
 from ..linalg import ols_fit, robust_variance
-from .engine import DmlResult
+from .engine import DmlResult, normal_interval
 from .estimators import _columns
 
 
@@ -19,8 +18,8 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     Kernel-weighted OLS of y on an intercept, the treatment indicator
     D = 1(x >= cutoff), the scaled running variable, and its interaction
     with D; optional covariates Z enter linearly. Standard errors are
-    HC0 under the kernel weights, and ``influence`` holds each used
-    row's HC0 influence on the jump.
+    the HC0 weighted-least-squares sandwich under the kernel weights,
+    and ``influence`` holds each used row's HC0 influence on the jump.
     """
     y = np.asarray(y, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
@@ -44,19 +43,21 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     var = robust_variance(fit, "HC0")
     tau = float(fit.coefficients[1])
     se = float(var.std_errors[1])
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
+    estimates, std_errors = np.array([tau]), np.array([se])
+    lower, upper = normal_interval(estimates, std_errors, alpha)
     n_used = int(np.sum(keep))
-    # HC0 influence of the jump under the kernel weights: its mean square
-    # is the sandwich variance robust_variance reports, so
+    # HC0 influence of the jump under the kernel weights,
+    # n w_i e_i [(X'WX)^{-1} x_i]_jump: its mean square is the WLS
+    # sandwich variance robust_variance reports, so
     # sqrt(mean(influence**2) / n_used) is the standard error.
     jump_row = np.linalg.inv(fit.second_moment)[1] @ fit.X.T
-    influence = (np.sqrt(n_used * fit.weights / np.sum(fit.weights))
+    influence = (n_used * fit.weights / np.sum(fit.weights)
                  * fit.residuals * jump_row)
     return DmlResult(
-        estimates=np.array([tau]),
-        std_errors=np.array([se]),
-        ci_lower=np.array([tau - z * se]),
-        ci_upper=np.array([tau + z * se]),
+        estimates=estimates,
+        std_errors=std_errors,
+        ci_lower=lower,
+        ci_upper=upper,
         influence=influence,
         variance=np.array([se**2 * n_used]),
         alpha=alpha,

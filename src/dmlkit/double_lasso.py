@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from .dml.engine import normal_interval
 from .errors import DimensionMismatch, WeakResidualVariation
-from .linalg import ols_fit, robust_variance
+from .linalg import as_matrix, ols_fit, robust_variance
 from .penalized import cv_fit, lasso_fit, lasso_plugin, post_lasso_coefficients
 from .rng import stream
 
@@ -118,17 +119,19 @@ def _post_refit_residual(y, W, fit) -> np.ndarray:
 def _single_target_inference(estimate, variance, n, alpha, resid_y=None,
                              resid_d=None, warning=None) -> TargetInference:
     se = float(np.sqrt(variance / n))
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
     pval = 2.0 * stats.norm.sf(abs(estimate) / se) if se > 0 else 0.0
+    estimates, std_errors = np.array([estimate]), np.array([se])
+    lower, upper = normal_interval(estimates, std_errors, alpha)
+    # With one target the simultaneous band is the pointwise interval.
     return TargetInference(
-        estimates=np.array([estimate]),
-        std_errors=np.array([se]),
-        ci_lower=np.array([estimate - z * se]),
-        ci_upper=np.array([estimate + z * se]),
-        band_lower=np.array([estimate - z * se]),
-        band_upper=np.array([estimate + z * se]),
+        estimates=estimates,
+        std_errors=std_errors,
+        ci_lower=lower,
+        ci_upper=upper,
+        band_lower=lower.copy(),
+        band_upper=upper.copy(),
         joint_variance=np.array([[variance]]),
-        critical_value=float(z),
+        critical_value=float(stats.norm.ppf(1.0 - alpha / 2.0)),
         p_values=np.array([pval]),
         residual_outcome=resid_y,
         residual_targets=None if resid_d is None else np.asarray(resid_d)[:, None],
@@ -172,9 +175,7 @@ def double_lasso(y, d, W, lam_rule: str = "plugin", alpha: float = 0.05,
 def _control_matrix(W, n) -> np.ndarray:
     if W is None:
         return np.empty((n, 0))
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    W = as_matrix(W)
     if W.shape[0] != n:
         raise DimensionMismatch("controls row count mismatch")
     return W
@@ -207,9 +208,7 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
     Monte Carlo on the implied correlation matrix.
     """
     y = np.asarray(y, dtype=float).ravel()
-    D = np.asarray(D, dtype=float)
-    if D.ndim == 1:
-        D = D[:, None]
+    D = as_matrix(D)
     n, p1 = D.shape
     W = _control_matrix(W, n)
 
@@ -239,15 +238,17 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
     scale = np.sqrt(np.diag(V))
     corr = V / scale[:, None] / scale[None, :]
     c = simultaneous_critical_value(corr, alpha, seed=seed)
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
     pvals = 2.0 * stats.norm.sf(np.abs(estimates) / se)
+    lower, upper = normal_interval(estimates, se, alpha)
+    band_lower, band_upper = normal_interval(estimates, se, alpha,
+                                             critical_value=c)
     return TargetInference(
         estimates=estimates,
         std_errors=se,
-        ci_lower=estimates - z * se,
-        ci_upper=estimates + z * se,
-        band_lower=estimates - c * se,
-        band_upper=estimates + c * se,
+        ci_lower=lower,
+        ci_upper=upper,
+        band_lower=band_lower,
+        band_upper=band_upper,
         joint_variance=V,
         critical_value=c,
         p_values=pvals,

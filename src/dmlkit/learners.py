@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadFoldCount, DimensionMismatch, FoldTooSmall, Separation
-from .linalg import ols_fit
+from .linalg import as_matrix, ols_fit
 from .rng import stream
 
 DEFAULT_CLIP = 0.01
@@ -66,12 +66,13 @@ def no_crossfit_plan(n: int) -> CrossFitPlan:
 
 
 def cross_fit_predict(learner, X, y, plan: CrossFitPlan, weights=None,
-                      proba: bool = False):
+                      proba: bool = False, rows=None):
     """Out-of-fold predictions: row i is predicted by a model that never
-    saw fold(i). Returns (predictions, per-fold predictors)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    saw fold(i). ``rows``, a boolean mask of length n, keeps only the
+    marked rows of each fold's training complement (a treatment arm or a
+    DiD cell, say); every row is still predicted. Returns (predictions,
+    per-fold predictors)."""
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     if plan.n != X.shape[0]:
         raise DimensionMismatch("plan size does not match data")
@@ -80,6 +81,8 @@ def cross_fit_predict(learner, X, y, plan: CrossFitPlan, weights=None,
     for k in range(plan.K):
         test = plan.fold_indices(k)
         train = plan.complement_indices(k)
+        if rows is not None:
+            train = train[rows[train]]
         if train.size < 1:
             raise FoldTooSmall(f"fold {k} leaves no training rows")
         w = None if weights is None else np.asarray(weights)[train]
@@ -123,9 +126,7 @@ class _FunctionPredictor:
         self._fn = fn
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_matrix(X)
         return np.asarray(self._fn(X), dtype=float)
 
 
@@ -159,9 +160,7 @@ class LinearLearner:
     """OLS with intercept; the workhorse low-dimensional nuisance oracle."""
 
     def fit(self, X, y, weights=None):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_matrix(X)
         design = np.column_stack([np.ones(X.shape[0]), X])
         fit = ols_fit(design, y, weights=weights, minimum_norm=True)
         beta = fit.coefficients
@@ -183,9 +182,7 @@ class LassoPluginLearner:
     def fit(self, X, y, weights=None):
         from .penalized import lasso_plugin, post_lasso_coefficients
 
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_matrix(X)
         fit = lasso_plugin(X, y, c=self.c, a=self.a)
         if self.post:
             intercept, beta = post_lasso_coefficients(X, y, fit)
@@ -226,9 +223,7 @@ class RegressionTree:
 
     def predict(self, X) -> np.ndarray:
         """Route every row down one level per pass until all sit at leaves."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_matrix(X)
         node = np.zeros(X.shape[0], dtype=np.intp)
         rows = np.arange(X.shape[0]) if self.feature[0] >= 0 else node[:0]
         while rows.size:
@@ -272,8 +267,12 @@ def _best_split(order, xs, w_wy, features, min_leaf, total_w, total_wy):
             gain = float(top[k]) - (total_wy**2 / total_w)
             if best is None or gain > best[2] + 1e-12:
                 i = lo + pos[k]
-                best = (int(block[k]), float(0.5 * (x[k, i - 1] + x[k, i])),
-                        gain)
+                cut = float(0.5 * (x[k, i - 1] + x[k, i]))
+                # Between adjacent floats the midpoint can round up to
+                # the upper value, which would send every row left.
+                if cut >= x[k, i]:
+                    cut = float(x[k, i - 1])
+                best = (int(block[k]), cut, gain)
     return best
 
 
@@ -306,9 +305,7 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     more than 1e-12. Nodes grow depth first, left before right, which
     is also the order of the ``rng`` draws.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
@@ -399,9 +396,7 @@ class _AveragePredictor:
         self._trees = trees
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_matrix(X)
         acc = np.zeros(X.shape[0])
         for tree in self._trees:
             acc += tree.predict(X)
@@ -415,9 +410,7 @@ def forest_fit(X, y, B: int = 100, sample_mode: str = "bootstrap",
     """Bagged (or subsampled) forest of deep trees with per-split feature
     subsampling. Each tree consumes an independent RNG stream derived
     from (seed, tree index), so the result is order-independent."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
     if B < 1:
@@ -469,9 +462,7 @@ class _BoostPredictor:
         self._rate = rate
 
     def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_matrix(X)
         acc = np.zeros(X.shape[0])
         for stage in self._stages:
             acc += self._rate * stage.predict(X)
@@ -484,9 +475,7 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
     to current residuals and accumulate rate-scaled stage predictions."""
     if not 0 < rate <= 1:
         raise DimensionMismatch("learning rate must be in (0, 1]")
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     if base is None:
         base = TreeLearner(max_depth=2, min_leaf=1)
@@ -521,9 +510,7 @@ class _LogisticPredictor:
         self.separated = separated
 
     def _index(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
+        X = as_matrix(X)
         return self.beta[0] + X @ self.beta[1:]
 
     def predict_proba(self, X):
@@ -545,9 +532,7 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP, max_iter: int = 100,
     Separation error is raised; callers that want the clipped fit anyway
     can catch it and use ``exc.predictor``.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     d = np.asarray(d, dtype=float).ravel()
     if not (np.any(d == 0) and np.any(d == 1)):
         from .errors import OneArmEmpty
@@ -597,9 +582,7 @@ def perm_importance(predictor, X, y, reps: int = 10, seed: int = 0) -> np.ndarra
     """Average increase in MSE from permuting each feature column."""
     if reps < 1:
         raise DimensionMismatch("reps must be >= 1")
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     base_mse = float(np.mean((y - predictor.predict(X)) ** 2))
     n, p = X.shape

@@ -80,7 +80,8 @@ class VarianceEstimate:
     std_errors: np.ndarray
 
 
-def _as_matrix(X) -> np.ndarray:
+def as_matrix(X) -> np.ndarray:
+    """Float array with a vector read as one column."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
@@ -96,7 +97,7 @@ def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
     relative tolerance, RankDeficient is raised unless the caller opts
     into the minimum-norm solution.
     """
-    X = _as_matrix(X)
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     n, p = X.shape
     if y.size != n:
@@ -166,6 +167,7 @@ def robust_variance(fit: OlsFit, kind: str = "HC1") -> VarianceEstimate:
 
     HC0 uses raw squared residuals, HC1 rescales by n/(n-p), and HC3
     weights each squared residual by (1 - h_i)^{-2} (jackknife form).
+    A weighted fit gets the weighted-least-squares sandwich.
     """
     kind = kind.upper()
     if kind not in ("HC0", "HC1", "HC3"):
@@ -182,16 +184,20 @@ def robust_variance(fit: OlsFit, kind: str = "HC1") -> VarianceEstimate:
     elif kind == "HC3":
         omega = omega / (1.0 - fit.leverage) ** 2
 
+    # With B = E_w[X X'] = X'WX / sum(w), the weighted-least-squares
+    # sandwich (X'WX)^{-1} X'W^2 Omega X (X'WX)^{-1} is B^{-1} M B^{-1} /
+    # sum(w) for M = X'W^2 Omega X / sum(w). Unit weights give sum(w) = n
+    # exactly, so the unweighted HC forms come out bit for bit.
     w = fit.weights
     wsum = np.sum(w)
-    Xs = fit.X * (w * omega / wsum)[:, None]
-    meat = fit.X.T @ Xs  # E_n[w X X' omega eps^2]
+    Xs = fit.X * (w * omega / wsum * w)[:, None]
+    meat = fit.X.T @ Xs
     try:
         bread = np.linalg.inv(fit.second_moment)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded upstream
         raise RankDeficient("second-moment matrix singular") from exc
     V = bread @ meat @ bread
-    cov = V / n
+    cov = V / wsum
     return VarianceEstimate(kind=kind, matrix=cov, std_errors=np.sqrt(np.diag(cov)))
 
 
@@ -204,7 +210,7 @@ def partial_out(V, W, weights=None) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     squeeze = V.ndim == 1
     Vm = V[:, None] if squeeze else V
-    W = _as_matrix(W) if W is not None else np.empty((Vm.shape[0], 0))
+    W = as_matrix(W) if W is not None else np.empty((Vm.shape[0], 0))
     if W.shape[1] == 0:
         out = Vm.copy()
     else:

@@ -23,7 +23,7 @@ from .errors import (
     NoConvergence,
     NonFinitePenalty,
 )
-from .linalg import OlsFit, ols_fit
+from .linalg import OlsFit, as_matrix, ols_fit
 
 MAX_SWEEPS = 10_000
 COORD_TOL = 1e-7
@@ -47,10 +47,7 @@ class LassoFit:
         return np.flatnonzero(self.coefficients)
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        return self.intercept + X @ self.coefficients
+        return self.intercept + as_matrix(X) @ self.coefficients
 
 
 @dataclass
@@ -64,9 +61,7 @@ class CvReport:
 
 
 def _prepare(X, y):
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.size:
         raise DimensionMismatch("X and y have different row counts")

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from .dml.engine import linear_score_result, normal_interval
+from .dml.estimators import _plm_residuals
 from .errors import BadR2, DimensionMismatch, NotADistribution, SingularProxyMatrix
-from .linalg import ols_fit, robust_variance
+from .linalg import as_matrix, ols_fit, robust_variance
 
 CONTOUR_POINTS = 50
 PROXY_MAX_CONDITION = 1e10
@@ -73,22 +75,16 @@ def ovb_from_data(y, d, X, learner_l, learner_m, plan, r2_y: float,
                   r2_d: float, r_max: float = 0.5,
                   contour_points: int = CONTOUR_POINTS) -> OvbBound:
     """Data-driven bound: estimate the partialled slope and variance
-    ratio by cross-fitted residualization, then apply ovb_bound.
+    ratio by cross-fitted residualization (the one dml_plm uses, each
+    nuisance fit once per fold), then apply ovb_bound.
 
     Also fills a contour grid of the bias bound over [0, r_max]^2 for
     plotting.
     """
-    from .dml import dml_plm
-    from .learners import cross_fit_predict
-
     y = np.asarray(y, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    result = dml_plm(y, d, X, learner_l, learner_m, plan)
-    ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
-    m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
-    ry = y - ell_hat
-    rd = d - m_hat
-    beta = result.theta
+    ry, rd, _ = _plm_residuals(y, d, X, learner_l, learner_m, plan)
+    beta = linear_score_result(psi_a=rd * rd, psi_b=rd * ry).theta
     s = float(np.mean((ry - beta * rd) ** 2) / np.mean(rd**2))
     out = ovb_bound(beta, r2_y, r2_d, s)
     axis = np.linspace(0.0, r_max, contour_points)
@@ -170,12 +166,11 @@ def proxy_linear_iv(y, d, s, q, X, learner, plan, alpha: float = 0.05):
     Ainv = np.linalg.inv(A)
     V = Ainv @ meat @ Ainv.T
     se = float(np.sqrt(V[0, 0] / n))
-    z = stats.norm.ppf(1.0 - alpha / 2.0)
     est = float(coef[0])
     return {
         "estimate": est,
         "std_error": se,
-        "ci": (est - z * se, est + z * se),
+        "ci": normal_interval(est, se, alpha),
         "proxy_loading": float(coef[1]),
         "first_stage": diag,
     }
@@ -186,9 +181,7 @@ def balance_check(H, W, alpha: float = 0.05) -> dict:
     that every slope is zero (robust Wald). Under correct propensities
     the transform is mean-independent of W."""
     H = np.asarray(H, dtype=float).ravel()
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    W = as_matrix(W)
     n, p = W.shape
     keep = [j for j in range(p) if np.std(W[:, j]) > 0]
     if not keep:

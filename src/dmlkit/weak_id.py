@@ -14,7 +14,7 @@ import numpy as np
 from scipy import linalg as sla, stats
 
 from .errors import DegenerateVariance, DimensionMismatch
-from .linalg import ols_fit, robust_variance
+from .linalg import as_matrix, ols_fit, robust_variance
 
 GRID_POINTS = 401
 CHOLESKY_JITTER = 1e-12
@@ -49,10 +49,7 @@ def _moment_matrix(ry, rd, rz, theta):
     """Per-observation moments (y_res - theta d_res) * z_res, (n, m)."""
     ry = np.asarray(ry, dtype=float).ravel()
     rd = np.asarray(rd, dtype=float).ravel()
-    rz = np.asarray(rz, dtype=float)
-    if rz.ndim == 1:
-        rz = rz[:, None]
-    return (ry - theta * rd)[:, None] * rz
+    return (ry - theta * rd)[:, None] * as_matrix(rz)
 
 
 def _score_statistic(moments):
@@ -131,8 +128,8 @@ def robust_region(ry, rd, rz, grid, alpha: float = 0.05) -> ConfidenceRegion:
     The accepted set is reported as maximal grid intervals; it can be
     empty (flagged, not raised) or disconnected.
     """
-    rz_arr = np.asarray(rz, dtype=float)
-    dof = 1 if rz_arr.ndim == 1 else rz_arr.shape[1]
+    rz_arr = as_matrix(rz)
+    dof = rz_arr.shape[1]
     jitter_any = False
     values = np.empty(len(grid))
     for i, theta in enumerate(grid):
@@ -147,9 +144,7 @@ def robust_region(ry, rd, rz, grid, alpha: float = 0.05) -> ConfidenceRegion:
 def first_stage_diag(rd, rz) -> dict:
     """Robust t statistic of the first stage; |t| > 4 counts as strong."""
     rd = np.asarray(rd, dtype=float).ravel()
-    rz = np.asarray(rz, dtype=float)
-    if rz.ndim == 1:
-        rz = rz[:, None]
+    rz = as_matrix(rz)
     if rd.size < 3:
         raise DimensionMismatch("need n >= 3")
     design = np.column_stack([np.ones(rd.size), rz])
@@ -171,9 +166,7 @@ def generic_weak_id(score_values, grid, alpha: float = 0.05) -> ConfidenceRegion
     values = np.empty(grid.size)
     jitter_any = False
     for i, theta in enumerate(grid):
-        moments = np.asarray(score_values(theta), dtype=float)
-        if moments.ndim == 1:
-            moments = moments[:, None]
+        moments = as_matrix(score_values(theta))
         stat, jit = _score_statistic(moments)
         values[i] = stat
         jitter_any = jitter_any or jit

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from dmlkit.dml import (did_canonical, dml_atet, dml_did_panel, dml_did_rcs,
                         dml_gate, dml_irm_ate, dml_late, dml_pliv, dml_plm,
                         rct_estimators, rdd_sharp)
-from dmlkit.dml.engine import generic_dml, linear_score_result
+from dmlkit.dml.engine import generic_dml, linear_score_result, normal_interval
 from dmlkit.errors import (BadFoldCount, EmptyCell, NoCompliance,
                            NoTreatedUnits, OneArmEmpty, OneSideEmpty,
                            SingularJacobian, WeakResidualVariation)
@@ -436,3 +436,34 @@ class TestRdd:
         assert res.influence.shape == (res.n,)
         assert np.sqrt(np.mean(res.influence**2) / res.n) == pytest.approx(
             res.std_errors[0], rel=1e-10)
+
+
+class TestNormalInterval:
+    def test_default_is_normal_quantile(self):
+        lo, hi = normal_interval(np.array([1.0, -2.0]), np.array([0.5, 2.0]),
+                                 0.05)
+        z = 1.959963984540054
+        assert np.array_equal(lo, np.array([1.0 - z * 0.5, -2.0 - z * 2.0]))
+        assert np.array_equal(hi, np.array([1.0 + z * 0.5, -2.0 + z * 2.0]))
+
+    def test_critical_value_gives_band(self):
+        lo, hi = normal_interval(3.0, 0.25, 0.05, critical_value=2.5)
+        assert (lo, hi) == (3.0 - 2.5 * 0.25, 3.0 + 2.5 * 0.25)
+
+
+class TestRddTriangularSandwich:
+    def test_standard_error_is_wls_sandwich(self):
+        r = np.random.default_rng(30)
+        x = r.uniform(-1.0, 1.0, 400)
+        y = 0.5 * x + 1.0 * (x >= 0) + (1.0 + x**2) * r.standard_normal(400)
+        res = rdd_sharp(y, x, cutoff=0.0, bandwidth=0.6, kernel="triangular")
+        u = x / 0.6
+        keep = np.abs(u) < 1.0
+        w = (1.0 - np.abs(u))[keep]
+        t = (x >= 0)[keep].astype(float)
+        X = np.column_stack([np.ones(w.size), t, u[keep], t * u[keep]])
+        bread = np.linalg.inv(X.T @ (X * w[:, None]))
+        e = y[keep] - X @ (bread @ (X.T @ (w * y[keep])))
+        meat = X.T @ (X * (w**2 * e**2)[:, None])
+        se = np.sqrt((bread @ meat @ bread)[1, 1])
+        assert res.std_errors[0] == pytest.approx(se, rel=1e-10)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dmlkit.errors import BadFoldCount, DimensionMismatch, OneArmEmpty, Separation
+from dmlkit.errors import (BadFoldCount, DimensionMismatch, FoldTooSmall,
+                           OneArmEmpty, Separation)
 from dmlkit.learners import (BoostLearner, CrossFitPlan, ForestLearner,
                              LassoPluginLearner, LinearLearner,
                              LogisticLearner, MeanLearner, TreeLearner,
@@ -480,3 +483,70 @@ class TestPresortedSplitSearch:
         fresh = np.round(r.standard_normal((200, X.shape[1])), 1)
         Xq = np.vstack([X[:500], fresh])
         assert np.array_equal(tree.predict(Xq), _reference_predict(ref, Xq))
+
+
+class _Recorder:
+    """Mean learner that keeps the labels it was trained on."""
+
+    def fit(self, X, y, weights=None):
+        seen = np.asarray(y, dtype=float).copy()
+
+        class P:
+            labels = seen
+
+            def predict(self, Xn):
+                return np.full(np.asarray(Xn).shape[0], seen.mean())
+
+        return P()
+
+
+class TestCrossFitRows:
+    # Labels are the row ids, so each model reveals its training rows.
+    y = np.arange(12.0)
+    X = np.zeros((12, 1))
+    rows = np.arange(12) % 4 != 0
+
+    def test_folds_train_on_marked_rows_outside_the_fold(self):
+        plan = CrossFitPlan(n=12, K=3, assignment=np.arange(12) % 3, seed=0)
+        preds, predictors = cross_fit_predict(_Recorder(), self.X, self.y,
+                                              plan, rows=self.rows)
+        for k, predictor in enumerate(predictors):
+            expected = np.flatnonzero(self.rows & (plan.assignment != k))
+            assert np.array_equal(predictor.labels, expected)
+            fold = plan.fold_indices(k)
+            assert np.array_equal(preds[fold],
+                                  np.full(fold.size, expected.mean()))
+
+    def test_no_crossfit_plan_trains_in_sample(self):
+        preds, predictors = cross_fit_predict(
+            _Recorder(), self.X, self.y, no_crossfit_plan(12),
+            rows=self.rows)
+        assert np.array_equal(predictors[0].labels,
+                              np.flatnonzero(self.rows))
+        assert np.array_equal(preds, np.full(12, self.y[self.rows].mean()))
+
+    def test_fold_without_marked_training_rows(self):
+        plan = CrossFitPlan(n=12, K=3, assignment=np.arange(12) % 3, seed=0)
+        with pytest.raises(FoldTooSmall):
+            cross_fit_predict(_Recorder(), self.X, self.y, plan,
+                              rows=plan.assignment == 1)
+
+
+class TestMidpointRounding:
+    def test_adjacent_values_split_at_the_lower_one(self):
+        # Between adjacent floats a and b the midpoint can round to b;
+        # splitting at it would send every row left.
+        a = next(v for v in np.linspace(1.0, 2.0, 1000)
+                 if 0.5 * (v + np.nextafter(v, 3.0)) == np.nextafter(v, 3.0))
+        b = np.nextafter(a, 3.0)
+        X = np.array([[a], [a], [b], [b]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tree = tree_fit(X, y, max_depth=3)
+            preds = tree.predict(np.array([[a], [b], [b + 1.0]]))
+        assert tree.feature[0] == 0 and tree.threshold[0] == a
+        goes_left = X[:, 0] <= tree.threshold[0]
+        assert goes_left.sum() == 2 and (~goes_left).sum() == 2
+        assert not np.any(np.isnan(tree.value))
+        assert preds.tolist() == [0.0, 1.0, 1.0]

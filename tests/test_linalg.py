@@ -210,3 +210,20 @@ class TestPredictiveMetrics:
         m = predictive_metrics(y_true, np.full(2, 2.0), p=1, center=True,
                                train_mean=2.0)
         assert m["r2_test"] == pytest.approx(0.0)
+
+
+class TestWeightedSandwich:
+    def test_matches_explicit_wls_sandwich(self):
+        # (X'WX)^{-1} X'W^2 diag(e^2) X (X'WX)^{-1} for non-constant w.
+        r = np.random.default_rng(12)
+        n = 300
+        X = np.column_stack([np.ones(n), r.uniform(-1.0, 1.0, (n, 2))])
+        w = r.uniform(0.05, 2.0, n)
+        y = X @ np.array([1.0, 2.0, -1.0]) + (1.0 + X[:, 1] ** 2) * \
+            r.standard_normal(n)
+        fit = ols_fit(X, y, weights=w)
+        bread = np.linalg.inv(X.T @ (X * w[:, None]))
+        meat = X.T @ (X * (w**2 * fit.residuals**2)[:, None])
+        expected = bread @ meat @ bread
+        got = robust_variance(fit, kind="HC0").matrix
+        assert np.allclose(got, expected, rtol=1e-10, atol=0.0)

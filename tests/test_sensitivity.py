@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from dmlkit.cli.dgps import sem_population
 from dmlkit.errors import BadR2, NotADistribution, SingularProxyMatrix
-from dmlkit.learners import MeanLearner, make_folds
+from dmlkit.dml import dml_plm
+from dmlkit.learners import (LinearLearner, MeanLearner, cross_fit_predict,
+                             make_folds)
 from dmlkit.sensitivity import (balance_check, ovb_bound, ovb_from_data,
                                 proxy_discrete, proxy_linear_iv)
 
@@ -198,3 +200,35 @@ class TestBalanceCheck:
         out = balance_check(H, W)
         assert not out["reject"]
         assert out["dof"] == 3
+
+
+class _CountingLinear:
+    def __init__(self):
+        self.fits = 0
+
+    def fit(self, X, y, weights=None):
+        self.fits += 1
+        return LinearLearner().fit(X, y, weights=weights)
+
+
+class TestOvbFitsEachNuisanceOnce:
+    def test_one_fit_per_fold_and_same_bound(self):
+        r = np.random.default_rng(3)
+        n = 90
+        X = r.standard_normal((n, 2))
+        d = X[:, 0] + r.standard_normal(n)
+        y = 0.5 * d + X[:, 1] + r.standard_normal(n)
+        plan = make_folds(n, 3, seed=4)
+        learner_l, learner_m = _CountingLinear(), _CountingLinear()
+        out = ovb_from_data(y, d, X, learner_l, learner_m, plan,
+                            r2_y=0.3, r2_d=0.2)
+        assert (learner_l.fits, learner_m.fits) == (plan.K, plan.K)
+        # The bound built by hand from dml_plm and one residualization.
+        beta = dml_plm(y, d, X, LinearLearner(), LinearLearner(), plan).theta
+        ry = y - cross_fit_predict(LinearLearner(), X, y, plan)[0]
+        rd = d - cross_fit_predict(LinearLearner(), X, d, plan)[0]
+        s = float(np.mean((ry - beta * rd) ** 2) / np.mean(rd**2))
+        direct = ovb_bound(beta, 0.3, 0.2, s)
+        assert (out.estimate, out.s, out.bias_bound, out.lower, out.upper) \
+            == (direct.estimate, direct.s, direct.bias_bound, direct.lower,
+                direct.upper)
