@@ -1,8 +1,27 @@
-"""Flat key-value run configuration.
+"""Flat key-value run configuration and the table of estimands.
 
 The config grammar is one ``key = value`` pair per line, ``#`` starts a
 comment, and list-valued keys use commas. The format is deliberately
 code-free so a config file hashes to stable provenance.
+
+``ESTIMANDS`` is the one place an estimand is declared. Validation,
+column loading, learner construction and dispatch all read it. Each
+``Estimand`` record holds:
+
+- ``roles``: the column roles the estimand requires, then ``optional``
+  the roles it reads when the config sets them, together in the order
+  the estimator takes them;
+- ``binary``: the roles whose column must hold only 0s and 1s;
+- ``learners``: one (role, default spec) pair per nuisance learner, in
+  the estimator's order; ``learner_<role>``, then ``learner``, override
+  the default;
+- ``trim``: whether the estimator takes a propensity ``trim``;
+- ``options``: the other keys the estimand reads;
+- ``estimator``: for a cross-fitted estimand, the name of the
+  ``dmlkit.dml`` function called as
+  ``fn(*columns, *learners, plan, alpha=...[, trim=...])``.
+
+A config key that no field of its estimand names is rejected.
 """
 
 from __future__ import annotations
@@ -12,33 +31,80 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
-ESTIMANDS = (
-    "plm", "ate", "atet", "gate", "pliv", "late",
-    "did_panel", "did_rcs", "did_canonical", "rct", "rdd",
-    "cate-pipeline", "sensitivity", "weak_id",
-)
+COMMON_KEYS = ("estimand", "seed", "alpha")
+# Read by every estimand that fits nuisance learners.
+LEARNER_KEYS = ("folds", "learner")
 
-# Column roles each estimand requires beyond outcome/treatment.
-REQUIRED_ROLES = {
-    "plm": ("outcome", "treatment", "controls"),
-    "ate": ("outcome", "treatment", "controls"),
-    "atet": ("outcome", "treatment", "controls"),
-    "gate": ("outcome", "treatment", "controls", "group"),
-    "pliv": ("outcome", "treatment", "instrument", "controls"),
-    "late": ("outcome", "treatment", "instrument", "controls"),
-    "did_panel": ("outcome", "outcome_pre", "treatment", "controls"),
-    "did_rcs": ("outcome", "treatment", "time"),
-    "did_canonical": ("outcome", "treatment", "time"),
-    "rct": ("outcome", "treatment"),
-    "rdd": ("outcome", "running"),
-    "cate-pipeline": ("outcome", "treatment", "controls"),
-    "sensitivity": ("outcome", "treatment", "controls"),
-    "weak_id": ("outcome", "treatment", "instrument", "controls"),
+
+@dataclass(frozen=True)
+class Estimand:
+    roles: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    binary: tuple[str, ...] = ()
+    learners: tuple[tuple[str, str], ...] = ()
+    trim: bool = False
+    options: tuple[str, ...] = ()
+    estimator: str | None = None
+
+    def keys(self) -> set[str]:
+        """Every config key the estimand reads."""
+        keys = {*COMMON_KEYS, *self.roles, *self.optional, *self.options}
+        if self.learners:
+            keys.update(LEARNER_KEYS)
+            keys.update(f"learner_{role}" for role, _ in self.learners)
+        if self.trim:
+            keys.add("trim")
+        return keys
+
+
+_YDX = ("outcome", "treatment", "controls")
+_YDZX = ("outcome", "treatment", "instrument", "controls")
+_PLM = (("outcome", "linear"), ("treatment", "linear"))
+_IRM = (("outcome", "linear"), ("propensity", "logistic"))
+_D = ("treatment",)
+
+ESTIMANDS = {
+    "plm": Estimand(_YDX, learners=_PLM, estimator="dml_plm"),
+    "ate": Estimand(_YDX, binary=_D, learners=_IRM, trim=True,
+                    estimator="dml_irm_ate"),
+    "atet": Estimand(_YDX, binary=_D, learners=_IRM, trim=True,
+                     estimator="dml_atet"),
+    "gate": Estimand(_YDX + ("group",), binary=_D, learners=_IRM, trim=True,
+                     estimator="dml_gate"),
+    "pliv": Estimand(_YDZX, learners=(("outcome", "linear"),
+                                      ("instrument", "linear"),
+                                      ("treatment", "linear")),
+                     estimator="dml_pliv"),
+    "late": Estimand(_YDZX, binary=("treatment", "instrument"),
+                     learners=(("outcome", "linear"), ("takeup", "logistic"),
+                               ("propensity", "logistic")),
+                     trim=True, estimator="dml_late"),
+    "did_panel": Estimand(("outcome_pre", "outcome", "treatment", "controls"),
+                          binary=_D, learners=_IRM, trim=True,
+                          options=("outcome_placebo_pre",),
+                          estimator="dml_did_panel"),
+    "did_rcs": Estimand(("outcome", "time", "treatment"),
+                        optional=("controls",), binary=_D, learners=_IRM,
+                        trim=True, estimator="dml_did_rcs"),
+    "did_canonical": Estimand(("outcome", "treatment", "time"), binary=_D),
+    "rct": Estimand(("outcome", "treatment"), optional=("controls",),
+                    binary=_D, options=("mode",)),
+    "rdd": Estimand(("outcome", "running"), optional=("controls",),
+                    options=("bandwidth", "cutoff", "kernel")),
+    "cate-pipeline": Estimand(_YDX, optional=("effect_covariates",),
+                              binary=_D,
+                              learners=_IRM + (("effect", "tree"),),
+                              trim=True, options=("meta_learner", "bins")),
+    "sensitivity": Estimand(_YDX, learners=_PLM, options=("r2_y", "r2_d")),
+    "weak_id": Estimand(_YDZX, learners=(("outcome", "linear"),
+                                         ("treatment", "linear"),
+                                         ("instrument", "linear")),
+                        options=("grid_lower", "grid_upper", "grid_points")),
 }
 
-LIST_KEYS = {"controls", "effect_covariates", "grid"}
+LIST_KEYS = {"controls", "effect_covariates"}
 FLOAT_KEYS = {"trim", "alpha", "cutoff", "bandwidth", "r2_y", "r2_d",
-              "grid_lower", "grid_upper", "cost", "budget"}
+              "grid_lower", "grid_upper"}
 INT_KEYS = {"folds", "seed", "n", "replications", "workers", "bins",
             "grid_points"}
 
@@ -109,7 +175,7 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Check estimand/role consistency before any compute runs."""
+    """Check estimand, roles and keys before any compute runs."""
     estimand = config.get("estimand")
     if estimand is None:
         raise ConfigError("missing required config key 'estimand'")
@@ -119,12 +185,18 @@ def validate_config(config: RunConfig) -> None:
         )
     if config.get("seed") is None:
         raise ConfigError("config must set an explicit integer 'seed'")
-    for role in REQUIRED_ROLES[estimand]:
+    spec = ESTIMANDS[estimand]
+    for role in spec.roles:
         if config.get(role) in (None, []):
             raise ConfigError(
                 f"estimand {estimand!r} requires the {role!r} role; add "
                 f"'{role} = <column name(s)>' to the config"
             )
+    unread = sorted(set(config.raw) - spec.keys())
+    if unread:
+        raise ConfigError(
+            f"estimand {estimand!r} does not read config key(s) "
+            f"{', '.join(map(repr, unread))}")
     for key in ("trim", "alpha"):
         value = config.get(key)
         if value is not None and not 0.0 < value < 0.5:

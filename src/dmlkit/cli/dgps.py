@@ -57,34 +57,27 @@ def _draw_confounded_lasso(n, rng):
     return {"y": y, "d": d, "W": W}
 
 
-def _est_double_lasso(data, truth, seed):
-    res = double_lasso(data["y"], data["d"], data["W"])
-    return _inference_record(res.estimate, res.std_error,
-                             float(res.ci_lower[0]), float(res.ci_upper[0]),
-                             truth["alpha"])
+def _est_selection(lam_rule):
+    """Double Lasso with the given penalty rule, or naive single
+    selection for ``lam_rule="naive"``."""
+    def estimate(data, truth, seed):
+        args = data["y"], data["d"], data["W"]
+        res = (naive_single_selection(*args) if lam_rule == "naive"
+               else double_lasso(*args, lam_rule=lam_rule))
+        return _inference_record(res, truth["alpha"])
+    return estimate
 
 
-def _est_double_lasso_cv(data, truth, seed):
-    res = double_lasso(data["y"], data["d"], data["W"], lam_rule="cv")
-    return _inference_record(res.estimate, res.std_error,
-                             float(res.ci_lower[0]), float(res.ci_upper[0]),
-                             truth["alpha"])
-
-
-def _est_naive_selection(data, truth, seed):
-    res = naive_single_selection(data["y"], data["d"], data["W"])
-    return _inference_record(res.estimate, res.std_error,
-                             float(res.ci_lower[0]), float(res.ci_upper[0]),
-                             truth["alpha"])
-
-
-def _inference_record(estimate, se, lo, hi, target):
+def _inference_record(result, target):
+    """Record of a scalar estimate (``DmlResult`` or ``TargetInference``)."""
+    estimate = float(result.estimates[0])
+    lo, hi = float(result.ci_lower[0]), float(result.ci_upper[0])
     return {
-        "estimate": float(estimate),
-        "std_error": float(se),
-        "ci_lower": float(lo),
-        "ci_upper": float(hi),
-        "error": float(estimate - target),
+        "estimate": estimate,
+        "std_error": float(result.std_errors[0]),
+        "ci_lower": lo,
+        "ci_upper": hi,
+        "error": estimate - target,
         "covered": float(lo <= target <= hi),
     }
 
@@ -183,8 +176,7 @@ def _est_plm_forest(data, truth, seed):
     plan = make_folds(n, 5, seed)
     forest = lambda: ForestLearner(B=20, max_depth=6, min_leaf=10, seed=seed)
     res = dml_plm(data["y"], data["d"], data["X"], forest(), forest(), plan)
-    return _inference_record(res.theta, res.std_error,
-                             res.ci[0], res.ci[1], truth["theta"])
+    return _inference_record(res, truth["theta"])
 
 
 def _est_plm_overfit_no_crossfit(data, truth, seed):
@@ -195,8 +187,7 @@ def _est_plm_overfit_no_crossfit(data, truth, seed):
     # exactly and leave no residual variation to regress on.
     deep = lambda: TreeLearner(max_depth=30, min_leaf=2)
     res = dml_plm(data["y"], data["d"], data["X"], deep(), deep(), plan)
-    return _inference_record(res.theta, res.std_error,
-                             res.ci[0], res.ci[1], truth["theta"])
+    return _inference_record(res, truth["theta"])
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +353,7 @@ def _est_discrete_late(data, truth, seed):
     res = dml_late(data["y"], data["d"], data["z"], data["x"][:, None],
                    LinearLearner(), LogisticLearner(), LogisticLearner(),
                    plan)
-    return _inference_record(res.theta, res.std_error,
-                             res.ci[0], res.ci[1], truth["theta"])
+    return _inference_record(res, truth["theta"])
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +373,9 @@ _register(Dgp(
     default_n=100,
     truth={"alpha": 1.0},
     draw=_draw_confounded_lasso,
-    estimators={"double_lasso": _est_double_lasso,
-                "double_lasso_cv": _est_double_lasso_cv,
-                "naive": _est_naive_selection},
+    estimators={"double_lasso": _est_selection("plugin"),
+                "double_lasso_cv": _est_selection("cv"),
+                "naive": _est_selection("naive")},
     default_estimator="double_lasso",
 ))
 

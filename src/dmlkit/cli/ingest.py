@@ -13,8 +13,6 @@ import numpy as np
 
 from ..errors import NonBinaryTreatment, ParseError
 
-BINARY_ROLES = ("treatment", "instrument", "time")
-
 
 def ingest_csv(path, columns, binary=()) -> dict:
     """Read the named columns from a headered CSV.

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import dml
 from ..cate import (calibration, dr_signal, heterogeneity_blp_test,
                     meta_learn, three_way_split, toc_qini)
-from ..dml import (did_canonical, dml_atet, dml_did_panel, dml_did_rcs,
-                   dml_gate, dml_irm_ate, dml_late, dml_pliv, dml_plm,
-                   rct_estimators, rdd_sharp)
+from ..dml import did_canonical, rct_estimators, rdd_sharp
+from ..dml.estimators import DEFAULT_TRIM
 from ..errors import (ConfigError, DmlkitError, NonBinaryTreatment,
                       ParseError, UnknownDgp)
 from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
@@ -30,7 +30,8 @@ from ..rng import derive_seed
 from ..sensitivity import ovb_from_data
 from ..weak_id import first_stage_diag, robust_region
 from . import dgps
-from .config import (RunConfig, load_config, validate_config)
+from .config import (ESTIMANDS, LIST_KEYS, Estimand, RunConfig, load_config,
+                     validate_config)
 from .ingest import ingest_csv
 from .reports import provenance, write_report, write_table
 
@@ -114,36 +115,27 @@ def _learner(config: RunConfig, role: str, default: str):
     return _ConstructorLearner(spec, seed)
 
 
+def _learners(config: RunConfig, spec: Estimand) -> list:
+    return [_learner(config, role, default) for role, default in spec.learners]
+
+
 # ---------------------------------------------------------------------------
 # Estimation dispatch
 
 
-def _load_columns(config: RunConfig, data_path, estimand: str) -> dict:
-    roles = {}
-    for role in ("outcome", "treatment", "instrument", "group", "time",
-                 "running", "outcome_pre"):
+def _load_columns(config: RunConfig, data_path, roles, binary) -> dict:
+    """Load the columns the config names for ``roles``; list roles
+    (controls, effect covariates) come back as (n, p) matrices."""
+    names = {}
+    for role in roles:
         value = config.get(role)
-        if value is not None:
-            roles[role] = [value]
-    for role in ("controls", "effect_covariates"):
-        value = config.get(role)
-        if value:
-            roles[role] = list(value)
-    wanted = [c for cols in roles.values() for c in cols]
-    binary = []
-    if estimand in ("ate", "atet", "gate", "late", "did_panel", "did_rcs",
-                    "did_canonical", "rct", "cate-pipeline"):
-        binary.append(config.get("treatment"))
-    if estimand == "late":
-        binary.append(config.get("instrument"))
-    table = ingest_csv(data_path, wanted, binary=[b for b in binary if b])
-    data = {}
-    for role, cols in roles.items():
-        if role in ("controls", "effect_covariates"):
-            data[role] = np.column_stack([table[c] for c in cols])
-        else:
-            data[role] = table[cols[0]]
-    return data
+        if value not in (None, []):
+            names[role] = value if role in LIST_KEYS else [value]
+    table = ingest_csv(data_path, [c for cols in names.values() for c in cols],
+                       binary=[config.get(role) for role in binary])
+    return {role: np.column_stack([table[c] for c in cols])
+            if role in LIST_KEYS else table[cols[0]]
+            for role, cols in names.items()}
 
 
 def _result_rows(result, labels=None) -> list[dict]:
@@ -159,17 +151,23 @@ def _result_rows(result, labels=None) -> list[dict]:
     return rows
 
 
-def _result_payload(result, labels=None) -> dict:
+def _result_report(config: RunConfig, result, labels=None):
+    """Report and estimates table of a ``DmlResult``."""
     diag = dict(result.diagnostics)
     rmse = {k: diag.pop(k) for k in list(diag) if k.startswith("rmse_")}
-    return {
-        "estimates": _result_rows(result, labels),
+    rows = _result_rows(result, labels)
+    report = {
+        "estimand": config.estimand,
+        "provenance": provenance(config),
+        "warnings": sorted(k for k, v in diag.items() if v is True),
+        "estimates": rows,
         "alpha": result.alpha,
         "n": result.n,
         "trim_count": result.trim_count,
         "nuisance_rmse": rmse,
         "diagnostics": diag,
     }
+    return report, {"estimates": rows}
 
 
 def _plan(config: RunConfig, n: int):
@@ -177,71 +175,34 @@ def _plan(config: RunConfig, n: int):
     return make_folds(n, K, derive_seed(config.seed, "folds", 0))
 
 
-def _controls(data, n):
-    X = data.get("controls")
-    return X if X is not None else np.ones((n, 1))
+def _cross_fit(config: RunConfig, spec: Estimand, data: dict, alpha: float):
+    """Call ``spec.estimator`` with the columns in role order (a missing
+    optional role is an intercept column), the learners and the plan."""
+    n = data["outcome"].size
+    columns = [data[role] if role in data else np.ones((n, 1))
+               for role in spec.roles + spec.optional]
+    kwargs = {"trim": config.get("trim", DEFAULT_TRIM)} if spec.trim else {}
+    # Looked up at call time, so a tracer that rebinds the package's
+    # names sees the call.
+    estimator = getattr(dml, spec.estimator)
+    return estimator(*columns, *_learners(config, spec), _plan(config, n),
+                     alpha=alpha, **kwargs)
 
 
 def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
     """Run the configured estimand; returns (report, artifact tables)."""
     validate_config(config)
     estimand = config.estimand
-    data = _load_columns(config, data_path, estimand)
-    y = data.get("outcome")
-    n = y.size if y is not None else data["treatment"].size
+    spec = ESTIMANDS[estimand]
+    data = _load_columns(config, data_path, spec.roles + spec.optional,
+                         spec.binary)
+    y = data["outcome"]
     alpha = config.get("alpha", DEFAULT_ALPHA)
-    artifacts: dict[str, list[dict]] = {}
     labels = None
-    extra: dict = {}
-
-    if estimand == "plm":
-        result = dml_plm(y, data["treatment"], data["controls"],
-                         _learner(config, "outcome", "linear"),
-                         _learner(config, "treatment", "linear"),
-                         _plan(config, n), alpha=alpha)
-    elif estimand == "ate":
-        result = dml_irm_ate(y, data["treatment"], data["controls"],
-                             _learner(config, "outcome", "linear"),
-                             _learner(config, "propensity", "logistic"),
-                             _plan(config, n), alpha=alpha)
-    elif estimand == "atet":
-        result = dml_atet(y, data["treatment"], data["controls"],
-                          _learner(config, "outcome", "linear"),
-                          _learner(config, "propensity", "logistic"),
-                          _plan(config, n), alpha=alpha)
-    elif estimand == "gate":
-        groups = data["group"]
-        labels = np.unique(groups)
-        result = dml_gate(y, data["treatment"], data["controls"], groups,
-                          _learner(config, "outcome", "linear"),
-                          _learner(config, "propensity", "logistic"),
-                          _plan(config, n), alpha=alpha)
-    elif estimand == "pliv":
-        result = dml_pliv(y, data["treatment"], data["instrument"],
-                          data["controls"],
-                          _learner(config, "outcome", "linear"),
-                          _learner(config, "treatment", "linear"),
-                          _learner(config, "instrument", "linear"),
-                          _plan(config, n), alpha=alpha)
-    elif estimand == "late":
-        result = dml_late(y, data["treatment"], data["instrument"],
-                          data["controls"],
-                          _learner(config, "outcome", "linear"),
-                          _learner(config, "takeup", "logistic"),
-                          _learner(config, "propensity", "logistic"),
-                          _plan(config, n), alpha=alpha)
-    elif estimand == "did_panel":
-        result = dml_did_panel(data["outcome_pre"], y, data["treatment"],
-                               _controls(data, n),
-                               _learner(config, "outcome", "linear"),
-                               _learner(config, "propensity", "logistic"),
-                               _plan(config, n), alpha=alpha)
-    elif estimand == "did_rcs":
-        result = dml_did_rcs(y, data["time"], data["treatment"],
-                             _controls(data, n),
-                             _learner(config, "outcome", "linear"),
-                             _learner(config, "propensity", "logistic"),
-                             _plan(config, n), alpha=alpha)
+    if spec.estimator is not None:
+        result = _cross_fit(config, spec, data, alpha)
+        if estimand == "gate":
+            labels = np.unique(data["group"])
     elif estimand == "did_canonical":
         result = did_canonical(y, data["treatment"], data["time"],
                                alpha=alpha)
@@ -254,43 +215,28 @@ def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
         bandwidth = config.get("bandwidth")
         if bandwidth is None:
             raise ConfigError("rdd requires a 'bandwidth' key")
-        Z = data.get("controls")
         result = rdd_sharp(y, data["running"],
                            cutoff=config.get("cutoff", 0.0),
                            bandwidth=bandwidth,
                            kernel=config.get("kernel", "triangular"),
-                           Z=Z, alpha=alpha)
+                           Z=data.get("controls"), alpha=alpha)
     elif estimand == "sensitivity":
-        return _sensitivity_report(config, data, alpha)
+        return _sensitivity_report(config, spec, data)
     elif estimand == "weak_id":
-        return _weak_id_report(config, data, alpha)
-    elif estimand == "cate-pipeline":
-        return _cate_pipeline_report(config, data, alpha)
-    else:  # pragma: no cover - validate_config guards this
-        raise ConfigError(f"unknown estimand {estimand!r}")
-
-    report = {
-        "estimand": estimand,
-        "provenance": provenance(config),
-        "warnings": sorted(k for k, v in result.diagnostics.items()
-                           if v is True),
-        **_result_payload(result, labels),
-        **extra,
-    }
-    artifacts["estimates"] = _result_rows(result, labels)
-    return report, artifacts
+        return _weak_id_report(config, spec, data, alpha)
+    else:
+        return _cate_pipeline_report(config, spec, data, alpha)
+    return _result_report(config, result, labels)
 
 
-def _sensitivity_report(config, data, alpha):
+def _sensitivity_report(config, spec, data):
     r2_y = config.get("r2_y")
     r2_d = config.get("r2_d")
     if r2_y is None or r2_d is None:
         raise ConfigError("sensitivity requires 'r2_y' and 'r2_d' keys")
     n = data["outcome"].size
     bound = ovb_from_data(data["outcome"], data["treatment"],
-                          data["controls"],
-                          _learner(config, "outcome", "linear"),
-                          _learner(config, "treatment", "linear"),
+                          data["controls"], *_learners(config, spec),
                           _plan(config, n), r2_y=r2_y, r2_d=r2_d)
     report = {
         "estimand": "sensitivity",
@@ -311,23 +257,20 @@ def _sensitivity_report(config, data, alpha):
     return report, artifacts
 
 
-def _weak_id_report(config, data, alpha):
-    y, d, z = data["outcome"], data["treatment"], data["instrument"]
-    X = data["controls"]
-    n = y.size
+def _weak_id_report(config, spec, data, alpha):
+    n = data["outcome"].size
     plan = _plan(config, n)
     resid = {}
-    for name, target, role in (("y", y, "outcome"), ("d", d, "treatment"),
-                               ("z", z, "instrument")):
-        fit, _ = cross_fit_predict(_learner(config, role, "linear"),
-                                   X, target, plan)
-        resid[name] = target - fit
+    for role, default in spec.learners:
+        fit, _ = cross_fit_predict(_learner(config, role, default),
+                                   data["controls"], data[role], plan)
+        resid[role] = data[role] - fit
     grid = np.linspace(config.get("grid_lower", -2.0),
                        config.get("grid_upper", 2.0),
                        config.get("grid_points", 401))
-    region = robust_region(resid["y"], resid["d"], resid["z"], grid,
-                           alpha=alpha)
-    stage = first_stage_diag(resid["d"], resid["z"])
+    ry, rd, rz = resid["outcome"], resid["treatment"], resid["instrument"]
+    region = robust_region(ry, rd, rz, grid, alpha=alpha)
+    stage = first_stage_diag(rd, rz)
     warnings = []
     if not stage["strong"]:
         warnings.append("weak_first_stage")
@@ -358,25 +301,23 @@ def _weak_id_report(config, data, alpha):
     return report, artifacts
 
 
-def _cate_pipeline_report(config, data, alpha):
+def _cate_pipeline_report(config, spec, data, alpha):
     y, d = data["outcome"], data["treatment"]
     Z = data["controls"]
     X_effect = data.get("effect_covariates", Z)
     n = y.size
     seed = config.seed
     plan = _plan(config, n)
-    learner_y = _learner(config, "outcome", "linear")
-    learner_prop = _learner(config, "propensity", "logistic")
-    signals = dr_signal(y, d, Z, learner_y, learner_prop, plan,
-                        trim=config.get("trim", 0.01))
+    trim = config.get("trim", DEFAULT_TRIM)
+    learner_y, learner_prop, learner_effect = _learners(config, spec)
+    signals = dr_signal(y, d, Z, learner_y, learner_prop, plan, trim=trim)
     train, valid, test = three_way_split(n, derive_seed(seed, "split", 0))
     kind = config.get("meta_learner", "DR")
     plan_train = make_folds(train.size, config.get("folds", DEFAULT_FOLDS),
                             derive_seed(seed, "train-folds", 0))
     model = meta_learn(kind, y[train], d[train], Z[train], learner_y,
-                       learner_prop, _learner(config, "effect", "tree"),
-                       plan_train, X_effect=X_effect[train],
-                       trim=config.get("trim", 0.01))
+                       learner_prop, learner_effect, plan_train,
+                       X_effect=X_effect[train], trim=trim)
     tau_valid = model.predict(X_effect[valid])
     tau_test = model.predict(X_effect[test])
     s_test = signals.values[test]
@@ -425,13 +366,17 @@ def _cate_pipeline_report(config, data, alpha):
     return report, artifacts
 
 
-def run_estimate(config: RunConfig, data_path, out_dir) -> dict:
-    report, artifacts = estimate_report(config, data_path)
+def _write_outputs(report: dict, artifacts: dict, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.json")
     for name, rows in artifacts.items():
         write_table(rows, out / f"{name}.csv")
+
+
+def run_estimate(config: RunConfig, data_path, out_dir) -> dict:
+    report, artifacts = estimate_report(config, data_path)
+    _write_outputs(report, artifacts, out_dir)
     return report
 
 
@@ -445,34 +390,23 @@ def run_placebo(config: RunConfig, data_path, out_dir) -> dict:
     if config.get("estimand") != "did_panel":
         raise ConfigError("placebo requires estimand = did_panel")
     validate_config(config)
-    earlier = config.get("outcome_placebo_pre")
-    if earlier is None:
+    if config.get("outcome_placebo_pre") is None:
         raise ConfigError(
             "placebo requires 'outcome_placebo_pre', an earlier pre-period "
             "outcome column")
-    data = _load_columns(config, data_path, "did_panel")
-    table = ingest_csv(data_path, [earlier])
-    n = data["outcome"].size
-    result = dml_did_panel(table[earlier], data["outcome_pre"],
-                           data["treatment"], _controls(data, n),
-                           _learner(config, "outcome", "linear"),
-                           _learner(config, "propensity", "logistic"),
-                           _plan(config, n),
-                           alpha=config.get("alpha", DEFAULT_ALPHA))
+    spec = ESTIMANDS["did_panel"]
+    data = _load_columns(config, data_path,
+                         spec.roles + ("outcome_placebo_pre",), spec.binary)
+    # Shift both outcome periods one step back.
+    data["outcome"] = data["outcome_pre"]
+    data["outcome_pre"] = data["outcome_placebo_pre"]
+    result = _cross_fit(config, spec, data,
+                        config.get("alpha", DEFAULT_ALPHA))
+    report, artifacts = _result_report(config, result)
     lo, hi = result.ci
-    report = {
-        "estimand": "did_panel",
-        "flags": ["placebo"],
-        "provenance": provenance(config),
-        "pretrend_detected": not (lo <= 0.0 <= hi),
-        "warnings": sorted(k for k, v in result.diagnostics.items()
-                           if v is True),
-        **_result_payload(result),
-    }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(report, out / "report.json")
-    write_table(_result_rows(result), out / "estimates.csv")
+    report["flags"] = ["placebo"]
+    report["pretrend_detected"] = not (lo <= 0.0 <= hi)
+    _write_outputs(report, artifacts, out_dir)
     return report
 
 
@@ -530,10 +464,7 @@ def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> di
         "provenance": provenance(config),
         "warnings": [],
     }
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report(report, out / "report.json")
-    write_table(records, out / "replications.csv")
+    _write_outputs(report, {"replications": records}, out_dir)
     return report
 
 

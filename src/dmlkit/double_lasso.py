@@ -21,6 +21,7 @@ from .penalized import cv_fit, lasso_fit, lasso_plugin, post_lasso_coefficients
 from .rng import stream
 
 SIMULTANEOUS_DRAWS = 100_000
+SIMULTANEOUS_BLOCK = 8192
 WEAK_VARIATION_RTOL = 1e-10
 
 
@@ -193,8 +194,15 @@ def simultaneous_critical_value(correlation: np.ndarray, alpha: float,
     # correlated) cases are handled without jitter.
     vals, vecs = np.linalg.eigh(correlation)
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    z = stream(seed, "simultaneous-band").standard_normal((draws, p))
-    sup = np.max(np.abs(z @ root.T), axis=1)
+    # Drawn and reduced block by block, so the working memory is a few
+    # MiB rather than three (draws, p) arrays. The generator yields the
+    # same stream in blocks, and with power-of-two blocks every row's
+    # product is bit-identical to that of one product over all draws.
+    gen = stream(seed, "simultaneous-band")
+    sup = np.empty(draws)
+    for start in range(0, draws, SIMULTANEOUS_BLOCK):
+        z = gen.standard_normal((min(SIMULTANEOUS_BLOCK, draws - start), p))
+        sup[start:start + len(z)] = np.max(np.abs(z @ root.T), axis=1)
     return float(np.quantile(sup, 1.0 - alpha))
 
 

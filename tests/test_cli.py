@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dmlkit.cli.config import (parse_config_text, validate_config)
+from dmlkit.cli.config import (ESTIMANDS, parse_config_text,
+                               validate_config)
 from dmlkit.cli.ingest import ingest_csv
 from dmlkit.cli.main import main
 from dmlkit.errors import ConfigError, NonBinaryTreatment, ParseError
@@ -332,3 +333,144 @@ class TestPlaceboCommand:
                         "seed = 2\n")
         assert main(["placebo", "--config", config, "--data", data,
                      "--out", str(tmp_path / "out")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Every estimand end to end on one generated study
+
+CONTROLS = "w1, w2"
+STUDY_KEYS = {
+    "plm": {"treatment": "dc", "controls": CONTROLS},
+    "ate": {"treatment": "d", "controls": CONTROLS},
+    "atet": {"treatment": "d", "controls": CONTROLS},
+    "gate": {"treatment": "d", "controls": CONTROLS, "group": "g"},
+    "pliv": {"treatment": "dc", "instrument": "zc", "controls": CONTROLS},
+    "late": {"treatment": "dl", "instrument": "z", "controls": CONTROLS},
+    "did_panel": {"outcome_pre": "y_pre", "treatment": "d",
+                  "controls": CONTROLS},
+    "did_rcs": {"time": "t", "treatment": "d", "controls": CONTROLS},
+    "did_canonical": {"treatment": "d", "time": "t"},
+    "rct": {"treatment": "d", "controls": CONTROLS},
+    "rdd": {"running": "r", "bandwidth": "0.6"},
+    "cate-pipeline": {"treatment": "d", "controls": CONTROLS,
+                      "learner_effect": "linear"},
+    "sensitivity": {"treatment": "dc", "controls": CONTROLS,
+                    "r2_y": "0.05", "r2_d": "0.05"},
+    "weak_id": {"treatment": "dc", "instrument": "zc", "controls": CONTROLS,
+                "grid_lower": "-2", "grid_upper": "3", "grid_points": "101"},
+}
+RESULT_KEYS = {"estimand", "provenance", "warnings", "estimates", "alpha",
+               "n", "trim_count", "nuisance_rmse", "diagnostics"}
+REPORT_KEYS = {
+    "sensitivity": {"estimand", "provenance", "estimate", "bias_bound",
+                    "bound_interval", "r2_y", "r2_d", "variance_ratio", "n",
+                    "warnings"},
+    "weak_id": {"estimand", "provenance", "intervals", "empty",
+                "critical_value", "first_stage", "n", "alpha", "warnings"},
+    "cate-pipeline": {"estimand", "provenance", "meta_learner", "ate",
+                      "trim_count", "calibration", "heterogeneity_test",
+                      "autoc", "autoc_se", "autoc_lower", "auqc", "n",
+                      "split_sizes", "warnings"},
+    "placebo": RESULT_KEYS | {"flags", "pretrend_detected"},
+}
+
+
+@pytest.fixture(scope="module")
+def study(tmp_path_factory):
+    """A 400-row CSV with a column for every role; returns (path, columns)."""
+    r = np.random.default_rng(4031)
+    n = 400
+    w1, w2 = r.standard_normal(n), r.standard_normal(n)
+    zc = r.standard_normal(n)
+    z = (r.uniform(size=n) < 0.5).astype(float)
+    y0 = w1 + r.standard_normal(n)
+    cols = {
+        "w1": w1, "w2": w2, "zc": zc, "z": z, "y0": y0,
+        "d": (r.uniform(size=n) < 1 / (1 + np.exp(-2 * w1))).astype(float),
+        "dc": zc + w1 + r.standard_normal(n),
+        "dl": (r.uniform(size=n) < 0.2 + 0.5 * z).astype(float),
+        "g": r.integers(0, 3, size=n).astype(float),
+        "t": r.integers(1, 3, size=n).astype(float),
+        "r": r.uniform(-1, 1, size=n),
+        "y_pre": y0 + w2 + r.standard_normal(n),
+    }
+    cols["y"] = (cols["y_pre"] + cols["d"] + 0.5 * cols["dc"]
+                 + (cols["r"] >= 0) + r.standard_normal(n))
+    cols = {k: np.round(v, 6) for k, v in cols.items()}
+    lines = [",".join(cols)]
+    lines += [",".join(repr(float(v[i])) for v in cols.values())
+              for i in range(n)]
+    path = tmp_path_factory.mktemp("study") / "study.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), cols
+
+
+def _run_study(study, tmp_path, command, estimand, **keys):
+    keys = {"estimand": estimand, "seed": "3", "outcome": "y", **keys}
+    tmp_path.mkdir(exist_ok=True)
+    config = _write(tmp_path / "run.cfg",
+                    "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    code = main([command, "--config", config, "--data", study[0],
+                 "--out", str(out)])
+    report = json.loads((out / "report.json").read_text()) if code == 0 \
+        else None
+    return code, report
+
+
+def test_study_covers_every_estimand():
+    assert set(STUDY_KEYS) == set(ESTIMANDS)
+
+
+@pytest.mark.parametrize("estimand", [*ESTIMANDS, "placebo"])
+def test_every_estimand_runs(study, tmp_path, estimand):
+    if estimand == "placebo":
+        code, report = _run_study(study, tmp_path, "placebo", "did_panel",
+                                  outcome_placebo_pre="y0",
+                                  **STUDY_KEYS["did_panel"])
+    else:
+        code, report = _run_study(study, tmp_path, "estimate", estimand,
+                                  **STUDY_KEYS[estimand])
+    assert code == 0
+    assert set(report) == REPORT_KEYS.get(estimand, RESULT_KEYS)
+    if estimand == "sensitivity":
+        lo, hi = report["bound_interval"]
+        assert lo <= report["estimate"] <= hi
+    elif estimand == "weak_id":
+        assert report["intervals"] and not report["empty"]
+        for iv in report["intervals"]:
+            assert -2 < iv["lower"] <= iv["upper"] < 3
+    elif estimand == "cate-pipeline":
+        assert np.isfinite(report["ate"])
+        assert report["autoc_lower"] <= report["autoc"]
+    else:
+        for row in report["estimates"]:
+            assert np.isfinite(row["estimate"])
+            assert row["ci_lower"] <= row["estimate"] <= row["ci_upper"]
+
+
+def test_trim_reaches_the_estimator(study, tmp_path):
+    keys = STUDY_KEYS["ate"]
+    _, default = _run_study(study, tmp_path / "a", "estimate", "ate", **keys)
+    _, trimmed = _run_study(study, tmp_path / "b", "estimate", "ate",
+                            trim="0.2", **keys)
+    assert trimmed["trim_count"] > default["trim_count"]
+
+
+def test_pliv_fits_treatment_learner_to_treatment(study, tmp_path):
+    _, report = _run_study(study, tmp_path, "estimate", "pliv",
+                           learner_treatment="zero", **STUDY_KEYS["pliv"])
+    d = study[1]["dc"]
+    assert report["nuisance_rmse"]["rmse_d"] == float(np.sqrt(np.mean(d**2)))
+
+
+def test_unread_key_is_exit_2(study, tmp_path, capsys):
+    code, _ = _run_study(study, tmp_path, "estimate", "plm",
+                         learner_outcom="forest", **STUDY_KEYS["plm"])
+    assert code == 2
+    assert "learner_outcom" in capsys.readouterr().err
+
+
+def test_trim_on_plm_is_rejected():
+    with pytest.raises(ConfigError, match="'trim'"):
+        validate_config(_cfg(estimand="plm", trim="0.1"))

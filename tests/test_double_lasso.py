@@ -100,6 +100,25 @@ class TestSimultaneousCriticalValue:
         b = simultaneous_critical_value(corr, alpha=0.05, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("p", [2, 4, 20, 38])
+    def test_blocks_match_one_product_over_all_draws(self, p):
+        # The draws are reduced in blocks; the value must equal, bit for
+        # bit, the sup-norm quantile of one (draws, p) product. 20003
+        # draws leave a short last block.
+        from dmlkit.rng import stream
+        A = np.random.default_rng(p).standard_normal((p, p + 3))
+        cov = A @ A.T
+        sd = np.sqrt(np.diag(cov))
+        corr = cov / sd[:, None] / sd[None, :]
+        vals, vecs = np.linalg.eigh(corr)
+        root = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        for draws in (20003, 100_000):
+            z = stream(5, "simultaneous-band").standard_normal((draws, p))
+            sup = np.max(np.abs(z @ root.T), axis=1)
+            expected = float(np.quantile(sup, 0.95))
+            assert simultaneous_critical_value(
+                corr, alpha=0.05, seed=5, draws=draws) == expected
+
 
 class TestManyTargets:
     def test_band_contains_pointwise_ci(self):
