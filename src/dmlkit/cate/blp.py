@@ -3,32 +3,33 @@ coefficients with uniform bands, and the heterogeneity regression test."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from ..dml.engine import normal_interval
-from ..double_lasso import simultaneous_critical_value
+from ..dml.engine import InferenceResult, normal_interval
+from ..double_lasso import band_critical_value
 from ..errors import ConstantModel
 from ..linalg import as_matrix, ols_fit
 
 CONSTANT_TOL = 1e-12
 
 
-@dataclass
-class BlpResult:
-    coefficients: np.ndarray
+@dataclass(kw_only=True)
+class BlpResult(InferenceResult):
+    """BLP coefficients (``estimates``, also read as ``coefficients``)
+    and, with an evaluation basis, the fitted projection's bands."""
+
     covariance: np.ndarray  # sampling covariance of the coefficients
-    std_errors: np.ndarray
-    ci_lower: np.ndarray
-    ci_upper: np.ndarray
-    alpha: float
-    n: int
     grid_fit: np.ndarray | None = None
     grid_pointwise: tuple[np.ndarray, np.ndarray] | None = None
     grid_uniform: tuple[np.ndarray, np.ndarray] | None = None
     uniform_critical_value: float | None = None
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        return self.estimates
 
 
 def _sandwich(basis, residuals):
@@ -52,14 +53,10 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
     basis = as_matrix(basis)
     fit = ols_fit(basis, signals)
     cov = _sandwich(basis, fit.residuals)
-    se = np.sqrt(np.diag(cov))
-    lower, upper = normal_interval(fit.coefficients, se, alpha)
     out = BlpResult(
-        coefficients=fit.coefficients,
+        estimates=fit.coefficients,
         covariance=cov,
-        std_errors=se,
-        ci_lower=lower,
-        ci_upper=upper,
+        std_errors=np.sqrt(np.diag(cov)),
         alpha=alpha,
         n=signals.size,
     )
@@ -68,9 +65,7 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
         fitted = G @ fit.coefficients
         point_cov = G @ cov @ G.T
         point_se = np.sqrt(np.clip(np.diag(point_cov), 0.0, None))
-        safe = np.where(point_se > 0, point_se, 1.0)
-        corr = point_cov / safe[:, None] / safe[None, :]
-        c = simultaneous_critical_value(corr, alpha, seed=seed)
+        c = band_critical_value(point_cov, alpha, seed=seed)
         out.grid_fit = fitted
         out.grid_pointwise = normal_interval(fitted, point_se, alpha)
         out.grid_uniform = normal_interval(fitted, point_se, alpha,

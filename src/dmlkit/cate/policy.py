@@ -8,6 +8,7 @@ from ..dml.engine import DmlResult, linear_score_result
 from ..errors import DimensionMismatch
 from ..learners import tree_fit
 from ..linalg import as_matrix
+from .validation import top_share_rule
 
 
 def policy_value(pi, signals, alpha: float = 0.05) -> DmlResult:
@@ -41,11 +42,7 @@ def optimal_policy_value(signals, tau, q: float | None = None,
         threshold = 0.0
     else:
         ref = tau if tau_nontest is None else np.asarray(tau_nontest, dtype=float).ravel()
-        threshold = float(np.quantile(ref, 1.0 - q))
-        above = float(np.mean(ref > threshold))
-        at = float(np.mean(ref == threshold))
-        lam = min(max((q - above) / at, 0.0), 1.0) if at > 0 else 0.0
-        pi = (tau > threshold).astype(float) + lam * (tau == threshold)
+        threshold, _, pi = top_share_rule(tau, ref, q)
     out = policy_value(pi, signals, alpha=alpha)
     out.diagnostics["threshold"] = threshold
     out.diagnostics["treated_share"] = float(np.mean(pi))

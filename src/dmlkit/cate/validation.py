@@ -9,29 +9,40 @@ fixed functions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from ..dml.engine import normal_interval
-from ..double_lasso import simultaneous_critical_value
+from ..dml.engine import InferenceResult, normal_interval
+from ..double_lasso import band_critical_value
 from ..errors import EmptyBin, EmptyTopGroup
 
 DEFAULT_GRID_POINTS = 20  # log(p)^5 / n must stay small; 20 is plenty
 
 
-@dataclass
-class CalibrationReport:
+@dataclass(kw_only=True)
+class CalibrationReport(InferenceResult):
+    """Mean DR signal per bin (``estimates``, also read as ``dr_means``,
+    with its interval) against the mean prediction per bin."""
+
     bin_edges: np.ndarray
-    dr_means: np.ndarray
     model_means: np.ndarray
-    dr_ci_lower: np.ndarray
-    dr_ci_upper: np.ndarray
     counts: np.ndarray
     cal1: float
     cal2: float
-    alpha: float
+
+    @property
+    def dr_means(self) -> np.ndarray:
+        return self.estimates
+
+    @property
+    def dr_ci_lower(self) -> np.ndarray:
+        return self.ci_lower
+
+    @property
+    def dr_ci_upper(self) -> np.ndarray:
+        return self.ci_upper
 
 
 def calibration(tau_test, signals_test, tau_nontest, K: int,
@@ -62,19 +73,18 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
         dr_means[k] = float(np.mean(signals[mask]))
         model_means[k] = float(np.mean(tau_test[mask]))
         se[k] = float(np.std(signals[mask]) / np.sqrt(counts[k]))
-    lo, hi = normal_interval(dr_means, se, alpha)
     gaps = np.abs(dr_means - model_means)
     shares = counts / n
     return CalibrationReport(
+        estimates=dr_means,
+        std_errors=se,
         bin_edges=edges,
-        dr_means=dr_means,
         model_means=model_means,
-        dr_ci_lower=lo,
-        dr_ci_upper=hi,
         counts=counts,
         cal1=float(np.sum(gaps * shares)),
         cal2=float(np.sum(gaps**2 * shares)),
         alpha=alpha,
+        n=n,
     )
 
 
@@ -113,8 +123,19 @@ class UpliftCurves:
                 ])
 
 
-def _fractional_indicator(tau, threshold, lam):
-    return (tau > threshold).astype(float) + lam * (tau == threshold)
+def top_share_rule(tau, ref, q):
+    """Treat the top q-fraction as ranked by ``ref``.
+
+    The threshold mu is the (1-q)-quantile of ``ref``, and lam is the
+    share of the rows tied at mu that are treated so that exactly a
+    q-fraction of ``ref`` is. Returns (mu, lam, pi), where pi is the
+    fractional treatment indicator of ``tau``: 1 above mu, lam at it.
+    """
+    mu = float(np.quantile(ref, 1.0 - q))
+    above = float(np.mean(ref > mu))
+    at = float(np.mean(ref == mu))
+    lam = min(max((q - above) / at, 0.0), 1.0) if at > 0 else 0.0
+    return mu, lam, (tau > mu).astype(float) + lam * (tau == mu)
 
 
 def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
@@ -141,14 +162,8 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     lambdas = np.empty(p)
     indicators = np.empty((n, p))
     for ell, q in enumerate(grid):
-        mu = float(np.quantile(ref, 1.0 - q))
-        above = float(np.mean(ref > mu))
-        at = float(np.mean(ref == mu))
-        lam = (q - above) / at if at > 0 else 0.0
-        lam = min(max(lam, 0.0), 1.0)
-        thresholds[ell] = mu
-        lambdas[ell] = lam
-        indicators[:, ell] = _fractional_indicator(tau, mu, lam)
+        thresholds[ell], lambdas[ell], indicators[:, ell] = top_share_rule(
+            tau, ref, q)
     shares = indicators.mean(axis=0)
     if np.any(shares <= 0.0):
         raise EmptyTopGroup("no test observations above a threshold")
@@ -163,20 +178,16 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     V_qini = psi_qini.T @ psi_qini / n
 
     def bands(values, V):
+        # Two-sided at alpha and one-sided (lower) at alpha from the
+        # alpha/2 sup-t quantile, both off one set of draws.
         se = np.sqrt(np.diag(V) / n)
-        safe = np.where(se > 0, np.sqrt(np.diag(V)), 1.0)
-        corr = V / safe[:, None] / safe[None, :]
-        corr[np.diag(V) == 0, :] = 0.0
-        corr[:, np.diag(V) == 0] = 0.0
-        np.fill_diagonal(corr, 1.0)
-        c_two = simultaneous_critical_value(corr, alpha, seed=seed)
-        c_one = simultaneous_critical_value(corr, alpha / 2.0, seed=seed)
+        c_two, c_one = band_critical_value(V, [alpha, alpha / 2.0], seed)
         two = normal_interval(values, se, alpha, critical_value=c_two)
         one = normal_interval(values, se, alpha, critical_value=c_one)[0]
-        return two, one, se
+        return two, one
 
-    toc_band, toc_lower, _ = bands(toc, V_toc)
-    qini_band, qini_lower, _ = bands(qini, V_qini)
+    toc_band, toc_lower = bands(toc, V_toc)
+    qini_band, qini_lower = bands(qini, V_qini)
 
     # Area under the curves by the forward-difference sum, with the top
     # of the grid closing at q = 1.

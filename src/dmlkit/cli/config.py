@@ -79,8 +79,9 @@ ESTIMANDS = {
                      learners=(("outcome", "linear"), ("takeup", "logistic"),
                                ("propensity", "logistic")),
                      trim=True, estimator="dml_late"),
-    "did_panel": Estimand(("outcome_pre", "outcome", "treatment", "controls"),
-                          binary=_D, learners=_IRM, trim=True,
+    "did_panel": Estimand(("outcome_pre", "outcome", "treatment"),
+                          optional=("controls",), binary=_D,
+                          learners=_IRM, trim=True,
                           options=("outcome_placebo_pre",),
                           estimator="dml_did_panel"),
     "did_rcs": Estimand(("outcome", "time", "treatment"),

@@ -69,12 +69,14 @@ def _est_selection(lam_rule):
 
 
 def _inference_record(result, target):
-    """Record of a scalar estimate (``DmlResult`` or ``TargetInference``)."""
-    estimate = float(result.estimates[0])
-    lo, hi = float(result.ci_lower[0]), float(result.ci_upper[0])
+    """Record of a scalar estimate: the estimate, SE and pointwise CI of
+    any ``dml.engine.InferenceResult`` (here a ``DmlResult`` or a
+    ``TargetInference``)."""
+    estimate = result.estimate
+    lo, hi = result.ci
     return {
         "estimate": estimate,
-        "std_error": float(result.std_errors[0]),
+        "std_error": result.std_error,
         "ci_lower": lo,
         "ci_upper": hi,
         "error": estimate - target,

@@ -97,22 +97,11 @@ def make_learner(spec: str, seed: int):
     return learner
 
 
-class _ConstructorLearner:
-    """Rebuilds a learner from its spec for every fit, so shared specs
-    never leak fitted state between nuisances."""
-
-    def __init__(self, spec, seed):
-        self.spec = spec
-        self.seed = seed
-
-    def fit(self, X, y, weights=None):
-        return make_learner(self.spec, self.seed).fit(X, y, weights=weights)
-
-
 def _learner(config: RunConfig, role: str, default: str):
+    # Learners keep no fitted state (fit returns a new predictor), so
+    # one instance serves every fold of its role.
     spec = config.get(f"learner_{role}", config.get("learner", default))
-    seed = derive_seed(config.seed, f"learner-{role}", 0)
-    return _ConstructorLearner(spec, seed)
+    return make_learner(spec, derive_seed(config.seed, f"learner-{role}", 0))
 
 
 def _learners(config: RunConfig, spec: Estimand) -> list:
@@ -396,7 +385,8 @@ def run_placebo(config: RunConfig, data_path, out_dir) -> dict:
             "outcome column")
     spec = ESTIMANDS["did_panel"]
     data = _load_columns(config, data_path,
-                         spec.roles + ("outcome_placebo_pre",), spec.binary)
+                         spec.roles + spec.optional + ("outcome_placebo_pre",),
+                         spec.binary)
     # Shift both outcome periods one step back.
     data["outcome"] = data["outcome_pre"]
     data["outcome_pre"] = data["outcome_placebo_pre"]

@@ -19,28 +19,33 @@ from ..errors import BadFoldCount, SingularJacobian
 JACOBIAN_ATOL = 1e-12
 
 
-@dataclass
-class DmlResult:
-    """Estimate, uncertainty, and diagnostics for one estimand.
+@dataclass(kw_only=True)
+class InferenceResult:
+    """Estimates with standard errors, and the pointwise normal
+    interval at level 1 - alpha that ``__post_init__`` derives from
+    them. ``DmlResult``, ``TargetInference``, ``BlpResult`` and
+    ``CalibrationReport`` build on it; none is handed its interval.
 
-    Scalar estimands store length-1 arrays; ``theta``/``std_error``
-    unwrap the first entry for convenience.
+    Scalar estimands store length-1 arrays; ``theta``/``estimate``,
+    ``std_error`` and ``ci`` unwrap the first entry for convenience.
     """
 
     estimates: np.ndarray
     std_errors: np.ndarray
-    ci_lower: np.ndarray
-    ci_upper: np.ndarray
-    influence: np.ndarray  # (n,) or (n, q) influence values
-    variance: np.ndarray
     alpha: float
     n: int
-    trim_count: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    ci_lower: np.ndarray = field(init=False)
+    ci_upper: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.ci_lower, self.ci_upper = normal_interval(
+            self.estimates, self.std_errors, self.alpha)
 
     @property
     def theta(self) -> float:
         return float(self.estimates[0])
+
+    estimate = theta
 
     @property
     def std_error(self) -> float:
@@ -49,6 +54,16 @@ class DmlResult:
     @property
     def ci(self) -> tuple[float, float]:
         return float(self.ci_lower[0]), float(self.ci_upper[0])
+
+
+@dataclass(kw_only=True)
+class DmlResult(InferenceResult):
+    """Estimate, uncertainty, and diagnostics for one estimand."""
+
+    influence: np.ndarray  # (n,) or (n, q) influence values
+    variance: np.ndarray
+    trim_count: int = 0
+    diagnostics: dict = field(default_factory=dict)
 
 
 def normal_interval(estimates, std_errors, alpha: float,
@@ -85,14 +100,9 @@ def linear_score_result(psi_a, psi_b, alpha: float = 0.05,
         raise SingularJacobian("variance Jacobian is numerically zero")
     influence = (psi_b - psi_a * theta) / J
     variance = float(np.mean(influence**2) - np.mean(influence) ** 2)
-    estimates = np.array([theta])
-    std_errors = np.array([np.sqrt(variance / n)])
-    lower, upper = normal_interval(estimates, std_errors, alpha)
     return DmlResult(
-        estimates=estimates,
-        std_errors=std_errors,
-        ci_lower=lower,
-        ci_upper=upper,
+        estimates=np.array([theta]),
+        std_errors=np.array([np.sqrt(variance / n)]),
         influence=influence,
         variance=np.array([variance]),
         alpha=alpha,

@@ -16,7 +16,7 @@ from ..errors import (
 )
 from ..learners import cross_fit_predict
 from ..linalg import as_matrix
-from .engine import DmlResult, linear_score_result, normal_interval
+from .engine import DmlResult, linear_score_result
 
 DEFAULT_TRIM = 0.01
 WEAK_VARIATION_RTOL = 1e-10
@@ -144,7 +144,6 @@ def dml_gate(y, d, X, groups, learner_g, learner_m, plan,
             degenerate.append(lab)
             variances[j] = np.nan
     se = np.sqrt(variances / n)
-    lower, upper = normal_interval(estimates, se, alpha)
     diag = dict(diag)
     diag["group_labels"] = labels
     if degenerate:
@@ -152,8 +151,6 @@ def dml_gate(y, d, X, groups, learner_g, learner_m, plan,
     return DmlResult(
         estimates=estimates,
         std_errors=se,
-        ci_lower=lower,
-        ci_upper=upper,
         influence=influence,
         variance=variances,
         alpha=alpha,

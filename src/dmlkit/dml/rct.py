@@ -78,18 +78,14 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
         rel_se = float(np.sqrt(grad @ cov @ grad))
     else:
         rel_se = np.nan
-    estimates, std_errors = np.array([ate]), np.array([se])
-    lower, upper = normal_interval(estimates, std_errors, alpha)
     rel_ci = normal_interval(rel, rel_se, alpha)
 
     # Influence values of the ATE contrast (mean-zero by construction).
     dt = d - np.mean(d)
     influence = eps * dt / np.mean(dt**2)
     return DmlResult(
-        estimates=estimates,
-        std_errors=std_errors,
-        ci_lower=lower,
-        ci_upper=upper,
+        estimates=np.array([ate]),
+        std_errors=np.array([se]),
         influence=influence,
         variance=np.array([se**2 * n]),
         alpha=alpha,

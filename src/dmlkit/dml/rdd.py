@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import OneSideEmpty
 from ..linalg import ols_fit, robust_variance
-from .engine import DmlResult, normal_interval
+from .engine import DmlResult
 from .estimators import _columns
 
 
@@ -43,8 +43,6 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     var = robust_variance(fit, "HC0")
     tau = float(fit.coefficients[1])
     se = float(var.std_errors[1])
-    estimates, std_errors = np.array([tau]), np.array([se])
-    lower, upper = normal_interval(estimates, std_errors, alpha)
     n_used = int(np.sum(keep))
     # HC0 influence of the jump under the kernel weights,
     # n w_i e_i [(X'WX)^{-1} x_i]_jump: its mean square is the WLS
@@ -54,10 +52,8 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     influence = (n_used * fit.weights / np.sum(fit.weights)
                  * fit.residuals * jump_row)
     return DmlResult(
-        estimates=estimates,
-        std_errors=std_errors,
-        ci_lower=lower,
-        ci_upper=upper,
+        estimates=np.array([tau]),
+        std_errors=np.array([se]),
         influence=influence,
         variance=np.array([se**2 * n_used]),
         alpha=alpha,

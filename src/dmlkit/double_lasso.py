@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .dml.engine import normal_interval
+from .dml.engine import InferenceResult, normal_interval
 from .errors import DimensionMismatch, WeakResidualVariation
 from .linalg import as_matrix, ols_fit, robust_variance
-from .penalized import cv_fit, lasso_fit, lasso_plugin, post_lasso_coefficients
+from .penalized import cv_fit, lasso_fit, lasso_plugin
 from .rng import stream
 
 SIMULTANEOUS_DRAWS = 100_000
@@ -25,52 +25,53 @@ SIMULTANEOUS_BLOCK = 8192
 WEAK_VARIATION_RTOL = 1e-10
 
 
-@dataclass
-class TargetInference:
-    """Per-target estimates with pointwise and simultaneous intervals."""
+@dataclass(kw_only=True)
+class TargetInference(InferenceResult):
+    """Per-target estimates with pointwise and simultaneous intervals.
 
-    estimates: np.ndarray
-    std_errors: np.ndarray
-    ci_lower: np.ndarray
-    ci_upper: np.ndarray
-    band_lower: np.ndarray
-    band_upper: np.ndarray
+    ``band_lower``/``band_upper`` are derived from ``critical_value``
+    (by default the normal quantile, so the band is the pointwise
+    interval), and ``p_values`` are the marginal normal-based ones.
+    """
+
     joint_variance: np.ndarray  # V_hat, per-sqrt(n) scale
-    critical_value: float
-    p_values: np.ndarray  # marginal, normal-based
+    critical_value: float | None = None
     residual_outcome: np.ndarray | None = None
     residual_targets: np.ndarray | None = None
     warning: str | None = None
-    alpha: float = 0.05
-    n: int = 0
+    band_lower: np.ndarray = field(init=False)
+    band_upper: np.ndarray = field(init=False)
+    p_values: np.ndarray = field(init=False)
 
-    @property
-    def estimate(self) -> float:
-        return float(self.estimates[0])
+    def __post_init__(self):
+        super().__post_init__()
+        if self.critical_value is None:
+            self.critical_value = float(stats.norm.ppf(1.0 - self.alpha / 2.0))
+        self.band_lower, self.band_upper = normal_interval(
+            self.estimates, self.std_errors, self.alpha, self.critical_value)
+        # A zero standard error makes the estimate exact: p-value 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.abs(self.estimates) / self.std_errors
+        self.p_values = np.where(self.std_errors > 0,
+                                 2.0 * stats.norm.sf(z), 0.0)
 
-    @property
-    def std_error(self) -> float:
-        return float(self.std_errors[0])
 
-
-def _lasso_residual(y, W, lam_rule: str, residuals: str = "post",
-                    seed: int = 0):
+def _lasso_residual(y, W, lam_rule: str, seed: int = 0):
     """Partial a vector out of high-dimensional controls via Lasso.
 
-    With ``residuals="post"`` the selected columns are refit by least
-    squares before residualizing, which removes the shrinkage that the
-    penalty leaves in the fitted values. ``residuals="lasso"`` keeps the
-    penalized fit as-is.
+    The selected columns are refit by least squares before residualizing,
+    which removes the shrinkage that the penalty leaves in the fitted
+    values.
     """
     y = np.asarray(y, dtype=float).ravel()
     if W is None or W.shape[1] == 0:
         return y - np.mean(y)
-    fit = _rule_fit(y, W, lam_rule, seed)
-    if residuals == "post":
-        return _post_refit_residual(y, W, fit)
-    if residuals != "lasso":
-        raise ValueError(f"unknown residual mode {residuals!r}")
-    return y - fit.predict(W)
+    active = np.flatnonzero(_rule_fit(y, W, lam_rule, seed).coefficients)
+    if active.size == 0 or active.size >= y.size:
+        return y - np.mean(y)
+    Z = np.column_stack([np.ones(y.size), W[:, active]])
+    coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
+    return y - Z @ coef
 
 
 def _rule_fit(y, W, lam_rule: str, seed: int = 0):
@@ -107,33 +108,13 @@ def _lambda_max(W, y) -> float:
     return 2.0 * top if top > 0 else 1.0
 
 
-def _post_refit_residual(y, W, fit) -> np.ndarray:
-    """Residual from a least-squares refit on the Lasso support."""
-    active = np.flatnonzero(fit.coefficients)
-    if active.size == 0 or active.size >= y.size:
-        return y - np.mean(y)
-    Z = np.column_stack([np.ones(y.size), W[:, active]])
-    coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
-    return y - Z @ coef
-
-
 def _single_target_inference(estimate, variance, n, alpha, resid_y=None,
                              resid_d=None, warning=None) -> TargetInference:
-    se = float(np.sqrt(variance / n))
-    pval = 2.0 * stats.norm.sf(abs(estimate) / se) if se > 0 else 0.0
-    estimates, std_errors = np.array([estimate]), np.array([se])
-    lower, upper = normal_interval(estimates, std_errors, alpha)
     # With one target the simultaneous band is the pointwise interval.
     return TargetInference(
-        estimates=estimates,
-        std_errors=std_errors,
-        ci_lower=lower,
-        ci_upper=upper,
-        band_lower=lower.copy(),
-        band_upper=upper.copy(),
+        estimates=np.array([estimate]),
+        std_errors=np.array([np.sqrt(variance / n)]),
         joint_variance=np.array([[variance]]),
-        critical_value=float(stats.norm.ppf(1.0 - alpha / 2.0)),
-        p_values=np.array([pval]),
         residual_outcome=resid_y,
         residual_targets=None if resid_d is None else np.asarray(resid_d)[:, None],
         warning=warning,
@@ -142,16 +123,15 @@ def _single_target_inference(estimate, variance, n, alpha, resid_y=None,
     )
 
 
-def double_lasso(y, d, W, lam_rule: str = "plugin", alpha: float = 0.05,
-                 residuals: str = "post") -> TargetInference:
+def double_lasso(y, d, W, lam_rule: str = "plugin",
+                 alpha: float = 0.05) -> TargetInference:
     """Double Lasso for a single target coefficient.
 
     Both the outcome and the target are partialled out of the controls by
     Lasso; the estimate is the slope of the residualized regression with a
-    heteroskedasticity-robust standard error. By default each partialling
-    step refits the selected controls by least squares before taking
-    residuals; pass ``residuals="lasso"`` to residualize against the
-    penalized fit directly.
+    heteroskedasticity-robust standard error. Each partialling step
+    refits the selected controls by least squares before taking
+    residuals.
     """
     y = np.asarray(y, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
@@ -160,8 +140,8 @@ def double_lasso(y, d, W, lam_rule: str = "plugin", alpha: float = 0.05,
     if d.size != n or n <= 2:
         raise DimensionMismatch("need matching y, d with n > 2")
 
-    ry = _lasso_residual(y, W, lam_rule, residuals)
-    rd = _lasso_residual(d, W, lam_rule, residuals)
+    ry = _lasso_residual(y, W, lam_rule)
+    rd = _lasso_residual(d, W, lam_rule)
     denom = float(np.mean(rd**2))
     if denom < WEAK_VARIATION_RTOL * float(np.mean(d**2)):
         raise WeakResidualVariation(
@@ -182,14 +162,20 @@ def _control_matrix(W, n) -> np.ndarray:
     return W
 
 
-def simultaneous_critical_value(correlation: np.ndarray, alpha: float,
+def simultaneous_critical_value(correlation: np.ndarray, alpha,
                                 seed: int = 0,
-                                draws: int = SIMULTANEOUS_DRAWS) -> float:
-    """(1-alpha)-quantile of the sup-norm of a N(0, correlation) draw."""
+                                draws: int = SIMULTANEOUS_DRAWS):
+    """(1-alpha)-quantile of the sup-norm of a N(0, correlation) draw.
+
+    ``alpha`` may be a sequence of levels: one set of draws then gives
+    an array with one quantile per level.
+    """
     correlation = np.atleast_2d(np.asarray(correlation, dtype=float))
+    alpha = np.asarray(alpha, dtype=float)
     p = correlation.shape[0]
     if p == 1:
-        return float(stats.norm.ppf(1.0 - alpha / 2.0))
+        c = stats.norm.ppf(1.0 - alpha / 2.0)
+        return float(c) if c.ndim == 0 else c
     # Factor via eigendecomposition so rank-deficient (perfectly
     # correlated) cases are handled without jitter.
     vals, vecs = np.linalg.eigh(correlation)
@@ -203,7 +189,22 @@ def simultaneous_critical_value(correlation: np.ndarray, alpha: float,
     for start in range(0, draws, SIMULTANEOUS_BLOCK):
         z = gen.standard_normal((min(SIMULTANEOUS_BLOCK, draws - start), p))
         sup[start:start + len(z)] = np.max(np.abs(z @ root.T), axis=1)
-    return float(np.quantile(sup, 1.0 - alpha))
+    c = np.quantile(sup, 1.0 - alpha)
+    return float(c) if c.ndim == 0 else c
+
+
+def band_critical_value(covariance: np.ndarray, alpha, seed: int = 0):
+    """Sup-t critical value for estimates with joint ``covariance``.
+
+    The covariance is scaled to a correlation; an estimate with zero
+    variance is exact, so its row and column are zero and it adds
+    nothing to the supremum. ``alpha`` may be a sequence of levels,
+    all read off one set of draws.
+    """
+    scale = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    safe = np.where(scale > 0, scale, 1.0)
+    correlation = covariance / safe[:, None] / safe[None, :]
+    return simultaneous_critical_value(correlation, alpha, seed=seed)
 
 
 def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
@@ -241,26 +242,11 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
     cross = (rd_all * eps).T @ (rd_all * eps) / n
     V = cross / denoms[:, None] / denoms[None, :]
     V = 0.5 * (V + V.T)
-    se = np.sqrt(np.diag(V) / n)
-
-    scale = np.sqrt(np.diag(V))
-    corr = V / scale[:, None] / scale[None, :]
-    c = simultaneous_critical_value(corr, alpha, seed=seed)
-    pvals = 2.0 * stats.norm.sf(np.abs(estimates) / se)
-    lower, upper = normal_interval(estimates, se, alpha)
-    band_lower, band_upper = normal_interval(estimates, se, alpha,
-                                             critical_value=c)
     return TargetInference(
         estimates=estimates,
-        std_errors=se,
-        ci_lower=lower,
-        ci_upper=upper,
-        band_lower=band_lower,
-        band_upper=band_upper,
+        std_errors=np.sqrt(np.diag(V) / n),
         joint_variance=V,
-        critical_value=c,
-        p_values=pvals,
-        residual_outcome=None,
+        critical_value=band_critical_value(V, alpha, seed=seed),
         residual_targets=rd_all,
         alpha=alpha,
         n=n,
@@ -338,6 +324,6 @@ def naive_single_selection(y, d, W, alpha: float = 0.05) -> TargetInference:
     var = robust_variance(ofit, "HC0")
     estimate = float(ofit.coefficients[1])
     variance = float(var.matrix[1, 1] * n)
-    out = _single_target_inference(estimate, variance, n, alpha)
-    out.warning = "single selection is not Neyman orthogonal; inference invalid"
-    return out
+    return _single_target_inference(
+        estimate, variance, n, alpha,
+        warning="single selection is not Neyman orthogonal; inference invalid")

@@ -66,7 +66,7 @@ def no_crossfit_plan(n: int) -> CrossFitPlan:
 
 
 def cross_fit_predict(learner, X, y, plan: CrossFitPlan, weights=None,
-                      proba: bool = False, rows=None):
+                      rows=None):
     """Out-of-fold predictions: row i is predicted by a model that never
     saw fold(i). ``rows``, a boolean mask of length n, keeps only the
     marked rows of each fold's training complement (a treatment arm or a
@@ -89,10 +89,7 @@ def cross_fit_predict(learner, X, y, plan: CrossFitPlan, weights=None,
         predictor = learner.fit(X[train], y[train], weights=w)
         predictors.append(predictor)
         if test.size:
-            if proba:
-                preds[test] = predictor.predict_proba(X[test])
-            else:
-                preds[test] = predictor.predict(X[test])
+            preds[test] = predictor.predict(X[test])
     return preds, predictors
 
 
@@ -172,22 +169,18 @@ class LinearLearner:
 
 
 class LassoPluginLearner:
-    """Plug-in-penalty Lasso, optionally refit by OLS on the active set."""
+    """Plug-in-penalty Lasso."""
 
-    def __init__(self, c: float = 1.1, a: float = 0.05, post: bool = False):
+    def __init__(self, c: float = 1.1, a: float = 0.05):
         self.c = c
         self.a = a
-        self.post = post
 
     def fit(self, X, y, weights=None):
-        from .penalized import lasso_plugin, post_lasso_coefficients
+        from .penalized import lasso_plugin
 
         X = as_matrix(X)
         fit = lasso_plugin(X, y, c=self.c, a=self.a)
-        if self.post:
-            intercept, beta = post_lasso_coefficients(X, y, fit)
-        else:
-            intercept, beta = fit.intercept, fit.coefficients
+        intercept, beta = fit.intercept, fit.coefficients
         return _FunctionPredictor(lambda Xn: intercept + Xn @ beta)
 
 
@@ -404,12 +397,13 @@ class _AveragePredictor:
 
 
 def forest_fit(X, y, B: int = 100, sample_mode: str = "bootstrap",
-               subsample: int | None = None, mtry: int | None = None,
-               max_depth: int = 8, min_leaf: int = 5, seed: int = 0,
+               mtry: int | None = None, max_depth: int = 8,
+               min_leaf: int = 5, seed: int = 0,
                weights=None) -> _AveragePredictor:
-    """Bagged (or subsampled) forest of deep trees with per-split feature
-    subsampling. Each tree consumes an independent RNG stream derived
-    from (seed, tree index), so the result is order-independent."""
+    """Bagged forest of deep trees with per-split feature subsampling;
+    ``sample_mode="full"`` grows every tree on all rows. Each tree
+    consumes an independent RNG stream derived from (seed, tree index),
+    so the result is order-independent."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
@@ -420,9 +414,6 @@ def forest_fit(X, y, B: int = 100, sample_mode: str = "bootstrap",
         rng = stream(seed, "forest-tree", b)
         if sample_mode == "bootstrap":
             idx = rng.integers(0, n, size=n)
-        elif sample_mode == "subsample":
-            size = subsample if subsample is not None else max(2, n // 2)
-            idx = rng.choice(n, size=min(size, n), replace=False)
         elif sample_mode == "full":
             idx = np.arange(n)
         else:
@@ -437,11 +428,10 @@ def forest_fit(X, y, B: int = 100, sample_mode: str = "bootstrap",
 
 class ForestLearner:
     def __init__(self, B: int = 100, sample_mode: str = "bootstrap",
-                 subsample: int | None = None, mtry: int | None = None,
-                 max_depth: int = 8, min_leaf: int = 5, seed: int = 0):
+                 mtry: int | None = None, max_depth: int = 8,
+                 min_leaf: int = 5, seed: int = 0):
         self.B = B
         self.sample_mode = sample_mode
-        self.subsample = subsample
         self.mtry = mtry
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -449,8 +439,7 @@ class ForestLearner:
 
     def fit(self, X, y, weights=None):
         return forest_fit(
-            X, y, B=self.B, sample_mode=self.sample_mode,
-            subsample=self.subsample, mtry=self.mtry,
+            X, y, B=self.B, sample_mode=self.sample_mode, mtry=self.mtry,
             max_depth=self.max_depth, min_leaf=self.min_leaf,
             seed=self.seed, weights=weights,
         )

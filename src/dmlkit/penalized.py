@@ -349,7 +349,7 @@ def elastic_net_fit(X, y, lam_ridge: float, lam_lasso: float) -> LassoFit:
                      lam_ridge=lam_ridge)
 
 
-def cv_fit(method: str, X, y, grid, plan, fitter=None) -> CvReport:
+def cv_fit(method: str, X, y, grid, plan) -> CvReport:
     """K-fold cross-validation over a parameter grid.
 
     For each grid point the model is trained on K-1 folds and scored on
@@ -361,16 +361,14 @@ def cv_fit(method: str, X, y, grid, plan, fitter=None) -> CvReport:
     grid = list(grid)
     if not grid:
         raise DimensionMismatch("grid must be nonempty")
-    pathwise = method == "lasso" and fitter is None
-    if fitter is None:
-        if method == "lasso":
-            fitter = lambda X, y, lam: lasso_fit(X, y, lam=lam)
-        elif method == "ridge":
-            fitter = lambda X, y, lam: ridge_fit(X, y, lam)
-        elif method == "elastic_net":
-            fitter = lambda X, y, lams: elastic_net_fit(X, y, *lams)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+    if method == "lasso":
+        fitter = lambda X, y, lam: lasso_fit(X, y, lam=lam)
+    elif method == "ridge":
+        fitter = lambda X, y, lam: ridge_fit(X, y, lam)
+    elif method == "elastic_net":
+        fitter = lambda X, y, lams: elastic_net_fit(X, y, *lams)
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
     K = plan.K
     fold_mses = np.empty((len(grid), K))
@@ -379,7 +377,7 @@ def cv_fit(method: str, X, y, grid, plan, fitter=None) -> CvReport:
         train = plan.complement_indices(k)
         if test.size < 2 or train.size < 2:
             raise FoldTooSmall("each fold and its complement need >= 2 rows")
-        if pathwise:
+        if method == "lasso":
             # Warm-started path: same minimizers as per-point cold fits.
             models = lasso_path(X[train], y[train], grid)
         else:

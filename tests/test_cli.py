@@ -474,3 +474,14 @@ def test_unread_key_is_exit_2(study, tmp_path, capsys):
 def test_trim_on_plm_is_rejected():
     with pytest.raises(ConfigError, match="'trim'"):
         validate_config(_cfg(estimand="plm", trim="0.1"))
+
+
+@pytest.mark.parametrize("command", ["estimate", "placebo"])
+def test_did_panel_without_controls(study, tmp_path, command):
+    code, report = _run_study(study, tmp_path, command, "did_panel",
+                              outcome_pre="y_pre", treatment="d",
+                              outcome_placebo_pre="y0")
+    assert code == 0
+    (row,) = report["estimates"]
+    assert np.isfinite(row["estimate"]) and row["std_error"] > 0
+    assert row["ci_lower"] <= row["estimate"] <= row["ci_upper"]
