@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dml.estimators import DEFAULT_TRIM, _check_binary, _columns, _subset_fit
+from ..dml.estimators import (DEFAULT_TRIM, _check_binary, _columns,
+                              _propensity, _subset_fit)
 from ..errors import OneArmEmpty, WeightOverflow
 from ..learners import cross_fit_predict
 from ..linalg import as_matrix
@@ -59,22 +60,23 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
     meta: dict = {}
 
     if kind == "S":
-        _, fits = cross_fit_predict(learner_y, np.column_stack([d, Z]), y,
-                                    plan)
+        # Own-arm predictions come with the fits; one more pass predicts
+        # the other arm, and own - other is g(1, Z) - g(0, Z) when d = 1.
+        own, fits = cross_fit_predict(learner_y, np.column_stack([d, Z]), y,
+                                      plan)
         labels = np.empty(y.size)
         for k, g in enumerate(fits):
             test = plan.fold_indices(k)
-            one = np.column_stack([np.ones(test.size), Z[test]])
-            zero = np.column_stack([np.zeros(test.size), Z[test]])
-            labels[test] = g.predict(one) - g.predict(zero)
+            other = np.column_stack([1.0 - d[test], Z[test]])
+            labels[test] = own[test] - g.predict(other)
+        labels[d == 0.0] *= -1.0
     elif kind == "T":
         labels = (_subset_fit(learner_y, Z, y, plan, d == 1.0)
                   - _subset_fit(learner_y, Z, y, plan, d == 0.0))
     elif kind in ("X", "DAX"):
         g1 = _subset_fit(learner_y, Z, y, plan, d == 1.0)
         g0 = _subset_fit(learner_y, Z, y, plan, d == 0.0)
-        mu, _ = cross_fit_predict(learner_prop, Z, d, plan)
-        mu = np.clip(mu, trim, 1.0 - trim)
+        mu, meta["trim_count"] = _propensity(learner_prop, Z, d, plan, trim)
         treated = d == 1.0
         control = ~treated
         # Effect regressions: on the treated the control response is

@@ -64,14 +64,14 @@ class TreePolicy:
 
 
 def policy_learn(signals, X, max_depth: int = 2, min_leaf: int = 10,
-                 cost: float = 0.0, eval_signals=None, eval_X=None,
-                 alpha: float = 0.05) -> dict:
+                 cost: float = 0.0) -> dict:
     """Learn a depth-limited policy tree.
 
     Treating-or-not is cast as weighted classification: labels are the
     signs of the cost-adjusted signals encoded as +/-1, weights their
-    magnitudes. Optionally evaluates the learned rule on held-out
-    signals.
+    magnitudes. Returns the policy, its tree and its in-sample value;
+    to evaluate the rule on held-out signals, pass
+    ``policy.assign(X_held_out)`` to ``policy_value``.
     """
     signals = np.asarray(signals, dtype=float).ravel()
     X = as_matrix(X)
@@ -83,9 +83,5 @@ def policy_learn(signals, X, max_depth: int = 2, min_leaf: int = 10,
     tree = tree_fit(X, labels, max_depth=max_depth, min_leaf=min_leaf,
                     weights=weights)
     policy = TreePolicy(tree, cost)
-    out = {"policy": policy, "tree": tree,
-           "in_sample_value": float(np.mean(policy.assign(X) * signals))}
-    if eval_signals is not None and eval_X is not None:
-        pi = policy.assign(np.asarray(eval_X, dtype=float))
-        out["value"] = policy_value(pi, eval_signals, alpha=alpha)
-    return out
+    return {"policy": policy, "tree": tree,
+            "in_sample_value": float(np.mean(policy.assign(X) * signals))}

@@ -8,7 +8,6 @@ import numpy as np
 from ..dml.engine import normal_interval
 from ..errors import DimensionMismatch, IndistinguishableModels
 from ..linalg import as_matrix
-from .meta import CateModel
 
 QAGG_MAX_ITERS = 5000
 QAGG_GRAD_TOL = 1e-9
@@ -30,17 +29,15 @@ def dr_loss(tau_values, signals) -> float:
     return float(np.mean((signals - tau_values) ** 2))
 
 
-def dr_score(tau_values, signals, train_ate: float | None = None) -> dict:
+def dr_score(tau_values, signals) -> dict:
     """Loss plus the normalized improvement over a constant-ATE model.
 
-    ``train_ate`` is the constant fitted on training data; it defaults
-    to the scoring-sample mean, which makes the score of the constant
-    model itself exactly zero.
+    The constant is the scoring-sample mean of the signals, which makes
+    the score of the constant model itself exactly zero.
     """
     signals = np.asarray(signals, dtype=float).ravel()
-    const = float(np.mean(signals)) if train_ate is None else float(train_ate)
     loss = dr_loss(tau_values, signals)
-    base = dr_loss(np.full(signals.size, const), signals)
+    base = dr_loss(np.full(signals.size, float(np.mean(signals))), signals)
     score = (base - loss) / base if base > 0 else 0.0
     return {"loss": loss, "baseline_loss": base, "score": score}
 
@@ -93,7 +90,6 @@ def _simplex_quadratic(P, s, linear) -> np.ndarray:
 
 
 def ensemble(predictions, signals, method: str = "qagg",
-             models: list[CateModel] | None = None,
              fix_intercept_to: float | None = None) -> dict:
     """Combine candidate CATE models scored on held-out signals.
 
@@ -104,7 +100,10 @@ def ensemble(predictions, signals, method: str = "qagg",
     loss, which interpolates between the two.
 
     ``fix_intercept_to`` recenters the combined model to a caller-
-    supplied ATE estimate.
+    supplied ATE estimate. Returns the weights, the per-model losses,
+    the combined predictions and the recentring offset; the combined
+    model at new covariates is ``offset`` plus the weighted sum of the
+    candidates' predictions there.
     """
     P = as_matrix(predictions)
     s = np.asarray(signals, dtype=float).ravel()
@@ -129,23 +128,5 @@ def ensemble(predictions, signals, method: str = "qagg",
         offset = float(fix_intercept_to) - float(np.mean(combined))
         combined = combined + offset
 
-    out = {"weights": weights, "losses": losses, "combined": combined,
-           "offset": offset}
-    if models is not None:
-        predictor = _WeightedPredictor(models, weights, offset)
-        out["model"] = CateModel(kind="ensemble", predictor=predictor,
-                                 metadata={"weights": weights})
-    return out
-
-
-class _WeightedPredictor:
-    def __init__(self, models, weights, offset):
-        self._models = models
-        self._weights = weights
-        self._offset = offset
-
-    def predict(self, X):
-        acc = 0.0
-        for w, m in zip(self._weights, self._models):
-            acc = acc + w * np.asarray(m.predict(X), dtype=float)
-        return acc + self._offset
+    return {"weights": weights, "losses": losses, "combined": combined,
+            "offset": offset}

@@ -50,15 +50,23 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
     """Bin test observations by predicted effect and compare the mean
     prediction with the mean DR signal per bin.
 
-    Bin edges are the K-quantiles of the non-test predictions. cal1 is
-    the count-weighted mean absolute gap, cal2 its squared analogue.
+    Bin edges are the K-quantiles of the non-test predictions. Bins
+    whose edges tie (with each other or with the smallest non-test
+    prediction) are merged, so a model with few distinct predictions
+    gets fewer than K bins, with one entry of ``counts`` per bin used.
+    cal1 is the count-weighted mean absolute gap, cal2 its squared
+    analogue.
     """
     tau_test = np.asarray(tau_test, dtype=float).ravel()
     signals = np.asarray(signals_test, dtype=float).ravel()
     tau_nontest = np.asarray(tau_nontest, dtype=float).ravel()
     if K < 1:
         raise EmptyBin("need at least one bin")
-    edges = np.quantile(tau_nontest, np.linspace(0.0, 1.0, K + 1)[1:-1])
+    # Cut points that tie with each other or with the smallest non-test
+    # prediction would bound a bin with no non-test mass; drop them.
+    cuts = np.quantile(tau_nontest, np.linspace(0.0, 1.0, K + 1)[:-1])
+    edges = np.unique(cuts)[1:]
+    K = edges.size + 1
     assignment = np.searchsorted(edges, tau_test, side="right")
     n = signals.size
     dr_means = np.empty(K)

@@ -28,7 +28,7 @@ from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
                         make_folds)
 from ..rng import derive_seed
 from ..sensitivity import ovb_from_data
-from ..weak_id import first_stage_diag, robust_region
+from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
 from . import dgps
 from .config import (ESTIMANDS, LIST_KEYS, Estimand, RunConfig, load_config,
                      validate_config)
@@ -256,7 +256,7 @@ def _weak_id_report(config, spec, data, alpha):
         resid[role] = data[role] - fit
     grid = np.linspace(config.get("grid_lower", -2.0),
                        config.get("grid_upper", 2.0),
-                       config.get("grid_points", 401))
+                       config.get("grid_points", GRID_POINTS))
     ry, rd, rz = resid["outcome"], resid["treatment"], resid["instrument"]
     region = robust_region(ry, rd, rz, grid, alpha=alpha)
     stage = first_stage_diag(rd, rz)

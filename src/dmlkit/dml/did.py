@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyCell, NoTreatedUnits
-from ..learners import cross_fit_predict
 from .engine import DmlResult, linear_score_result
-from .estimators import (DEFAULT_TRIM, _check_binary, _columns, _rmse,
-                         _subset_fit)
+from .estimators import (DEFAULT_TRIM, _check_binary, _columns, _propensity,
+                         _rmse, _subset_fit)
 
 
 def did_canonical(y, d, t, alpha: float = 0.05) -> DmlResult:
@@ -64,9 +63,7 @@ def dml_did_panel(y1, y2, d, X, learner_g, learner_m, plan,
         raise NoTreatedUnits("no treated units")
     p_hat = float(np.mean(d))
     g0 = _subset_fit(learner_g, X, dy, plan, d == 0.0)
-    m, _ = cross_fit_predict(learner_m, X, d, plan)
-    trimmed = int(np.sum(m > 1.0 - trim))
-    m = np.clip(m, trim, 1.0 - trim)
+    m, trimmed = _propensity(learner_m, X, d, plan, trim)
     psi_b = (d - m) / (p_hat * (1.0 - m)) * (dy - g0)
     return linear_score_result(
         psi_a=d / p_hat,
@@ -111,9 +108,7 @@ def dml_did_rcs(y, t, d, X, learner_g, learner_m, plan,
 
     g = {key: _subset_fit(learner_g, X, y, plan, rows, error=EmptyCell)
          for key, rows in cells.items()}
-    m, _ = cross_fit_predict(learner_m, X, d, plan)
-    trimmed = int(np.sum(m > 1.0 - trim))
-    m = np.clip(m, trim, 1.0 - trim)
+    m, trimmed = _propensity(learner_m, X, d, plan, trim)
 
     w = m * (1.0 - d) / (1.0 - m)
     psi_b = (

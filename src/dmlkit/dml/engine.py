@@ -116,29 +116,17 @@ def generic_dml(score, data: dict, plan, alpha: float = 0.05,
                 allow_no_crossfit: bool = False) -> DmlResult:
     """Run the generic cross-fitted procedure for a user-supplied score.
 
-    ``score`` must provide ``fit(data, train_indices) -> nuisances`` and
-    ``evaluate(data, indices, nuisances) -> (psi_a, psi_b)`` returning
-    per-observation arrays. Nuisances for each fold are trained on the
-    fold's complement.
+    The score protocol is exactly two methods: ``fit(data,
+    train_indices) -> nuisances`` and ``evaluate(data, indices,
+    nuisances) -> (psi_a, psi_b)`` returning per-observation arrays.
+    Nuisances for each fold are trained on the fold's complement.
     """
     if plan.K < 2 and not allow_no_crossfit:
         raise BadFoldCount("cross-fitting requires K >= 2 folds")
-    n = plan.n
-    psi_a = np.empty(n)
-    psi_b = np.empty(n)
-    trim_count = 0
-    diagnostics: dict = {}
+    psi_a = np.empty(plan.n)
+    psi_b = np.empty(plan.n)
     for k in range(plan.K):
         test = plan.fold_indices(k)
-        train = plan.complement_indices(k)
-        nuis = score.fit(data, train)
-        a, b = score.evaluate(data, test, nuis)
-        psi_a[test] = a
-        psi_b[test] = b
-        trim_count += int(getattr(score, "last_trim_count", 0))
-    gather = getattr(score, "diagnostics", None)
-    if callable(gather):
-        diagnostics = gather()
-    return linear_score_result(psi_a, psi_b, alpha=alpha,
-                               trim_count=trim_count,
-                               diagnostics=diagnostics)
+        nuis = score.fit(data, plan.complement_indices(k))
+        psi_a[test], psi_b[test] = score.evaluate(data, test, nuis)
+    return linear_score_result(psi_a, psi_b, alpha=alpha)

@@ -51,6 +51,14 @@ def _subset_fit(learner, X, target, plan, rows, error=OneArmEmpty):
         raise error(f"training data lacks an arm or cell: {exc}") from exc
 
 
+def _propensity(learner, X, d, plan, trim):
+    """Cross-fitted propensity of ``d`` clipped into [trim, 1 - trim],
+    and the number of rows the clip moved (either tail)."""
+    m, _ = cross_fit_predict(learner, X, d, plan)
+    trimmed = int(np.sum((m < trim) | (m > 1.0 - trim)))
+    return np.clip(m, trim, 1.0 - trim), trimmed
+
+
 def _plm_residuals(y, d, X, learner_l, learner_m, plan):
     """Cross-fitted residuals Y - l(X) and D - m(X) with their RMSEs."""
     X = _columns(X, y.size)
@@ -73,16 +81,6 @@ def dml_plm(y, d, X, learner_l, learner_m, plan, alpha: float = 0.05) -> DmlResu
                                diagnostics=diag)
 
 
-def _fit_irm_nuisances(y, d, X, learner_g, learner_m, plan, trim):
-    """Cross-fit g(d, X) by treatment arm and the clipped propensity."""
-    g1 = _subset_fit(learner_g, X, y, plan, d == 1.0)
-    g0 = _subset_fit(learner_g, X, y, plan, d == 0.0)
-    m, _ = cross_fit_predict(learner_m, X, d, plan)
-    trimmed = int(np.sum((m < trim) | (m > 1.0 - trim)))
-    m = np.clip(m, trim, 1.0 - trim)
-    return g1, g0, m, trimmed
-
-
 def irm_signals(y, d, X, learner_g, learner_m, plan,
                 trim: float = DEFAULT_TRIM):
     """Per-observation doubly robust ATE signals
@@ -92,8 +90,9 @@ def irm_signals(y, d, X, learner_g, learner_m, plan,
     X = _columns(X, y.size)
     if not (np.any(d == 1) and np.any(d == 0)):
         raise OneArmEmpty("both treatment arms must be present")
-    g1, g0, m, trimmed = _fit_irm_nuisances(y, d, X, learner_g, learner_m,
-                                            plan, trim)
+    g1 = _subset_fit(learner_g, X, y, plan, d == 1.0)
+    g0 = _subset_fit(learner_g, X, y, plan, d == 0.0)
+    m, trimmed = _propensity(learner_m, X, d, plan, trim)
     H = d / m - (1.0 - d) / (1.0 - m)
     gd = np.where(d == 1.0, g1, g0)
     phi = g1 - g0 + H * (y - gd)
@@ -173,9 +172,7 @@ def dml_atet(y, d, X, learner_g0, learner_m, plan,
     if not np.any(d == 1):
         raise NoTreatedUnits("no treated observations")
     g0 = _subset_fit(learner_g0, X, y, plan, d == 0.0)
-    m, _ = cross_fit_predict(learner_m, X, d, plan)
-    trimmed = int(np.sum(m > 1.0 - trim))
-    m = np.clip(m, trim, 1.0 - trim)
+    m, trimmed = _propensity(learner_m, X, d, plan, trim)
     hm = d - (1.0 - d) * m / (1.0 - m)
     return linear_score_result(
         psi_a=d,
@@ -234,9 +231,7 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
     mu0 = _subset_fit(learner_mu, X, y, plan, off)
     m1 = _subset_fit(learner_m, X, d, plan, on)
     m0 = _subset_fit(learner_m, X, d, plan, off)
-    p, _ = cross_fit_predict(learner_p, X, z, plan)
-    trimmed = int(np.sum((p < trim) | (p > 1.0 - trim)))
-    p = np.clip(p, trim, 1.0 - trim)
+    p, trimmed = _propensity(learner_p, X, z, plan, trim)
     m1 = np.clip(m1, 0.0, 1.0)
     m0 = np.clip(m0, 0.0, 1.0)
     H = z / p - (1.0 - z) / (1.0 - p)

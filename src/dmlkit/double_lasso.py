@@ -80,22 +80,12 @@ def _rule_fit(y, W, lam_rule: str, seed: int = 0):
         return lasso_plugin(W, y)
     if lam_rule == "zero":
         return lasso_fit(W, y, lam=0.0)
-    if lam_rule not in ("cv", "cv1se"):
+    if lam_rule != "cv":
         raise ValueError(f"unknown lambda rule {lam_rule!r}")
     from .learners import make_folds
 
-    plan = make_folds(y.size, 5, seed)
     grid = _lambda_max(W, y) * np.geomspace(0.01, 1.0, 16)
-    report = cv_fit("lasso", W, y, grid, plan)
-    if lam_rule == "cv":
-        return report.refit
-    # Largest penalty whose CV error is within one standard error of
-    # the minimum; sparser and less prone to overfit.
-    best = report.selected_index
-    se = float(np.std(report.fold_mses[best], ddof=1))
-    se /= np.sqrt(report.fold_mses.shape[1])
-    ok = np.flatnonzero(report.cv_mse <= report.cv_mse[best] + se)
-    return lasso_fit(W, y, lam=grid[int(ok.max())])
+    return cv_fit("lasso", W, y, grid, make_folds(y.size, 5, seed)).refit
 
 
 def _lambda_max(W, y) -> float:
@@ -278,26 +268,18 @@ def double_selection(y, d, W, lam_rule: str = "plugin",
 def desparsified_lasso(y, d, W, lam_rule: str = "plugin",
                        alpha: float = 0.05) -> TargetInference:
     """Debias the Lasso coefficient of d using the residualized target
-    as the instrument."""
+    as the instrument; both Lasso fits take the penalty ``lam_rule``
+    picks."""
     y = np.asarray(y, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     n = y.size
     W = _control_matrix(W, n)
 
-    full = np.column_stack([d, W])
-    if lam_rule == "plugin":
-        joint = lasso_plugin(full, y)
-        stage = lasso_plugin(W, d) if W.shape[1] else None
-    elif lam_rule == "zero":
-        joint = lasso_fit(full, y, lam=0.0)
-        stage = lasso_fit(W, d, lam=0.0) if W.shape[1] else None
+    joint = _rule_fit(y, np.column_stack([d, W]), lam_rule)
+    if W.shape[1]:
+        rd = d - _rule_fit(d, W, lam_rule).predict(W)
     else:
-        raise ValueError(f"unknown lambda rule {lam_rule!r}")
-
-    if stage is None:
         rd = d - np.mean(d)
-    else:
-        rd = d - stage.predict(W)
     denom = float(np.mean(d * rd))
     if abs(denom) < WEAK_VARIATION_RTOL * max(float(np.mean(d**2)), 1e-300):
         raise WeakResidualVariation("instrumenting residual is degenerate")

@@ -19,6 +19,12 @@ from .linalg import as_matrix, ols_fit
 from .rng import stream
 
 DEFAULT_CLIP = 0.01
+# IRLS for logistic_fit: at most this many Newton steps, stopping once
+# no coefficient moves by more than the tolerance; a fitted linear index
+# beyond the cap flags separation.
+LOGISTIC_MAX_ITER = 100
+LOGISTIC_TOL = 1e-10
+LOGISTIC_INDEX_CAP = 30.0
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +517,14 @@ class _LogisticPredictor:
     predict = predict_proba
 
 
-def logistic_fit(X, d, clip: float = DEFAULT_CLIP, max_iter: int = 100,
-                 tol: float = 1e-10, index_cap: float = 30.0,
+def logistic_fit(X, d, clip: float = DEFAULT_CLIP,
                  weights=None) -> _LogisticPredictor:
     """Maximum-likelihood logistic regression via IRLS.
 
     Probabilities are clipped into [clip, 1 - clip]. If the fitted linear
-    index exceeds ``index_cap`` anywhere (a symptom of separation), a
-    Separation error is raised; callers that want the clipped fit anyway
-    can catch it and use ``exc.predictor``.
+    index exceeds ``LOGISTIC_INDEX_CAP`` anywhere (a symptom of
+    separation), a Separation error is raised; callers that want the
+    clipped fit anyway can catch it and use ``exc.predictor``.
     """
     X = as_matrix(X)
     d = np.asarray(d, dtype=float).ravel()
@@ -530,8 +535,9 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP, max_iter: int = 100,
     design = np.column_stack([np.ones(n), X])
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     beta = np.zeros(design.shape[1])
-    for _ in range(max_iter):
-        eta = np.clip(design @ beta, -index_cap - 5.0, index_cap + 5.0)
+    for _ in range(LOGISTIC_MAX_ITER):
+        eta = np.clip(design @ beta, -LOGISTIC_INDEX_CAP - 5.0,
+                      LOGISTIC_INDEX_CAP + 5.0)
         mu = 1.0 / (1.0 + np.exp(-eta))
         s = np.maximum(mu * (1.0 - mu), 1e-10) * w
         grad = design.T @ (w * (d - mu))
@@ -541,10 +547,10 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP, max_iter: int = 100,
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         beta = beta + step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < LOGISTIC_TOL:
             break
     predictor = _LogisticPredictor(beta, clip, separated=False)
-    if np.max(np.abs(design @ beta)) > index_cap:
+    if np.max(np.abs(design @ beta)) > LOGISTIC_INDEX_CAP:
         predictor.separated = True
         exc = Separation("fitted linear index exceeds cap; data may be separated")
         exc.predictor = predictor
@@ -553,12 +559,9 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP, max_iter: int = 100,
 
 
 class LogisticLearner:
-    def __init__(self, clip: float = DEFAULT_CLIP):
-        self.clip = clip
-
     def fit(self, X, y, weights=None):
         try:
-            return logistic_fit(X, y, clip=self.clip, weights=weights)
+            return logistic_fit(X, y, weights=weights)
         except Separation as exc:
             return exc.predictor
 

@@ -19,6 +19,7 @@ from .errors import BadR2, DimensionMismatch, NotADistribution, SingularProxyMat
 from .linalg import as_matrix, ols_fit, robust_variance
 
 CONTOUR_POINTS = 50
+CONTOUR_R_MAX = 0.5  # the contour spans partial R-squares in [0, this]
 PROXY_MAX_CONDITION = 1e10
 
 
@@ -72,14 +73,13 @@ def ovb_bound(estimate: float, r2_y: float, r2_d: float, s: float) -> OvbBound:
 
 
 def ovb_from_data(y, d, X, learner_l, learner_m, plan, r2_y: float,
-                  r2_d: float, r_max: float = 0.5,
-                  contour_points: int = CONTOUR_POINTS) -> OvbBound:
+                  r2_d: float, contour_points: int = CONTOUR_POINTS) -> OvbBound:
     """Data-driven bound: estimate the partialled slope and variance
     ratio by cross-fitted residualization (the one dml_plm uses, each
     nuisance fit once per fold), then apply ovb_bound.
 
-    Also fills a contour grid of the bias bound over [0, r_max]^2 for
-    plotting.
+    Also fills a contour grid of the bias bound over
+    [0, CONTOUR_R_MAX]^2 for plotting.
     """
     y = np.asarray(y, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
@@ -87,7 +87,7 @@ def ovb_from_data(y, d, X, learner_l, learner_m, plan, r2_y: float,
     beta = linear_score_result(psi_a=rd * rd, psi_b=rd * ry).theta
     s = float(np.mean((ry - beta * rd) ** 2) / np.mean(rd**2))
     out = ovb_bound(beta, r2_y, r2_d, s)
-    axis = np.linspace(0.0, r_max, contour_points)
+    axis = np.linspace(0.0, CONTOUR_R_MAX, contour_points)
     out.contour = [
         (float(a), float(b), _bias(a, b, s))
         for a in axis

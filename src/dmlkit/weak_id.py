@@ -82,17 +82,31 @@ def c_statistic(ry, rd, rz, theta: float) -> float:
     return stat
 
 
-def default_grid(lower: float, upper: float,
-                 points: int = GRID_POINTS) -> np.ndarray:
-    return np.linspace(lower, upper, points)
+def default_grid(lower: float, upper: float) -> np.ndarray:
+    return np.linspace(lower, upper, GRID_POINTS)
 
 
-def _invert(grid, stats_on_grid, alpha, dof) -> ConfidenceRegion:
+def generic_weak_id(score_values, grid, alpha: float = 0.05) -> ConfidenceRegion:
+    """Invert the score statistic of a callable theta -> per-observation
+    moment rows over the grid at level alpha.
+
+    Covers any orthogonal score: the caller supplies cross-fitted
+    nuisances inside ``score_values`` and each grid point reuses them.
+    The accepted set is reported as maximal grid intervals; it can be
+    empty (flagged, not raised) or disconnected.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) < 0):
         raise DimensionMismatch("grid must be nonempty and sorted")
+    values = np.empty(grid.size)
+    jitter_any = False
+    for i, theta in enumerate(grid):
+        moments = as_matrix(score_values(theta))
+        values[i], jit = _score_statistic(moments)
+        jitter_any = jitter_any or jit
+    dof = moments.shape[1]
     crit = float(stats.chi2.ppf(1.0 - alpha, dof))
-    accepted = stats_on_grid <= crit
+    accepted = values <= crit
     intervals: list[Interval] = []
     i = 0
     while i < grid.size:
@@ -111,7 +125,7 @@ def _invert(grid, stats_on_grid, alpha, dof) -> ConfidenceRegion:
             i += 1
     return ConfidenceRegion(
         grid=grid,
-        statistic=stats_on_grid,
+        statistic=values,
         accepted=accepted,
         intervals=intervals,
         alpha=alpha,
@@ -119,26 +133,16 @@ def _invert(grid, stats_on_grid, alpha, dof) -> ConfidenceRegion:
         critical_value=crit,
         empty=not intervals,
         disconnected=len(intervals) > 1,
+        jitter_used=jitter_any,
     )
 
 
 def robust_region(ry, rd, rz, grid, alpha: float = 0.05) -> ConfidenceRegion:
-    """Invert C(theta) over the grid at level alpha.
-
-    The accepted set is reported as maximal grid intervals; it can be
-    empty (flagged, not raised) or disconnected.
-    """
-    rz_arr = as_matrix(rz)
-    dof = rz_arr.shape[1]
-    jitter_any = False
-    values = np.empty(len(grid))
-    for i, theta in enumerate(grid):
-        stat, jit = _score_statistic(_moment_matrix(ry, rd, rz_arr, theta))
-        values[i] = stat
-        jitter_any = jitter_any or jit
-    region = _invert(np.asarray(grid, dtype=float), values, alpha, dof)
-    region.jitter_used = jitter_any
-    return region
+    """``generic_weak_id`` for the residualized IV moments
+    (ry - theta rd) rz."""
+    rz = as_matrix(rz)
+    return generic_weak_id(lambda theta: _moment_matrix(ry, rd, rz, theta),
+                           grid, alpha)
 
 
 def first_stage_diag(rd, rz) -> dict:
@@ -155,21 +159,3 @@ def first_stage_diag(rd, rz) -> dict:
             "coefficient": float(fit.coefficients[1]),
             "std_error": float(var.std_errors[1])}
 
-
-def generic_weak_id(score_values, grid, alpha: float = 0.05) -> ConfidenceRegion:
-    """Region from a callable theta -> per-observation moment rows.
-
-    Covers any orthogonal score: the caller supplies cross-fitted
-    nuisances inside ``score_values`` and each grid point reuses them.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.empty(grid.size)
-    jitter_any = False
-    for i, theta in enumerate(grid):
-        moments = as_matrix(score_values(theta))
-        stat, jit = _score_statistic(moments)
-        values[i] = stat
-        jitter_any = jitter_any or jit
-    region = _invert(grid, values, alpha, moments.shape[1])
-    region.jitter_used = jitter_any
-    return region

@@ -391,3 +391,84 @@ class TestMetaLearners:
         with pytest.raises(OneArmEmpty):
             meta_learn("T", IRM_Y, np.ones(4), None, MeanLearner(), HALF,
                        MeanLearner(), no_crossfit_plan(4))
+
+
+class _PredictCounter:
+    """Wraps a learner; its fitted models count their predict calls."""
+
+    def __init__(self, learner):
+        self.learner = learner
+        self.calls = 0
+
+    def fit(self, X, y, weights=None):
+        fitted = self.learner.fit(X, y, weights=weights)
+        counter = self
+
+        class _Counted:
+            def predict(self, X):
+                counter.calls += 1
+                return fitted.predict(X)
+
+        return _Counted()
+
+
+class _LabelRecorder:
+    """Final-stage learner that keeps the labels it was fit to."""
+
+    def fit(self, X, y, weights=None):
+        self.labels = np.asarray(y, dtype=float)
+        return MeanLearner().fit(X, y)
+
+
+def _tree_rct(n=120, seed=21):
+    r = np.random.default_rng(seed)
+    Z = r.standard_normal((n, 2))
+    d = (r.uniform(size=n) < 0.5).astype(float)
+    y = d * (1.0 + Z[:, 0]) + Z[:, 1] + r.standard_normal(n)
+    return y, d, Z
+
+
+def test_s_learner_predicts_each_fold_twice():
+    # Two predict passes per fold (own arm, other arm), and the labels
+    # are still g(1, Z) - g(0, Z) bit for bit.
+    from dmlkit.learners import TreeLearner, cross_fit_predict
+
+    y, d, Z = _tree_rct()
+    plan = make_folds(y.size, 4, seed=22)
+    learner = TreeLearner(max_depth=3, min_leaf=5)
+    counting = _PredictCounter(learner)
+    recorder = _LabelRecorder()
+    meta_learn("S", y, d, Z, counting, HALF, recorder, plan)
+    assert counting.calls == 2 * plan.K
+    _, fits = cross_fit_predict(learner, np.column_stack([d, Z]), y, plan)
+    expect = np.empty(y.size)
+    for k, g in enumerate(fits):
+        test = plan.fold_indices(k)
+        one = np.column_stack([np.ones(test.size), Z[test]])
+        zero = np.column_stack([np.zeros(test.size), Z[test]])
+        expect[test] = g.predict(one) - g.predict(zero)
+    np.testing.assert_array_equal(recorder.labels, expect)
+
+
+@pytest.mark.parametrize("kind", ["X", "DAX"])
+def test_x_learners_report_trim_count(kind):
+    low = FunctionLearner(lambda X: np.full(X.shape[0], 0.001))
+    model = meta_learn(kind, IRM_Y, IRM_D, np.zeros((4, 1)), MeanLearner(),
+                       low, MeanLearner(), no_crossfit_plan(4), trim=0.01)
+    assert model.metadata["trim_count"] == 4
+
+
+def test_calibration_merges_tied_cut_points():
+    # Every cut point ties with the smallest non-test prediction, so the
+    # five bins collapse into one.
+    nontest = np.array([1.0] * 9 + [3.0])
+    tau = np.array([1.0, 1.0, 2.0, 3.0])
+    rep = calibration(tau, np.array([0.0, 2.0, 2.0, 4.0]), nontest, K=5)
+    assert rep.counts.tolist() == [4]
+    assert rep.dr_means == pytest.approx([2.0])
+    # Cut points 0, 1, 1, 1: the three tied ones merge into one edge.
+    nontest = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+    rep = calibration(np.array([0.0, 1.0, 1.5, 2.0]), np.zeros(4), nontest,
+                      K=4)
+    assert rep.bin_edges.tolist() == [1.0]
+    assert rep.counts.tolist() == [1, 3]

@@ -485,3 +485,31 @@ def test_did_panel_without_controls(study, tmp_path, command):
     (row,) = report["estimates"]
     assert np.isfinite(row["estimate"]) and row["std_error"] > 0
     assert row["ci_lower"] <= row["estimate"] <= row["ci_upper"]
+
+
+TRIMMED = [name for name, spec in ESTIMANDS.items() if spec.trim]
+
+
+@pytest.mark.parametrize("estimand", [*TRIMMED, "placebo"])
+def test_every_trim_is_counted(study, tmp_path, estimand):
+    # late trims the instrument's propensity; the study's instrument is a
+    # fair coin, so only a trim near 0.5 clips it.
+    trim = "0.45" if estimand == "late" else "0.2"
+    if estimand == "placebo":
+        command, estimand = "placebo", "did_panel"
+        keys = {**STUDY_KEYS[estimand], "outcome_placebo_pre": "y0"}
+    else:
+        command, keys = "estimate", STUDY_KEYS[estimand]
+    _, default = _run_study(study, tmp_path / "a", command, estimand, **keys)
+    _, trimmed = _run_study(study, tmp_path / "b", command, estimand,
+                            trim=trim, **keys)
+    assert trimmed["trim_count"] > default["trim_count"]
+
+
+def test_cate_pipeline_default_learners_run(study, tmp_path):
+    # The default effect learner is a depth-3 tree, whose few distinct
+    # predictions tie the calibration cut points.
+    code, report = _run_study(study, tmp_path, "estimate", "cate-pipeline",
+                              treatment="d", controls=CONTROLS)
+    assert code == 0
+    assert sum(report["calibration"]["counts"]) == report["split_sizes"][2]

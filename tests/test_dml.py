@@ -467,3 +467,22 @@ class TestRddTriangularSandwich:
         meat = X.T @ (X * (w**2 * e**2)[:, None])
         se = np.sqrt((bread @ meat @ bread)[1, 1])
         assert res.std_errors[0] == pytest.approx(se, rel=1e-10)
+
+
+# A propensity below the trim: every row is clipped up into [trim, 1 - trim].
+LOW = FunctionLearner(lambda X: np.full(X.shape[0], 0.001))
+TRIM_Y = np.arange(8.0)
+TRIM_D = np.tile([1.0, 0.0], 4)
+TRIM_T = np.repeat([1.0, 2.0, 1.0, 2.0], 2)  # every (d, t) cell twice
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda: dml_atet(TRIM_Y, TRIM_D, None, ZeroLearner(), LOW,
+                     no_crossfit_plan(8)),
+    lambda: dml_did_panel(TRIM_Y, 2.0 * TRIM_Y, TRIM_D, None, ZeroLearner(),
+                          LOW, no_crossfit_plan(8)),
+    lambda: dml_did_rcs(TRIM_Y, TRIM_T, TRIM_D, None, ZeroLearner(), LOW,
+                        no_crossfit_plan(8)),
+], ids=["atet", "did_panel", "did_rcs"])
+def test_lower_tail_clip_is_counted(estimator):
+    assert estimator().trim_count == 8

@@ -154,3 +154,8 @@ class TestFirstStage:
     def test_needs_three_observations(self):
         with pytest.raises(DimensionMismatch):
             first_stage_diag(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
+
+
+def test_empty_grid_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        generic_weak_id(lambda theta: np.ones((4, 1)), np.array([]))
