@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from ..dist import normal_p_value
 from ..dml.engine import InferenceResult, normal_interval
 from ..double_lasso import band_critical_value
 from ..errors import ConstantModel
@@ -81,22 +81,17 @@ def heterogeneity_blp_test(tau_values, signals, alpha: float = 0.05) -> dict:
     significantly nonzero slope certifies detected heterogeneity, and
     the intercept estimates the ATE.
     """
-    signals = np.asarray(signals, dtype=float).ravel()
     tau = np.asarray(tau_values, dtype=float).ravel()
     if float(np.var(tau)) <= CONSTANT_TOL:
         raise ConstantModel("model predictions have no variation")
-    centered = tau - np.mean(tau)
-    basis = np.column_stack([np.ones(signals.size), centered])
-    fit = ols_fit(basis, signals)
-    cov = _sandwich(basis, fit.residuals)
-    se = np.sqrt(np.diag(cov))
-    slope = float(fit.coefficients[1])
-    pval = 2.0 * stats.norm.sf(abs(slope) / se[1]) if se[1] > 0 else 0.0
+    blp = blp_cate(signals, np.column_stack([np.ones(tau.size),
+                                             tau - np.mean(tau)]), alpha)
+    pval = normal_p_value(blp.estimates[1], blp.std_errors[1])
     return {
-        "intercept": float(fit.coefficients[0]),
-        "slope": slope,
-        "se": se,
+        "intercept": float(blp.estimates[0]),
+        "slope": float(blp.estimates[1]),
+        "se": blp.std_errors,
         "p_value": float(pval),
-        "ci_slope": normal_interval(slope, se[1], alpha),
+        "ci_slope": (blp.ci_lower[1], blp.ci_upper[1]),
         "reject": pval < alpha,
     }

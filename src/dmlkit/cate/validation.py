@@ -12,8 +12,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
+from ..dist import normal_quantile
 from ..dml.engine import InferenceResult, normal_interval
 from ..double_lasso import band_critical_value
 from ..errors import EmptyBin, EmptyTopGroup
@@ -200,7 +200,7 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     # Area under the curves by the forward-difference sum, with the top
     # of the grid closing at q = 1.
     dq = np.append(np.diff(grid), 1.0 - grid[-1])
-    z_one = stats.norm.ppf(1.0 - alpha)
+    z_one = normal_quantile(1.0 - alpha)
 
     def area(values, psi):
         a = float(values @ dq)

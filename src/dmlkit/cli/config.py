@@ -16,6 +16,7 @@ column loading, learner construction and dispatch all read it. Each
   the estimator's order; ``learner_<role>``, then ``learner``, override
   the default;
 - ``trim``: whether the estimator takes a propensity ``trim``;
+- ``alpha``: whether the estimand reports at a level ``alpha``;
 - ``options``: the other keys the estimand reads;
 - ``estimator``: for a cross-fitted estimand, the name of the
   ``dmlkit.dml`` function called as
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
-COMMON_KEYS = ("estimand", "seed", "alpha")
+COMMON_KEYS = ("estimand", "seed")
 # Read by every estimand that fits nuisance learners.
 LEARNER_KEYS = ("folds", "learner")
 
@@ -43,6 +44,7 @@ class Estimand:
     binary: tuple[str, ...] = ()
     learners: tuple[tuple[str, str], ...] = ()
     trim: bool = False
+    alpha: bool = True
     options: tuple[str, ...] = ()
     estimator: str | None = None
 
@@ -54,6 +56,8 @@ class Estimand:
             keys.update(f"learner_{role}" for role, _ in self.learners)
         if self.trim:
             keys.add("trim")
+        if self.alpha:
+            keys.add("alpha")
         return keys
 
 
@@ -96,7 +100,8 @@ ESTIMANDS = {
                               binary=_D,
                               learners=_IRM + (("effect", "tree"),),
                               trim=True, options=("meta_learner", "bins")),
-    "sensitivity": Estimand(_YDX, learners=_PLM, options=("r2_y", "r2_d")),
+    "sensitivity": Estimand(_YDX, learners=_PLM, alpha=False,
+                            options=("r2_y", "r2_d")),
     "weak_id": Estimand(_YDZX, learners=(("outcome", "linear"),
                                          ("treatment", "linear"),
                                          ("instrument", "linear")),

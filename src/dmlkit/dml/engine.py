@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from ..dist import normal_quantile
 from ..errors import BadFoldCount, SingularJacobian
 
 JACOBIAN_ATOL = 1e-12
@@ -74,7 +74,7 @@ def normal_interval(estimates, std_errors, alpha: float,
     given (a sup-t critical value turns pointwise intervals into a
     simultaneous band). Returns (lower, upper).
     """
-    c = (stats.norm.ppf(1.0 - alpha / 2.0) if critical_value is None
+    c = (normal_quantile(1.0 - alpha / 2.0) if critical_value is None
          else critical_value)
     return estimates - c * std_errors, estimates + c * std_errors
 

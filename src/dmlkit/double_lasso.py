@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from .dist import normal_p_value, normal_quantile
 from .dml.engine import InferenceResult, normal_interval
 from .errors import DimensionMismatch, WeakResidualVariation
 from .linalg import as_matrix, ols_fit, robust_variance
@@ -46,14 +46,10 @@ class TargetInference(InferenceResult):
     def __post_init__(self):
         super().__post_init__()
         if self.critical_value is None:
-            self.critical_value = float(stats.norm.ppf(1.0 - self.alpha / 2.0))
+            self.critical_value = float(normal_quantile(1.0 - self.alpha / 2.0))
         self.band_lower, self.band_upper = normal_interval(
             self.estimates, self.std_errors, self.alpha, self.critical_value)
-        # A zero standard error makes the estimate exact: p-value 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.abs(self.estimates) / self.std_errors
-        self.p_values = np.where(self.std_errors > 0,
-                                 2.0 * stats.norm.sf(z), 0.0)
+        self.p_values = normal_p_value(self.estimates, self.std_errors)
 
 
 def _lasso_residual(y, W, lam_rule: str, seed: int = 0):
@@ -164,7 +160,7 @@ def simultaneous_critical_value(correlation: np.ndarray, alpha,
     alpha = np.asarray(alpha, dtype=float)
     p = correlation.shape[0]
     if p == 1:
-        c = stats.norm.ppf(1.0 - alpha / 2.0)
+        c = normal_quantile(1.0 - alpha / 2.0)
         return float(c) if c.ndim == 0 else c
     # Factor via eigendecomposition so rank-deficient (perfectly
     # correlated) cases are handled without jitter.

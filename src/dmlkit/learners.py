@@ -499,10 +499,9 @@ class BoostLearner:
 
 
 class _LogisticPredictor:
-    def __init__(self, beta, clip, separated):
+    def __init__(self, beta, clip):
         self.beta = beta
         self.clip = clip
-        self.separated = separated
 
     def _index(self, X):
         X = as_matrix(X)
@@ -549,9 +548,8 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP,
         beta = beta + step
         if np.max(np.abs(step)) < LOGISTIC_TOL:
             break
-    predictor = _LogisticPredictor(beta, clip, separated=False)
+    predictor = _LogisticPredictor(beta, clip)
     if np.max(np.abs(design @ beta)) > LOGISTIC_INDEX_CAP:
-        predictor.separated = True
         exc = Separation("fitted linear index exceeds cap; data may be separated")
         exc.predictor = predictor
         raise exc

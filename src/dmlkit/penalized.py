@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from .dist import normal_quantile
 from .errors import (
     DimensionMismatch,
     FoldTooSmall,
@@ -256,7 +256,7 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
     n, p = X.shape
     if n < 2 or p < 1:
         raise DimensionMismatch("plugin_lambda needs n >= 2 and p >= 1")
-    z = stats.norm.ppf(1.0 - a / (2.0 * p))
+    z = normal_quantile(1.0 - a / (2.0 * p))
     Xc = X - X.mean(axis=0)
     if heteroskedastic:
         lam = 2.0 * c * np.sqrt(n) * z
@@ -309,36 +309,8 @@ def post_lasso_coefficients(X, y, fit: LassoFit) -> tuple[float, np.ndarray]:
 
 
 def ridge_fit(X, y, lam: float) -> LassoFit:
-    """Ridge regression with unpenalized intercept.
-
-    Closed form (X'X + lam I)^{-1} X'y on the standardized centered
-    columns, back-transformed to the original scale.
-    """
-    X, y = _prepare(X, y)
-    if not np.isfinite(lam) or lam < 0:
-        raise NonFinitePenalty("ridge penalty must be finite and nonnegative")
-    xbar = X.mean(axis=0)
-    ybar = float(y.mean())
-    Xc = X - xbar
-    yc = y - ybar
-    scale = np.sqrt(np.mean(Xc**2, axis=0))
-    safe = np.where(scale > 0, scale, 1.0)
-    Xs = Xc / safe
-    p = X.shape[1]
-    A = Xs.T @ Xs + lam * np.eye(p)
-    beta_s = np.linalg.solve(A, Xs.T @ yc) if p else np.empty(0)
-    beta = np.where(scale > 0, beta_s / safe, 0.0)
-    return LassoFit(
-        coefficients=beta,
-        intercept=ybar - float(beta @ xbar),
-        lam=0.0,
-        lam_ridge=lam,
-        loadings=np.zeros(p),
-        sigma_hat=None,
-        n_sweeps=0,
-        kkt_gap=0.0,
-        degenerate_columns=list(np.flatnonzero(scale == 0.0)),
-    )
+    """Ridge regression: ``lasso_fit`` without an l1 part, in closed form."""
+    return lasso_fit(X, y, lam=0.0, lam_ridge=lam)
 
 
 def elastic_net_fit(X, y, lam_ridge: float, lam_lasso: float) -> LassoFit:
@@ -365,8 +337,6 @@ def cv_fit(method: str, X, y, grid, plan) -> CvReport:
         fitter = lambda X, y, lam: lasso_fit(X, y, lam=lam)
     elif method == "ridge":
         fitter = lambda X, y, lam: ridge_fit(X, y, lam)
-    elif method == "elastic_net":
-        fitter = lambda X, y, lams: elastic_net_fit(X, y, *lams)
     else:
         raise ValueError(f"unknown method {method!r}")
 

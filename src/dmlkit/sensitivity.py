@@ -11,9 +11,9 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .dml.engine import linear_score_result, normal_interval
+from .dist import chi2_sf
 from .dml.estimators import _plm_residuals
 from .errors import BadR2, DimensionMismatch, NotADistribution, SingularProxyMatrix
 from .linalg import as_matrix, ols_fit, robust_variance
@@ -195,7 +195,7 @@ def balance_check(H, W, alpha: float = 0.05) -> dict:
     cov = var.matrix[1:, 1:]
     wald = float(slopes @ np.linalg.solve(cov, slopes))
     dof = len(keep)
-    pval = float(stats.chi2.sf(wald, dof))
+    pval = float(chi2_sf(wald, dof))
     tstats = slopes / var.std_errors[1:]
     denom = float(np.mean((H - np.mean(H)) ** 2))
     r2 = 1.0 - fit.mse_sample / denom if denom > 0 else 0.0

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla, stats
+from scipy import linalg as sla
 
+from .dist import chi2_quantile
 from .errors import DegenerateVariance, DimensionMismatch
 from .linalg import as_matrix, ols_fit, robust_variance
 
@@ -105,7 +106,7 @@ def generic_weak_id(score_values, grid, alpha: float = 0.05) -> ConfidenceRegion
         values[i], jit = _score_statistic(moments)
         jitter_any = jitter_any or jit
     dof = moments.shape[1]
-    crit = float(stats.chi2.ppf(1.0 - alpha, dof))
+    crit = float(chi2_quantile(1.0 - alpha, dof))
     accepted = values <= crit
     intervals: list[Interval] = []
     i = 0

@@ -471,6 +471,15 @@ def test_unread_key_is_exit_2(study, tmp_path, capsys):
     assert "learner_outcom" in capsys.readouterr().err
 
 
+def test_sensitivity_rejects_alpha(study, tmp_path, capsys):
+    # The bounds have no confidence level, so an alpha would change only
+    # the config digest.
+    code, _ = _run_study(study, tmp_path, "estimate", "sensitivity",
+                         alpha="0.2", **STUDY_KEYS["sensitivity"])
+    assert code == 2
+    assert "'alpha'" in capsys.readouterr().err
+
+
 def test_trim_on_plm_is_rejected():
     with pytest.raises(ConfigError, match="'trim'"):
         validate_config(_cfg(estimand="plm", trim="0.1"))
