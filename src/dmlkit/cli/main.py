@@ -283,8 +283,9 @@ def _weak_id_report(config, spec, data, alpha):
         "alpha": alpha,
         "warnings": warnings,
     }
+    # ``accepted`` is written 0/1: the table is a CSV, which has no bools.
     artifacts = {"region": [
-        {"theta": float(t), "statistic": float(s), "accepted": bool(a)}
+        {"theta": float(t), "statistic": float(s), "accepted": int(a)}
         for t, s, a in zip(region.grid, region.statistic, region.accepted)
     ]}
     return report, artifacts

@@ -27,10 +27,10 @@ def sanitize(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if np.isfinite(v) else None
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
     return obj
 
 

@@ -7,6 +7,7 @@ from dmlkit.cli.config import (ESTIMANDS, parse_config_text,
                                validate_config)
 from dmlkit.cli.ingest import ingest_csv
 from dmlkit.cli.main import main
+from dmlkit.cli.reports import render_report
 from dmlkit.errors import ConfigError, NonBinaryTreatment, ParseError
 
 
@@ -522,3 +523,18 @@ def test_cate_pipeline_default_learners_run(study, tmp_path):
                               treatment="d", controls=CONTROLS)
     assert code == 0
     assert sum(report["calibration"]["counts"]) == report["split_sizes"][2]
+
+
+def test_python_and_numpy_bools_render_as_json_bools():
+    # A Python bool is an int, so it must be recognised as a bool first.
+    text = render_report({"a": True, "b": np.bool_(True), "n": 1})
+    assert '"a": true' in text and '"b": true' in text and '"n": 1' in text
+
+
+def test_weak_id_region_table_writes_acceptance_as_0_1(study, tmp_path):
+    code, _ = _run_study(study, tmp_path, "estimate", "weak_id",
+                         **STUDY_KEYS["weak_id"])
+    assert code == 0
+    table = ingest_csv(str(tmp_path / "out" / "region.csv"), ["accepted"],
+                       binary=["accepted"])
+    assert table["accepted"].size == 101
