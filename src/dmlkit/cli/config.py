@@ -30,11 +30,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from ..cate.meta import META_KINDS
+from ..dml.rct import MODES
+from ..dml.rdd import KERNELS
 from ..errors import ConfigError
 
 COMMON_KEYS = ("estimand", "seed")
 # Read by every estimand that fits nuisance learners.
 LEARNER_KEYS = ("folds", "learner")
+# Every key ``simulate`` reads.
+SIMULATE_KEYS = ("dgp", "seed", "estimator", "n", "replications", "workers")
+# Key -> (the names the library declares, read case-insensitively?).
+CHOICE_KEYS = {"mode": (MODES, True), "kernel": (tuple(KERNELS), False),
+               "meta_learner": (META_KINDS, True)}
 
 
 @dataclass(frozen=True)
@@ -198,11 +206,13 @@ def validate_config(config: RunConfig) -> None:
                 f"estimand {estimand!r} requires the {role!r} role; add "
                 f"'{role} = <column name(s)>' to the config"
             )
-    unread = sorted(set(config.raw) - spec.keys())
-    if unread:
-        raise ConfigError(
-            f"estimand {estimand!r} does not read config key(s) "
-            f"{', '.join(map(repr, unread))}")
+    _reject_unread(config, spec.keys(), f"estimand {estimand!r}")
+    for key, (allowed, fold_case) in CHOICE_KEYS.items():
+        value = config.get(key)
+        if value is not None and (value.upper() if fold_case
+                                  else value) not in allowed:
+            raise ConfigError(f"{key!r} must be one of {', '.join(allowed)}; "
+                              f"got {value!r}")
     for key in ("trim", "alpha"):
         value = config.get(key)
         if value is not None and not 0.0 < value < 0.5:
@@ -210,3 +220,19 @@ def validate_config(config: RunConfig) -> None:
     folds = config.get("folds")
     if folds is not None and folds < 2:
         raise ConfigError("folds must be at least 2")
+
+
+def validate_simulation_config(config: RunConfig) -> None:
+    """Check a ``simulate`` config's keys before any compute runs."""
+    _reject_unread(config, SIMULATE_KEYS, "simulate")
+    if "dgp" not in config.raw:
+        raise ConfigError("simulate requires a 'dgp' key")
+    if config.get("replications", 1) < 1:
+        raise ConfigError("replications must be positive")
+
+
+def _reject_unread(config: RunConfig, keys, reader: str) -> None:
+    unread = sorted(set(config.raw) - set(keys))
+    if unread:
+        raise ConfigError(f"{reader} does not read config key(s) "
+                          f"{', '.join(map(repr, unread))}")

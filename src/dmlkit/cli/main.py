@@ -21,7 +21,7 @@ from ..cate import (calibration, dr_signal, heterogeneity_blp_test,
 from ..dml import did_canonical, rct_estimators, rdd_sharp
 from ..dml.estimators import DEFAULT_TRIM
 from ..errors import (ConfigError, DmlkitError, NonBinaryTreatment,
-                      ParseError, UnknownDgp)
+                      ParseError, UnknownDgp, WeightsNotSupported)
 from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
                         LinearLearner, LogisticLearner, MeanLearner,
                         TreeLearner, ZeroLearner, cross_fit_predict,
@@ -31,7 +31,7 @@ from ..sensitivity import ovb_from_data
 from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
 from . import dgps
 from .config import (ESTIMANDS, LIST_KEYS, Estimand, RunConfig, load_config,
-                     validate_config)
+                     validate_config, validate_simulation_config)
 from .ingest import ingest_csv
 from .reports import provenance, write_report, write_table
 
@@ -43,6 +43,21 @@ DATA_ERRORS = (ParseError, NonBinaryTreatment, FileNotFoundError,
 
 _LEARNER_SPEC = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
 
+# Learner spec name -> (class, {spec option: constructor field}). Learner
+# defaults live on the classes alone: an option left out keeps its
+# field's default. A class with a ``seed`` field gets the role's seed.
+LEARNERS = {
+    "mean": (MeanLearner, {}),
+    "zero": (ZeroLearner, {}),
+    "linear": (LinearLearner, {}),
+    "logistic": (LogisticLearner, {}),
+    "lasso": (LassoPluginLearner, {"c": "c", "a": "a"}),
+    "tree": (TreeLearner, {"depth": "max_depth", "min_leaf": "min_leaf"}),
+    "forest": (ForestLearner, {"trees": "B", "depth": "max_depth",
+                               "min_leaf": "min_leaf"}),
+    "boost": (BoostLearner, {"rounds": "J", "rate": "rate"}),
+}
+
 
 def make_learner(spec: str, seed: int):
     """Build a learner from a config string like ``forest(trees=50)``."""
@@ -51,50 +66,26 @@ def make_learner(spec: str, seed: int):
         raise ConfigError(f"cannot parse learner spec {spec!r}")
     name, argtext = match.group(1), match.group(2) or ""
     kwargs = {}
-    for part in argtext.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (p.strip() for p in argtext.split(","))):
         if "=" not in part:
             raise ConfigError(f"learner option {part!r} must be key=value")
         key, value = (s.strip() for s in part.split("=", 1))
         kwargs[key] = value
-
-    def opt(key, default, cast):
-        raw = kwargs.pop(key, None)
-        return default if raw is None else cast(raw)
-
+    if name not in LEARNERS:
+        raise ConfigError(f"unknown learner {name!r}")
+    cls, options = LEARNERS[name]
     try:
-        if name == "mean":
-            learner = MeanLearner()
-        elif name == "zero":
-            learner = ZeroLearner()
-        elif name == "linear":
-            learner = LinearLearner()
-        elif name == "logistic":
-            learner = LogisticLearner()
-        elif name == "lasso":
-            learner = LassoPluginLearner(c=opt("c", 1.1, float),
-                                         a=opt("a", 0.05, float))
-        elif name == "tree":
-            learner = TreeLearner(max_depth=opt("depth", 3, int),
-                                  min_leaf=opt("min_leaf", 5, int))
-        elif name == "forest":
-            learner = ForestLearner(B=opt("trees", 50, int),
-                                    max_depth=opt("depth", 8, int),
-                                    min_leaf=opt("min_leaf", 5, int),
-                                    seed=seed)
-        elif name == "boost":
-            learner = BoostLearner(J=opt("rounds", 100, int),
-                                   rate=opt("rate", 0.1, float))
-        else:
-            raise ConfigError(f"unknown learner {name!r}")
+        # The field's default on the class gives the option's type.
+        fields = {field: type(getattr(cls, field))(kwargs.pop(option))
+                  for option, field in options.items() if option in kwargs}
     except ValueError as exc:
         raise ConfigError(f"bad learner option in {spec!r}: {exc}") from exc
     if kwargs:
         raise ConfigError(
             f"unknown learner option(s) {', '.join(kwargs)} in {spec!r}")
-    return learner
+    if hasattr(cls, "seed"):
+        fields["seed"] = seed
+    return cls(**fields)
 
 
 def _learner(config: RunConfig, role: str, default: str):
@@ -425,14 +416,11 @@ def _summarize(records: list[dict]) -> dict:
 
 
 def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> dict:
-    name = config.raw.get("dgp")
-    if name is None:
-        raise ConfigError("simulate requires a 'dgp' key")
+    validate_simulation_config(config)
+    name = config.raw["dgp"]
     dgp = dgps.get_dgp(name)
     seed = config.seed
     reps = config.get("replications", 100)
-    if reps < 1:
-        raise ConfigError("replications must be positive")
     n = config.get("n")
     estimator = config.raw.get("estimator")
     if workers is None:
@@ -502,6 +490,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "validate-config":
             if "dgp" in config.raw:
+                validate_simulation_config(config)
                 dgps.get_dgp(config.raw["dgp"])
                 config.seed
             else:
@@ -514,7 +503,7 @@ def main(argv=None) -> int:
             report = run_simulation(config, args.out, workers=args.workers)
         else:
             report = run_placebo(config, args.data, args.out)
-    except (ConfigError, UnknownDgp) as exc:
+    except (ConfigError, UnknownDgp, WeightsNotSupported) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DATA_ERRORS as exc:

@@ -16,6 +16,9 @@ from ..linalg import ols_fit
 from .engine import DmlResult, normal_interval
 from .estimators import _check_binary, _columns
 
+# The estimators that ``mode`` names; the value is read case-insensitively.
+MODES = ("CL", "CRA", "IRA")
+
 
 def _two_by_two_variance(eps, d):
     """Joint variance of (ate_hat, mean0_hat) from residuals eps.
@@ -54,12 +57,14 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
         Wc = Wc[:, np.ptp(Wc, axis=0) > 0.0]
 
     mode = mode.upper()
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "CL":
         mu1 = float(np.mean(y[d == 1]))
         mu0 = float(np.mean(y[d == 0]))
         ate = mu1 - mu0
         eps = y - np.where(d == 1, mu1, mu0)
-    elif mode in ("CRA", "IRA"):
+    else:
         design = np.column_stack([np.ones(n), d, Wc])
         if mode == "IRA":
             design = np.column_stack([design, d[:, None] * Wc])
@@ -67,8 +72,6 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
         ate = float(fit.coefficients[1])
         mu0 = float(fit.coefficients[0])
         eps = fit.residuals
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     cov = _two_by_two_variance(eps, d)
     se = float(np.sqrt(cov[0, 0]))

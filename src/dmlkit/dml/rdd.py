@@ -9,6 +9,12 @@ from ..linalg import ols_fit, robust_variance
 from .engine import DmlResult
 from .estimators import _columns
 
+# Kernel weights of the scaled running variable u = (x - cutoff) / h.
+KERNELS = {
+    "triangular": lambda u: np.clip(1.0 - np.abs(u), 0.0, None),
+    "uniform": lambda u: (np.abs(u) <= 1.0).astype(float),
+}
+
 
 def rdd_sharp(y, x, cutoff: float, bandwidth: float,
               kernel: str = "triangular", Z=None,
@@ -23,13 +29,10 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     """
     y = np.asarray(y, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
-    u = (x - cutoff) / bandwidth
-    if kernel == "triangular":
-        w = np.clip(1.0 - np.abs(u), 0.0, None)
-    elif kernel == "uniform":
-        w = (np.abs(u) <= 1.0).astype(float)
-    else:
+    if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
+    u = (x - cutoff) / bandwidth
+    w = KERNELS[kernel](u)
     keep = w > 0.0
     treat = (x >= cutoff).astype(float)
     if not np.any(keep & (treat == 1.0)) or not np.any(keep & (treat == 0.0)):

@@ -117,6 +117,10 @@ class WeightOverflow(DmlkitError):
     pass
 
 
+class WeightsNotSupported(DmlkitError):
+    """A learner that has no weighted fit was handed weights."""
+
+
 class UnknownDgp(DmlkitError):
     pass
 

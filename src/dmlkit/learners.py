@@ -2,10 +2,12 @@
 
 Everything downstream consumes two contracts: a Learner has
 ``fit(X, y, weights=None) -> Predictor`` and a Predictor has
-``predict(X) -> vector``. Classification learners additionally expose
-probabilities clipped away from 0 and 1. Fold planning and the
-cross-fitted prediction loop live here as well, together with the
-from-scratch tree, bagged forest, boosting, and IRLS logistic oracles.
+``predict(X) -> vector``. Learners keep no fitted state; the ones with
+settings are frozen dataclasses, so one instance serves every fold.
+Classification learners additionally expose probabilities clipped away
+from 0 and 1. Fold planning and the cross-fitted prediction loop live
+here as well, together with the from-scratch tree, bagged forest,
+boosting, and IRLS logistic oracles.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFoldCount, DimensionMismatch, FoldTooSmall, Separation
+from .errors import (BadFoldCount, DimensionMismatch, FoldTooSmall,
+                     OneArmEmpty, Separation, WeightsNotSupported)
 from .linalg import as_matrix, ols_fit
 from .rng import stream
 
@@ -165,29 +168,26 @@ class LinearLearner:
     def fit(self, X, y, weights=None):
         X = as_matrix(X)
         design = np.column_stack([np.ones(X.shape[0]), X])
-        fit = ols_fit(design, y, weights=weights, minimum_norm=True)
-        beta = fit.coefficients
-
-        def predict(Xn, beta=beta):
-            return beta[0] + Xn @ beta[1:]
-
-        return _FunctionPredictor(predict)
+        beta = ols_fit(design, y, weights=weights,
+                       minimum_norm=True).coefficients
+        return _FunctionPredictor(lambda Xn: beta[0] + Xn @ beta[1:])
 
 
+@dataclass(frozen=True)
 class LassoPluginLearner:
-    """Plug-in-penalty Lasso."""
+    """Plug-in-penalty Lasso; its predictor is the ``LassoFit``. The
+    plug-in rule has no weighted form, so it takes no weights."""
 
-    def __init__(self, c: float = 1.1, a: float = 0.05):
-        self.c = c
-        self.a = a
+    c: float = 1.1
+    a: float = 0.05
 
     def fit(self, X, y, weights=None):
         from .penalized import lasso_plugin
 
-        X = as_matrix(X)
-        fit = lasso_plugin(X, y, c=self.c, a=self.a)
-        intercept, beta = fit.intercept, fit.coefficients
-        return _FunctionPredictor(lambda Xn: intercept + Xn @ beta)
+        if weights is not None:
+            raise WeightsNotSupported("the plug-in Lasso takes no "
+                                      "observation weights")
+        return lasso_plugin(as_matrix(X), y, c=self.c, a=self.a)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +210,12 @@ class RegressionTree:
     lower threshold, so fitting is fully deterministic.
     """
 
-    def __init__(self, feature, threshold, left, right, value,
-                 max_depth: int, min_leaf: int):
+    def __init__(self, feature, threshold, left, right, value):
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=float)
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
 
     def predict(self, X) -> np.ndarray:
         """Route every row down one level per pass until all sit at leaves."""
@@ -372,14 +369,13 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
             rows_l, rows_r = _partition(*sorted_rows, goes_left)
         todo.append((idx_r, rows_r if grow_r else None, depth + 1, node))
         todo.append((idx_l, rows_l if grow_l else None, depth + 1, -1))
-    return RegressionTree(feature, threshold, left, right, value,
-                          max_depth, min_leaf)
+    return RegressionTree(feature, threshold, left, right, value)
 
 
+@dataclass(frozen=True)
 class TreeLearner:
-    def __init__(self, max_depth: int = 3, min_leaf: int = 1):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
+    max_depth: int = 3
+    min_leaf: int = 5
 
     def fit(self, X, y, weights=None):
         return tree_fit(X, y, max_depth=self.max_depth,
@@ -402,14 +398,14 @@ class _AveragePredictor:
         return acc / len(self._trees)
 
 
-def forest_fit(X, y, B: int = 100, sample_mode: str = "bootstrap",
-               mtry: int | None = None, max_depth: int = 8,
-               min_leaf: int = 5, seed: int = 0,
+def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
+               max_depth: int = 8, min_leaf: int = 5, seed: int = 0,
                weights=None) -> _AveragePredictor:
-    """Bagged forest of deep trees with per-split feature subsampling;
-    ``sample_mode="full"`` grows every tree on all rows. Each tree
-    consumes an independent RNG stream derived from (seed, tree index),
-    so the result is order-independent."""
+    """Bagged regression trees: each tree grows on a bootstrap resample
+    (``sample_mode="full"``: on all rows), and every split considers
+    every feature. Each tree's resample is drawn from an independent RNG
+    stream derived from (seed, tree index), so the result is
+    order-independent."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
@@ -425,30 +421,24 @@ def forest_fit(X, y, B: int = 100, sample_mode: str = "bootstrap",
         else:
             raise ValueError(f"unknown sample_mode {sample_mode!r}")
         w = None if weights is None else np.asarray(weights)[idx]
-        trees.append(
-            tree_fit(X[idx], y[idx], max_depth=max_depth, min_leaf=min_leaf,
-                     weights=w, mtry=mtry, rng=rng)
-        )
+        trees.append(tree_fit(X[idx], y[idx], max_depth=max_depth,
+                              min_leaf=min_leaf, weights=w))
     return _AveragePredictor(trees)
 
 
+@dataclass(frozen=True)
 class ForestLearner:
-    def __init__(self, B: int = 100, sample_mode: str = "bootstrap",
-                 mtry: int | None = None, max_depth: int = 8,
-                 min_leaf: int = 5, seed: int = 0):
-        self.B = B
-        self.sample_mode = sample_mode
-        self.mtry = mtry
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.seed = seed
+    """Bagged trees (``forest_fit``); every split considers every feature."""
+
+    B: int = 50
+    max_depth: int = 8
+    min_leaf: int = 5
+    seed: int = 0
 
     def fit(self, X, y, weights=None):
-        return forest_fit(
-            X, y, B=self.B, sample_mode=self.sample_mode, mtry=self.mtry,
-            max_depth=self.max_depth, min_leaf=self.min_leaf,
-            seed=self.seed, weights=weights,
-        )
+        return forest_fit(X, y, B=self.B, max_depth=self.max_depth,
+                          min_leaf=self.min_leaf, seed=self.seed,
+                          weights=weights)
 
 
 class _BoostPredictor:
@@ -483,15 +473,13 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
     return _BoostPredictor(stages, rate)
 
 
+@dataclass(frozen=True)
 class BoostLearner:
-    def __init__(self, J: int = 100, rate: float = 0.1, base=None):
-        self.J = J
-        self.rate = rate
-        self.base = base
+    J: int = 100
+    rate: float = 0.1
 
     def fit(self, X, y, weights=None):
-        return boost_fit(X, y, J=self.J, rate=self.rate, base=self.base,
-                         weights=weights)
+        return boost_fit(X, y, J=self.J, rate=self.rate, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +516,6 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP,
     X = as_matrix(X)
     d = np.asarray(d, dtype=float).ravel()
     if not (np.any(d == 0) and np.any(d == 1)):
-        from .errors import OneArmEmpty
         raise OneArmEmpty("logistic fit requires both classes present")
     n = X.shape[0]
     design = np.column_stack([np.ones(n), X])

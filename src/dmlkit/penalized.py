@@ -77,7 +77,8 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
     small relative to the problem scale, or when the objective has
     stalled with a certified KKT gap (flat directions of an
     underdetermined design can keep coefficients drifting without
-    changing the fit). ``beta0`` warm-starts the solve.
+    changing the fit). ``beta0`` warm-starts the solve. Returns the
+    coefficients, the sweep count and the certified KKT gap.
     """
     n, p = Xc.shape
     beta = np.zeros(p) if beta0 is None else beta0.astype(float).copy()
@@ -120,7 +121,7 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
                 break
     else:  # pragma: no cover - convex problems converge quickly
         raise NoConvergence(f"no convergence after {MAX_SWEEPS} sweeps")
-    return beta, sweeps
+    return beta, sweeps, gap
 
 
 def _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings):
@@ -139,7 +140,7 @@ def _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings):
 
 
 def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
-              weights=None, _warm_start=None) -> LassoFit:
+              _warm_start=None) -> LassoFit:
     """Lasso (optionally Elastic Net via lam_ridge > 0) with unpenalized
     intercept.
 
@@ -152,24 +153,11 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
     n, p = X.shape
     if not np.isfinite(lam) or lam < 0 or not np.isfinite(lam_ridge) or lam_ridge < 0:
         raise NonFinitePenalty("penalty levels must be finite and nonnegative")
-    if weights is not None:
-        w = np.asarray(weights, dtype=float).ravel()
-        sw = np.sqrt(w / np.mean(w))
-    else:
-        sw = None
 
     xbar = X.mean(axis=0)
     ybar = float(y.mean())
     Xc = X - xbar
     yc = y - ybar
-    if sw is not None:
-        # Weighted problem: reweight after weighted demeaning.
-        wn = (sw**2) / np.sum(sw**2)
-        xbar = X.T @ wn
-        ybar = float(y @ wn)
-        Xc = (X - xbar) * sw[:, None]
-        yc = (y - ybar) * sw
-
     scale = np.sqrt(np.mean(Xc**2, axis=0))
     degenerate = list(np.flatnonzero(scale == 0.0))
     safe = np.where(scale > 0, scale, 1.0)
@@ -194,12 +182,12 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
         A = Xs.T @ Xs + lam_ridge * np.eye(p)
         beta_s = np.linalg.lstsq(A, Xs.T @ yc, rcond=None)[0] if p else np.empty(0)
         sweeps = 0
+        gap = _kkt_gap(Xs, yc, beta_s, lam, lam_ridge, psi)
     else:
-        beta_s, sweeps = _coordinate_descent(Xs, yc, lam, lam_ridge, psi,
-                                             beta0=_warm_start)
+        beta_s, sweeps, gap = _coordinate_descent(Xs, yc, lam, lam_ridge,
+                                                  psi, beta0=_warm_start)
     beta = np.where(scale > 0, beta_s / safe, 0.0)
     intercept = ybar - float(beta @ xbar)
-    gap = _kkt_gap(Xs, yc, beta_s, lam, lam_ridge, psi)
     fit = LassoFit(
         coefficients=beta,
         intercept=intercept,
@@ -215,7 +203,7 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
     return fit
 
 
-def lasso_path(X, y, lams, weights=None) -> list[LassoFit]:
+def lasso_path(X, y, lams) -> list[LassoFit]:
     """Lasso fits along a penalty path with warm starts.
 
     Penalties are visited from largest to smallest, each solve starting
@@ -233,8 +221,7 @@ def lasso_path(X, y, lams, weights=None) -> list[LassoFit]:
         if prev_lam is not None and lams[i] == prev_lam:
             fits[i] = prev_fit  # duplicated penalty: identical solution
             continue
-        fit = lasso_fit(X, y, lam=lams[i], weights=weights,
-                        _warm_start=warm)
+        fit = lasso_fit(X, y, lam=lams[i], _warm_start=warm)
         warm = fit._standardized_coefficients
         fits[i] = fit
         prev_lam, prev_fit = lams[i], fit
@@ -257,8 +244,8 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
     if n < 2 or p < 1:
         raise DimensionMismatch("plugin_lambda needs n >= 2 and p >= 1")
     z = normal_quantile(1.0 - a / (2.0 * p))
-    Xc = X - X.mean(axis=0)
     if heteroskedastic:
+        Xc = X - X.mean(axis=0)
         lam = 2.0 * c * np.sqrt(n) * z
         resid = y - y.mean()  # intercept-only start, as for sigma
         loadings = np.sqrt(np.mean(resid[:, None] ** 2 * Xc**2, axis=0))
@@ -287,7 +274,7 @@ def lasso_plugin(X, y, c: float = 1.1, a: float = 0.05,
     return fit
 
 
-def post_lasso(X, y, fit: LassoFit, weights=None) -> OlsFit:
+def post_lasso(X, y, fit: LassoFit) -> OlsFit:
     """OLS refit on the Lasso active set (plus intercept).
 
     Coefficients outside the active set are zero; the returned fit's
@@ -296,7 +283,7 @@ def post_lasso(X, y, fit: LassoFit, weights=None) -> OlsFit:
     X, y = _prepare(X, y)
     active = fit.active_set
     design = np.column_stack([np.ones(X.shape[0]), X[:, active]])
-    return ols_fit(design, y, weights=weights)
+    return ols_fit(design, y)
 
 
 def post_lasso_coefficients(X, y, fit: LassoFit) -> tuple[float, np.ndarray]:
