@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .dist import normal_quantile
 from .errors import (
@@ -32,6 +33,10 @@ KKT_TOL = 1e-6
 
 @dataclass
 class LassoFit:
+    """A fitted Lasso. ``n_sweeps`` counts coordinate-descent sweeps, each
+    one pass over the solver's working set rather than over all columns
+    (0 for the closed-form fits); ``kkt_gap`` is the certified gap."""
+
     coefficients: np.ndarray
     intercept: float
     lam: float
@@ -71,44 +76,118 @@ def _prepare(X, y):
 def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
     """Minimize sum (yc - Xc b)^2 + lam_ridge ||b||^2 + lam sum psi_j |b_j|.
 
-    Exact coordinate minimization with running residuals; the objective is
-    non-increasing across sweeps by construction (checked below). Stops
-    when both the coefficient updates and the KKT stationarity gap are
-    small relative to the problem scale, or when the objective has
-    stalled with a certified KKT gap (flat directions of an
-    underdetermined design can keep coefficients drifting without
-    changing the fit). ``beta0`` warm-starts the solve. Returns the
-    coefficients, the sweep count and the certified KKT gap.
+    Exact coordinate minimization with a running residual, cycled over a
+    working set (glmnet's active-set cycling): the nonzero coordinates
+    plus those that violate the KKT conditions at the start
+    (|2 x_j'r| > lam psi_j). A sweep is one pass over the working set.
+    When a sweep converges (largest change below ``COORD_TOL``, or an
+    objective that has stalled, as flat directions of an underdetermined
+    design can keep coefficients drifting without changing the fit), the
+    full gradient is recomputed and every violator outside the set joins
+    it; with none left, the solve stops once the KKT stationarity gap of
+    ``_kkt_gap`` is within ``KKT_TOL`` of the problem scale.
+
+    After a sweep that leaves the support A and its signs s unchanged,
+    the minimizer on that sign pattern is solved for,
+    (X_A'X_A + lam_ridge I) b = X_A'yc - lam psi_A s_A / 2 (the step of
+    the Lasso homotopy method). The solve moves to b if sign(b) = s_A;
+    otherwise it moves towards b up to the first coefficient that
+    reaches zero, which leaves the pattern. Without a ridge and with
+    |A| >= n, X_A'X_A is singular and the move is instead along the null
+    space of X_A, where the fit is unchanged and the l1 term falls. A
+    move is kept only if the objective does not rise, and each pattern
+    is tried once. The objective is non-increasing across sweeps by
+    construction (checked below). ``beta0`` warm-starts the solve.
+    Returns the coefficients, the sweep count and the certified KKT gap.
     """
     n, p = Xc.shape
-    beta = np.zeros(p) if beta0 is None else beta0.astype(float).copy()
+    Xc = np.asfortranarray(Xc)  # contiguous columns for the BLAS calls
+    beta = np.zeros(p) if beta0 is None else beta0.astype(float)
     colsq = np.einsum("ij,ij->j", Xc, Xc)
-    live = np.flatnonzero(colsq > 0)
-    beta[colsq == 0] = 0.0
-    r = yc - Xc @ beta if beta.any() else yc.copy()
+    live = colsq > 0
+    beta[~live] = 0.0
+    r = yc - Xc @ beta if beta.any() else yc.astype(float)
     thresholds = 0.5 * lam * loadings
     denom = colsq + lam_ridge
     gap_scale = max(1.0, lam * float(loadings.max(initial=0.0)),
                     2.0 * float(np.abs(Xc.T @ yc).max(initial=0.0)))
+    sign = np.sign
+    b = beta.tolist()
+    in_set = live & ((beta != 0.0) | (np.abs(Xc.T @ r) > thresholds))
+    tried = set()
 
-    def objective(b):
-        return float(r @ r) + lam_ridge * float(b @ b) + lam * float(
-            loadings @ np.abs(b)
+    def working_set():
+        ws = np.flatnonzero(in_set)
+        items = list(zip(ws.tolist(), [Xc[:, j] for j in ws],
+                         colsq[ws].tolist(), thresholds[ws].tolist(),
+                         denom[ws].tolist()))
+        return ws, items
+
+    def objective(resid, coefs, psi):
+        return float(resid @ resid) + lam_ridge * float(coefs @ coefs) + (
+            lam * float(psi @ np.abs(coefs))
         )
 
-    prev_obj = objective(beta)
+    def sign_pattern_step(ws, bw):
+        """A descent step on the sign pattern of ``bw``, the working-set
+        coefficients, or None."""
+        nz = np.flatnonzero(bw)
+        if nz.size == 0:
+            return None
+        A = ws[nz]
+        s = sign(bw[nz])
+        key = A.tobytes() + s.tobytes()
+        if key in tried:
+            return None
+        tried.add(key)
+        XA, cur = Xc[:, A], bw[nz]
+        if lam_ridge == 0.0 and A.size >= n:
+            # No pattern minimizer: descend along the null space of X_A.
+            _, sv, vt = np.linalg.svd(XA)
+            null = vt[int(np.sum(sv > sv[0] * 1e-10)):]
+            v = -(null.T @ (null @ (thresholds[A] * s)))
+            reach = np.inf
+        else:
+            gram = XA.T @ XA
+            gram.flat[:: A.size + 1] += lam_ridge
+            try:
+                v = np.linalg.solve(gram, XA.T @ yc - thresholds[A] * s) - cur
+            except np.linalg.LinAlgError:
+                return None
+            reach = 1.0
+        crossing = np.flatnonzero(cur * v < 0.0)
+        steps = -cur[crossing] / v[crossing]
+        alpha = min(reach, float(steps.min(initial=np.inf)))
+        if not np.isfinite(alpha):
+            return None
+        bA = cur + alpha * v
+        if alpha < reach:  # stop where the first coefficient reaches zero
+            bA[crossing[np.argmin(steps)]] = 0.0
+        rA = yc - XA @ bA
+        obj = objective(rA, bA, loadings[A])
+        return (A, bA, rA, obj) if obj <= prev_obj else None
+
+    ws, items = working_set()
+    prev_obj = objective(r, beta[ws], loadings[ws])
     sweeps = 0
     for sweeps in range(1, MAX_SWEEPS + 1):
         max_change = 0.0
-        for j in live:
-            bj = beta[j]
-            rho = Xc[:, j] @ r + colsq[j] * bj
-            new = np.sign(rho) * max(abs(rho) - thresholds[j], 0.0) / denom[j]
+        same_pattern = True
+        for j, xj, cj, tj, dj in items:
+            bj = b[j]
+            rho = ddot(xj, r) + cj * bj
+            mag = abs(rho) - tj
+            new = float(sign(rho)) * mag / dj if mag > 0.0 else 0.0
             if new != bj:
-                r += Xc[:, j] * (bj - new)
-                beta[j] = new
-                max_change = max(max_change, abs(new - bj))
-        obj = objective(beta)
+                daxpy(xj, r, a=bj - new)
+                b[j] = new
+                change = abs(new - bj)
+                if change > max_change:
+                    max_change = change
+                if new * bj <= 0.0:
+                    same_pattern = False
+        bw = np.array([b[j] for j in ws])
+        obj = objective(r, bw, loadings[ws])
         if not np.isfinite(obj):
             raise NoConvergence("objective diverged")
         if obj > prev_obj + 1e-9 * (1.0 + abs(prev_obj)):
@@ -116,9 +195,19 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
         stalled = obj > prev_obj - 1e-12 * (1.0 + abs(prev_obj))
         prev_obj = obj
         if max_change < COORD_TOL or stalled:
+            violators = live & ~in_set & (np.abs(Xc.T @ r) > thresholds)
+            if violators.any():
+                in_set |= violators
+                ws, items = working_set()
+                continue
+            beta = np.array(b)
             gap = _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings)
             if gap <= KKT_TOL * gap_scale:
                 break
+        elif same_pattern and (step := sign_pattern_step(ws, bw)):
+            A, bA, r, prev_obj = step
+            for j, v in zip(A.tolist(), bA.tolist()):
+                b[j] = v
     else:  # pragma: no cover - convex problems converge quickly
         raise NoConvergence(f"no convergence after {MAX_SWEEPS} sweeps")
     return beta, sweeps, gap
@@ -161,7 +250,7 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
     scale = np.sqrt(np.mean(Xc**2, axis=0))
     degenerate = list(np.flatnonzero(scale == 0.0))
     safe = np.where(scale > 0, scale, 1.0)
-    Xs = Xc / safe
+    Xs = np.divide(Xc, safe, out=np.empty((n, p), order="F"))
 
     if loadings is None:
         psi = np.where(scale > 0, 1.0, 0.0)  # sqrt(E_n[x_j^2]) after scaling
@@ -265,10 +354,9 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
     return {"lam": lam, "sigma_hat": sigma, "z": z}
 
 
-def lasso_plugin(X, y, c: float = 1.1, a: float = 0.05,
-                 sigma_iters: int = 1) -> LassoFit:
+def lasso_plugin(X, y, c: float = 1.1, a: float = 0.05) -> LassoFit:
     """Lasso with the plug-in penalty; convenience wrapper."""
-    rule = plugin_lambda(X, y, c=c, a=a, sigma_iters=sigma_iters)
+    rule = plugin_lambda(X, y, c=c, a=a)
     fit = lasso_fit(X, y, lam=rule["lam"])
     fit.sigma_hat = rule["sigma_hat"]
     return fit
