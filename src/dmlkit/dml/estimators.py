@@ -52,10 +52,11 @@ def _subset_fit(learner, X, target, plan, rows, error=OneArmEmpty):
 
 
 def _propensity(learner, X, d, plan, trim):
-    """Cross-fitted propensity of ``d`` clipped into [trim, 1 - trim],
-    and the number of rows the clip moved (either tail)."""
+    """Cross-fitted propensity of ``d`` clipped into [trim, 1 - trim], and
+    the number of rows at or beyond either bound (a learner's own clip,
+    as the logistic one's at the default trim, puts rows on a bound)."""
     m, _ = cross_fit_predict(learner, X, d, plan)
-    trimmed = int(np.sum((m < trim) | (m > 1.0 - trim)))
+    trimmed = int(np.sum((m <= trim) | (m >= 1.0 - trim)))
     return np.clip(m, trim, 1.0 - trim), trimmed
 
 

@@ -15,9 +15,10 @@ import numpy as np
 
 from .dist import normal_p_value, normal_quantile
 from .dml.engine import InferenceResult, normal_interval
+from .dml.estimators import _columns
 from .errors import DimensionMismatch, WeakResidualVariation
 from .linalg import as_matrix, ols_fit, robust_variance
-from .penalized import cv_fit, lasso_fit, lasso_plugin
+from .penalized import _lambda_max, cv_fit, lasso_fit, lasso_plugin
 from .rng import stream
 
 SIMULTANEOUS_DRAWS = 100_000
@@ -84,14 +85,15 @@ def _rule_fit(y, W, lam_rule: str, seed: int = 0):
     return cv_fit("lasso", W, y, grid, make_folds(y.size, 5, seed)).refit
 
 
-def _lambda_max(W, y) -> float:
-    """Smallest penalty at which the Lasso solution is all zeros."""
-    Xc = W - W.mean(axis=0)
-    scale = np.sqrt(np.mean(Xc**2, axis=0))
-    safe = np.where(scale > 0, scale, 1.0)
-    yc = y - y.mean()
-    top = float(np.max(np.abs((Xc / safe).T @ yc), initial=0.0))
-    return 2.0 * top if top > 0 else 1.0
+def _inputs(y, d, W):
+    """The outcome as a float vector, the target(s) ``d`` as given by the
+    caller (a vector, or a matrix of target columns) and the controls as
+    a matrix, n x 0 for None, all with the outcome's row count n."""
+    y = np.asarray(y, dtype=float).ravel()
+    d = np.asarray(d, dtype=float)
+    if len(d) != y.size:
+        raise DimensionMismatch("y and d have different row counts")
+    return y, d, _columns(W, y.size)
 
 
 def _single_target_inference(estimate, variance, n, alpha, resid_y=None,
@@ -119,12 +121,10 @@ def double_lasso(y, d, W, lam_rule: str = "plugin",
     refits the selected controls by least squares before taking
     residuals.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    W = _control_matrix(W, y.size)
+    y, d, W = _inputs(y, np.ravel(d), W)
     n = y.size
-    if d.size != n or n <= 2:
-        raise DimensionMismatch("need matching y, d with n > 2")
+    if n <= 2:
+        raise DimensionMismatch("double_lasso needs n > 2 rows")
 
     ry = _lasso_residual(y, W, lam_rule)
     rd = _lasso_residual(d, W, lam_rule)
@@ -137,15 +137,6 @@ def double_lasso(y, d, W, lam_rule: str = "plugin",
     eps = ry - estimate * rd
     variance = float(np.mean(rd**2 * eps**2)) / denom**2
     return _single_target_inference(estimate, variance, n, alpha, ry, rd)
-
-
-def _control_matrix(W, n) -> np.ndarray:
-    if W is None:
-        return np.empty((n, 0))
-    W = as_matrix(W)
-    if W.shape[0] != n:
-        raise DimensionMismatch("controls row count mismatch")
-    return W
 
 
 def simultaneous_critical_value(correlation: np.ndarray, alpha,
@@ -202,10 +193,8 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
     the simultaneous critical value comes from a Gaussian sup-norm
     Monte Carlo on the implied correlation matrix.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    D = as_matrix(D)
+    y, D, W = _inputs(y, as_matrix(D), W)
     n, p1 = D.shape
-    W = _control_matrix(W, n)
 
     ry_all = np.empty((n, p1))
     rd_all = np.empty((n, p1))
@@ -242,10 +231,8 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
 def double_selection(y, d, W, lam_rule: str = "plugin",
                      alpha: float = 0.05) -> TargetInference:
     """Refit OLS of y on d plus the union of Lasso-selected controls."""
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
+    y, d, W = _inputs(y, np.ravel(d), W)
     n = y.size
-    W = _control_matrix(W, n)
 
     selected: set[int] = set()
     if W.shape[1]:
@@ -266,10 +253,8 @@ def desparsified_lasso(y, d, W, lam_rule: str = "plugin",
     """Debias the Lasso coefficient of d using the residualized target
     as the instrument; both Lasso fits take the penalty ``lam_rule``
     picks."""
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
+    y, d, W = _inputs(y, np.ravel(d), W)
     n = y.size
-    W = _control_matrix(W, n)
 
     joint = _rule_fit(y, np.column_stack([d, W]), lam_rule)
     if W.shape[1]:
@@ -289,10 +274,8 @@ def desparsified_lasso(y, d, W, lam_rule: str = "plugin",
 def naive_single_selection(y, d, W, alpha: float = 0.05) -> TargetInference:
     """Single-selection refit. Invalid for inference; kept for demos and
     the result carries a warning tag saying so."""
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
+    y, d, W = _inputs(y, np.ravel(d), W)
     n = y.size
-    W = _control_matrix(W, n)
 
     full = np.column_stack([d, W])
     fit = lasso_plugin(full, y)

@@ -73,6 +73,28 @@ def _prepare(X, y):
     return X, y
 
 
+def _standardize(X, y):
+    """The design every Lasso solve reads: y centred, and the columns of
+    X centred and scaled to unit mean square (constant columns, of scale
+    0, stay zero). ``Xs`` is in Fortran order, contiguous columns for the
+    solver's BLAS calls. Returns ``(Xs, yc, xbar, ybar, scale)``."""
+    xbar = X.mean(axis=0)
+    ybar = float(y.mean())
+    Xc = X - xbar
+    scale = np.sqrt(np.mean(Xc**2, axis=0))
+    Xs = np.divide(Xc, np.where(scale > 0, scale, 1.0),
+                   out=np.empty(X.shape, order="F"))
+    return Xs, y - ybar, xbar, ybar, scale
+
+
+def _lambda_max(X, y) -> float:
+    """Smallest penalty at which the Lasso solution is all zeros (1.0
+    when y is constant)."""
+    Xs, yc = _standardize(*_prepare(X, y))[:2]
+    top = float(np.max(np.abs(Xs.T @ yc), initial=0.0))
+    return 2.0 * top if top > 0 else 1.0
+
+
 def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
     """Minimize sum (yc - Xc b)^2 + lam_ridge ||b||^2 + lam sum psi_j |b_j|.
 
@@ -229,28 +251,23 @@ def _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings):
 
 
 def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
-              _warm_start=None) -> LassoFit:
+              _path=None) -> LassoFit:
     """Lasso (optionally Elastic Net via lam_ridge > 0) with unpenalized
     intercept.
 
     Default penalty loadings are psi_j = sqrt(E_n[x_j^2]) computed on the
     centered columns, which makes predictions invariant to column
     rescaling. Constant columns get loading zero, stay at coefficient
-    zero, and are reported in ``degenerate_columns``.
+    zero, and are reported in ``degenerate_columns``. ``_path``, passed
+    only by ``lasso_path``, is ``(_standardize(X, y), warm start)``.
     """
-    X, y = _prepare(X, y)
-    n, p = X.shape
+    design, warm = _path or (_standardize(*_prepare(X, y)), None)
+    Xs, yc, xbar, ybar, scale = design
+    p = Xs.shape[1]
     if not np.isfinite(lam) or lam < 0 or not np.isfinite(lam_ridge) or lam_ridge < 0:
         raise NonFinitePenalty("penalty levels must be finite and nonnegative")
-
-    xbar = X.mean(axis=0)
-    ybar = float(y.mean())
-    Xc = X - xbar
-    yc = y - ybar
-    scale = np.sqrt(np.mean(Xc**2, axis=0))
     degenerate = list(np.flatnonzero(scale == 0.0))
     safe = np.where(scale > 0, scale, 1.0)
-    Xs = np.divide(Xc, safe, out=np.empty((n, p), order="F"))
 
     if loadings is None:
         psi = np.where(scale > 0, 1.0, 0.0)  # sqrt(E_n[x_j^2]) after scaling
@@ -274,7 +291,7 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
         gap = _kkt_gap(Xs, yc, beta_s, lam, lam_ridge, psi)
     else:
         beta_s, sweeps, gap = _coordinate_descent(Xs, yc, lam, lam_ridge,
-                                                  psi, beta0=_warm_start)
+                                                  psi, beta0=warm)
     beta = np.where(scale > 0, beta_s / safe, 0.0)
     intercept = ybar - float(beta @ xbar)
     fit = LassoFit(
@@ -295,26 +312,19 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
 def lasso_path(X, y, lams) -> list[LassoFit]:
     """Lasso fits along a penalty path with warm starts.
 
-    Penalties are visited from largest to smallest, each solve starting
-    from the previous solution; results are returned in the order of
-    ``lams``. Each fit satisfies the same KKT certificate as a cold
-    ``lasso_fit`` call.
+    The design is standardized once and shared by every penalty.
+    Distinct penalties are visited from largest to smallest, each solve
+    starting from the previous solution; results are returned in the
+    order of ``lams``, a repeated penalty sharing one fit. Each fit
+    satisfies the same KKT certificate as a cold ``lasso_fit`` call.
     """
-    lams = [float(l) for l in lams]
-    order = sorted(range(len(lams)), key=lambda i: -lams[i])
-    fits: list = [None] * len(lams)
+    design = _standardize(*_prepare(X, y))
+    fits = {}
     warm = None
-    prev_lam = None
-    prev_fit = None
-    for i in order:
-        if prev_lam is not None and lams[i] == prev_lam:
-            fits[i] = prev_fit  # duplicated penalty: identical solution
-            continue
-        fit = lasso_fit(X, y, lam=lams[i], _warm_start=warm)
-        warm = fit._standardized_coefficients
-        fits[i] = fit
-        prev_lam, prev_fit = lams[i], fit
-    return fits
+    for lam in sorted({float(l) for l in lams}, reverse=True):
+        fits[lam] = lasso_fit(X, y, lam=lam, _path=(design, warm))
+        warm = fits[lam]._standardized_coefficients
+    return [fits[float(l)] for l in lams]
 
 
 def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,

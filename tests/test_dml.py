@@ -10,7 +10,8 @@ from dmlkit.errors import (BadFoldCount, EmptyCell, NoCompliance,
                            NoTreatedUnits, OneArmEmpty, OneSideEmpty,
                            SingularJacobian, WeakResidualVariation)
 from dmlkit.learners import (FunctionLearner, LogisticLearner, MeanLearner,
-                             ZeroLearner, make_folds, no_crossfit_plan)
+                             ZeroLearner, cross_fit_predict, make_folds,
+                             no_crossfit_plan)
 
 HALF = FunctionLearner(lambda X: np.full(X.shape[0], 0.5))
 
@@ -486,3 +487,18 @@ TRIM_T = np.repeat([1.0, 2.0, 1.0, 2.0], 2)  # every (d, t) cell twice
 ], ids=["atet", "did_panel", "did_rcs"])
 def test_lower_tail_clip_is_counted(estimator):
     assert estimator().trim_count == 8
+
+
+def test_trim_counts_the_logistic_learners_own_clip():
+    # LogisticLearner clips its probabilities to [0.01, 0.99], the default
+    # trim, so the rows it clipped sit on the bound rather than beyond it.
+    r = np.random.default_rng(5)
+    X = r.standard_normal((2000, 2))
+    d = (r.random(2000) < 1.0 / (1.0 + np.exp(-3.0 * X[:, 0]))).astype(float)
+    y = d + X[:, 1] + r.standard_normal(2000)
+    plan = make_folds(2000, 2, seed=0)
+    m, _ = cross_fit_predict(LogisticLearner(), X, d, plan)
+    on_bound = int(np.sum((m == 0.01) | (m == 0.99)))
+    assert on_bound > 0
+    res = dml_irm_ate(y, d, X, MeanLearner(), LogisticLearner(), plan)
+    assert res.trim_count == on_bound

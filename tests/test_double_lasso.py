@@ -7,7 +7,7 @@ from dmlkit.double_lasso import (desparsified_lasso, double_lasso,
                                  double_selection, many_targets,
                                  naive_single_selection,
                                  simultaneous_critical_value)
-from dmlkit.errors import WeakResidualVariation
+from dmlkit.errors import DimensionMismatch, WeakResidualVariation
 from dmlkit.linalg import ols_fit, robust_variance
 
 
@@ -251,3 +251,21 @@ class TestMonteCarlo:
             double.append(simulate_once("example_4_3_1", "double_lasso",
                                         100, 7, rep)["error"])
         assert abs(np.median(naive)) > 2.0 * abs(np.median(double))
+
+
+SINGLE_TARGET = [double_lasso, double_selection, desparsified_lasso,
+                 naive_single_selection]
+
+
+@pytest.mark.parametrize("procedure", SINGLE_TARGET + [many_targets])
+def test_short_target_is_a_dimension_mismatch(procedure):
+    y, d, W = _confounded_data(0, n=30)
+    with pytest.raises(DimensionMismatch, match="y and d"):
+        procedure(y, d[:-1], W)
+
+
+@pytest.mark.parametrize("procedure", SINGLE_TARGET + [many_targets])
+def test_short_controls_are_a_dimension_mismatch(procedure):
+    y, d, W = _confounded_data(0, n=30)
+    with pytest.raises(DimensionMismatch):
+        procedure(y, d, W[:-1])

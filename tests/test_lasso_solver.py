@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dmlkit import penalized
 from dmlkit.cli.dgps import _decay_coefficients
 from dmlkit.double_lasso import _lambda_max
 from dmlkit.errors import NoConvergence
@@ -179,3 +180,48 @@ def test_scale_invariance_at_pinned_seed():
     scaled = lasso_fit(scaled_X, y, lam=3.0)
     assert scaled.coefficients[0] == pytest.approx(
         base.coefficients[0] / 7.5, abs=1e-8)
+
+
+def test_path_standardizes_once(monkeypatch):
+    # One standardized design is shared by the path's 16 penalties, while
+    # each penalty is still its own lasso_fit call.
+    calls = {"_standardize": 0, "lasso_fit": 0}
+    for name in calls:
+        original = getattr(penalized, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(penalized, name, spy)
+    r = np.random.default_rng(11)
+    W = r.standard_normal((40, 60))
+    y = W[:, :3].sum(axis=1) + r.standard_normal(40)
+    grid = _lambda_max(W, y) * np.geomspace(0.01, 1.0, 16)
+    calls.update(_standardize=0, lasso_fit=0)  # _lambda_max standardizes too
+    fits = penalized.lasso_path(W, y, grid)
+    assert calls == {"_standardize": 1, "lasso_fit": 16}
+    for lam, fit in zip(grid, fits):
+        cold = lasso_fit(W, y, lam=lam)
+        assert np.max(np.abs(fit.coefficients - cold.coefficients)) < 1e-6
+
+
+def _lambda_max_designs():
+    r = np.random.default_rng(7)
+    W = r.standard_normal((30, 5))
+    W[:, 2] = 1.0  # a constant column
+    yield W, W[:, 0] - W[:, 4] + r.standard_normal(30)
+    W = r.standard_normal((20, 50))  # p > n
+    yield W, W[:, :4].sum(axis=1) + 0.5 * r.standard_normal(20)
+
+
+@pytest.mark.parametrize("W, y", list(_lambda_max_designs()))
+def test_lambda_max_is_the_all_zero_penalty(W, y):
+    lam = _lambda_max(W, y)
+    assert not lasso_fit(W, y, lam=lam).coefficients.any()
+    assert lasso_fit(W, y, lam=0.999 * lam).coefficients.any()
+
+
+def test_lambda_max_of_constant_outcome():
+    W = np.random.default_rng(3).standard_normal((12, 4))
+    assert _lambda_max(W, np.full(12, 2.0)) == 1.0
