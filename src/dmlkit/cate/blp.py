@@ -11,7 +11,7 @@ from ..dist import normal_p_value
 from ..dml.engine import InferenceResult, normal_interval
 from ..double_lasso import band_critical_value
 from ..errors import ConstantModel
-from ..linalg import as_matrix, ols_fit
+from ..linalg import as_matrix, as_vectors, ols_fit
 
 CONSTANT_TOL = 1e-12
 
@@ -49,7 +49,6 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
     uniform bands for the fitted projection over those rows are computed,
     the latter via the Gaussian sup-norm Monte Carlo.
     """
-    signals = np.asarray(signals, dtype=float).ravel()
     basis = as_matrix(basis)
     fit = ols_fit(basis, signals)
     cov = _sandwich(basis, fit.residuals)
@@ -58,7 +57,7 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
         covariance=cov,
         std_errors=np.sqrt(np.diag(cov)),
         alpha=alpha,
-        n=signals.size,
+        n=fit.n,
     )
     if eval_basis is not None:
         G = as_matrix(eval_basis)
@@ -81,7 +80,7 @@ def heterogeneity_blp_test(tau_values, signals, alpha: float = 0.05) -> dict:
     significantly nonzero slope certifies detected heterogeneity, and
     the intercept estimates the ATE.
     """
-    tau = np.asarray(tau_values, dtype=float).ravel()
+    tau, signals = as_vectors(tau_values=tau_values, signals=signals)
     if float(np.var(tau)) <= CONSTANT_TOL:
         raise ConstantModel("model predictions have no variation")
     blp = blp_cate(signals, np.column_stack([np.ones(tau.size),

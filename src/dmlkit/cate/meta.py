@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dml.estimators import (DEFAULT_TRIM, _check_binary, _columns,
-                              _propensity, _subset_fit)
+from ..dml.estimators import (DEFAULT_TRIM, _check_binary, _propensity,
+                              _subset_fit)
 from ..errors import OneArmEmpty, WeightOverflow
 from ..learners import cross_fit_predict
-from ..linalg import as_matrix
+from ..linalg import as_columns, as_matrix, as_vectors
 from .signals import dr_signal
 
 META_KINDS = ("S", "T", "X", "DAX", "DR", "R")
@@ -51,10 +51,10 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
     kind = kind.upper()
     if kind not in META_KINDS:
         raise ValueError(f"unknown meta-learner kind {kind!r}")
-    y = np.asarray(y, dtype=float).ravel()
-    d = _check_binary(d, "treatment")
-    Z = _columns(Z, y.size)
-    X = Z if X_effect is None else _columns(X_effect, y.size)
+    y, d = as_vectors(y=y, d=d)
+    _check_binary(d, "treatment")
+    Z = as_columns(Z, y.size)
+    X = Z if X_effect is None else as_columns(X_effect, y.size)
     if not (np.any(d == 1) and np.any(d == 0)):
         raise OneArmEmpty("both arms must be present")
     meta: dict = {}

@@ -7,7 +7,7 @@ import numpy as np
 from ..dml.engine import DmlResult, linear_score_result
 from ..errors import DimensionMismatch
 from ..learners import tree_fit
-from ..linalg import as_matrix
+from ..linalg import as_vectors
 from .validation import top_share_rule
 
 
@@ -17,10 +17,7 @@ def policy_value(pi, signals, alpha: float = 0.05) -> DmlResult:
     ``pi`` gives per-observation treatment probabilities in [0, 1]; the
     value is E_n[pi(X) * signal] with the usual influence-value se.
     """
-    pi = np.asarray(pi, dtype=float).ravel()
-    signals = np.asarray(signals, dtype=float).ravel()
-    if pi.size != signals.size:
-        raise DimensionMismatch("policy and signals lengths differ")
+    pi, signals = as_vectors(pi=pi, signals=signals)
     if np.any(pi < 0.0) or np.any(pi > 1.0):
         raise DimensionMismatch("policy values must lie in [0, 1]")
     return linear_score_result(psi_a=np.ones(signals.size),
@@ -35,13 +32,12 @@ def optimal_policy_value(signals, tau, q: float | None = None,
     With a budget q, treat the top q-fraction by predicted effect, with
     the threshold (and tie-breaking) taken from non-test predictions.
     """
-    signals = np.asarray(signals, dtype=float).ravel()
-    tau = np.asarray(tau, dtype=float).ravel()
+    signals, tau = as_vectors(signals=signals, tau=tau)
     if q is None:
         pi = (tau >= 0.0).astype(float)
         threshold = 0.0
     else:
-        ref = tau if tau_nontest is None else np.asarray(tau_nontest, dtype=float).ravel()
+        ref = tau if tau_nontest is None else as_vectors(tau_nontest=tau_nontest)
         threshold, _, pi = top_share_rule(tau, ref, q)
     out = policy_value(pi, signals, alpha=alpha)
     out.diagnostics["threshold"] = threshold
@@ -73,8 +69,7 @@ def policy_learn(signals, X, max_depth: int = 2, min_leaf: int = 10,
     to evaluate the rule on held-out signals, pass
     ``policy.assign(X_held_out)`` to ``policy_value``.
     """
-    signals = np.asarray(signals, dtype=float).ravel()
-    X = as_matrix(X)
+    signals = as_vectors(signals=signals)
     adjusted = signals - cost
     labels = np.where(adjusted >= 0.0, 1.0, -1.0)
     weights = np.abs(adjusted)

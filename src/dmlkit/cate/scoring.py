@@ -7,25 +7,25 @@ import numpy as np
 
 from ..dml.engine import normal_interval
 from ..errors import DimensionMismatch, IndistinguishableModels
-from ..linalg import as_matrix
+from ..linalg import as_matrix, as_vectors
 
 QAGG_MAX_ITERS = 5000
 QAGG_GRAD_TOL = 1e-9
 DISTINGUISH_TOL = 1e-12
 
 
-def _as_values(model, signals, X):
+def _as_values(model, X):
+    """A model's CATE values: the model itself, or the model called on X."""
     if callable(model):
         if X is None:
             raise DimensionMismatch("covariates required to evaluate a model")
-        return np.asarray(model(X), dtype=float).ravel()
-    return np.asarray(model, dtype=float).ravel()
+        return model(X)
+    return model
 
 
 def dr_loss(tau_values, signals) -> float:
     """L(tau) = E_n[(signal - tau(X))^2]."""
-    signals = np.asarray(signals, dtype=float).ravel()
-    tau_values = np.asarray(tau_values, dtype=float).ravel()
+    tau_values, signals = as_vectors(tau_values=tau_values, signals=signals)
     return float(np.mean((signals - tau_values) ** 2))
 
 
@@ -35,7 +35,7 @@ def dr_score(tau_values, signals) -> dict:
     The constant is the scoring-sample mean of the signals, which makes
     the score of the constant model itself exactly zero.
     """
-    signals = np.asarray(signals, dtype=float).ravel()
+    tau_values, signals = as_vectors(tau_values=tau_values, signals=signals)
     loss = dr_loss(tau_values, signals)
     base = dr_loss(np.full(signals.size, float(np.mean(signals))), signals)
     score = (base - loss) / base if base > 0 else 0.0
@@ -49,9 +49,8 @@ def compare_models(tau_i, tau_j, signals, alpha: float = 0.05,
     The variance comes from the per-observation loss differences, so
     shared noise in the signals cancels.
     """
-    signals = np.asarray(signals, dtype=float).ravel()
-    ti = _as_values(tau_i, signals, X)
-    tj = _as_values(tau_j, signals, X)
+    ti, tj, signals = as_vectors(tau_i=_as_values(tau_i, X),
+                                 tau_j=_as_values(tau_j, X), signals=signals)
     if float(np.mean((ti - tj) ** 2)) <= DISTINGUISH_TOL:
         raise IndistinguishableModels("models coincide on the scoring data")
     delta_obs = (signals - ti) ** 2 - (signals - tj) ** 2
@@ -106,7 +105,7 @@ def ensemble(predictions, signals, method: str = "qagg",
     candidates' predictions there.
     """
     P = as_matrix(predictions)
-    s = np.asarray(signals, dtype=float).ravel()
+    s = as_vectors(signals=signals)
     n, M = P.shape
     if M < 1:
         raise DimensionMismatch("need at least one model")

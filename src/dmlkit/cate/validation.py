@@ -17,6 +17,7 @@ from ..dist import normal_quantile
 from ..dml.engine import InferenceResult, normal_interval
 from ..double_lasso import band_critical_value
 from ..errors import EmptyBin, EmptyTopGroup
+from ..linalg import as_vectors
 
 DEFAULT_GRID_POINTS = 20  # log(p)^5 / n must stay small; 20 is plenty
 
@@ -36,14 +37,6 @@ class CalibrationReport(InferenceResult):
     def dr_means(self) -> np.ndarray:
         return self.estimates
 
-    @property
-    def dr_ci_lower(self) -> np.ndarray:
-        return self.ci_lower
-
-    @property
-    def dr_ci_upper(self) -> np.ndarray:
-        return self.ci_upper
-
 
 def calibration(tau_test, signals_test, tau_nontest, K: int,
                 alpha: float = 0.05) -> CalibrationReport:
@@ -57,9 +50,9 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
     cal1 is the count-weighted mean absolute gap, cal2 its squared
     analogue.
     """
-    tau_test = np.asarray(tau_test, dtype=float).ravel()
-    signals = np.asarray(signals_test, dtype=float).ravel()
-    tau_nontest = np.asarray(tau_nontest, dtype=float).ravel()
+    tau_test, signals = as_vectors(tau_test=tau_test,
+                                   signals_test=signals_test)
+    tau_nontest = as_vectors(tau_nontest=tau_nontest)
     if K < 1:
         raise EmptyBin("need at least one bin")
     # Cut points that tie with each other or with the smallest non-test
@@ -156,9 +149,8 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     non-test predictions; inference follows the joint Gaussian
     approximation with sup-norm Monte Carlo bands.
     """
-    tau = np.asarray(tau_test, dtype=float).ravel()
-    s = np.asarray(signals_test, dtype=float).ravel()
-    ref = np.asarray(tau_nontest, dtype=float).ravel()
+    tau, s = as_vectors(tau_test=tau_test, signals_test=signals_test)
+    ref = as_vectors(tau_nontest=tau_nontest)
     if grid is None:
         grid = np.linspace(1.0 / DEFAULT_GRID_POINTS, 1.0, DEFAULT_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)

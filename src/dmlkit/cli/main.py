@@ -311,6 +311,10 @@ def _cate_pipeline_report(config, spec, data, alpha):
     except DmlkitError:
         het = {"slope": 0.0, "p_value": 1.0, "reject": False,
                "note": "constant predictions"}
+    # trim_count is the DR signal's; the meta-learner trims on its own.
+    model_trim = model.metadata.get("trim_count", 0)
+    warnings = ([f"meta-learner trimmed {model_trim} propensities"]
+                if model_trim > 0 else [])
     report = {
         "estimand": "cate-pipeline",
         "provenance": provenance(config),
@@ -332,7 +336,7 @@ def _cate_pipeline_report(config, spec, data, alpha):
         "auqc": curves.auqc,
         "n": n,
         "split_sizes": [train.size, valid.size, test.size],
-        "warnings": [],
+        "warnings": warnings,
     }
     artifacts = {"uplift": [
         {"q": float(curves.grid[i]),

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import EmptyCell, NoTreatedUnits
+from ..linalg import as_columns, as_vectors
 from .engine import DmlResult, linear_score_result
-from .estimators import (DEFAULT_TRIM, _check_binary, _columns, _propensity,
-                         _rmse, _subset_fit)
+from .estimators import (DEFAULT_TRIM, _check_binary, _propensity, _rmse,
+                         _subset_fit)
 
 
 def did_canonical(y, d, t, alpha: float = 0.05) -> DmlResult:
@@ -21,9 +22,8 @@ def did_canonical(y, d, t, alpha: float = 0.05) -> DmlResult:
     d marks the treated group, t in {1, 2} the period. The standard
     error treats the four cells as independent samples.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = _check_binary(d, "group")
-    t = np.asarray(t, dtype=float).ravel()
+    y, d, t = as_vectors(y=y, d=d, t=t)
+    _check_binary(d, "group")
     if not np.all(np.isin(t, (1.0, 2.0))):
         raise EmptyCell("period indicator must take values 1 and 2")
     n = y.size
@@ -54,11 +54,10 @@ def dml_did_panel(y1, y2, d, X, learner_g, learner_m, plan,
     """ATET for panel data via the doubly robust score on outcome
     differences: learner_g models E[Y2 - Y1 | X] among controls and
     learner_m the treatment propensity."""
-    y1 = np.asarray(y1, dtype=float).ravel()
-    y2 = np.asarray(y2, dtype=float).ravel()
-    d = _check_binary(d, "treatment")
+    y1, y2, d = as_vectors(y1=y1, y2=y2, d=d)
+    _check_binary(d, "treatment")
     dy = y2 - y1
-    X = _columns(X, dy.size)
+    X = as_columns(X, dy.size)
     if not np.any(d == 1):
         raise NoTreatedUnits("no treated units")
     p_hat = float(np.mean(d))
@@ -84,13 +83,12 @@ def dml_did_rcs(y, t, d, X, learner_g, learner_m, plan,
     reweights each (d, t) cell and subtracts the model-based trend among
     the treated.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = _check_binary(d, "treatment")
-    t = np.asarray(t, dtype=float).ravel()
+    y, t, d = as_vectors(y=y, t=t, d=d)
+    _check_binary(d, "treatment")
     if not np.all(np.isin(t, (1.0, 2.0))):
         raise EmptyCell("period indicator must take values 1 and 2")
     post = (t == 2.0).astype(float)
-    X = _columns(X, y.size)
+    X = as_columns(X, y.size)
     p_hat = float(np.mean(d))
     lam = float(np.mean(post))
     if p_hat == 0.0:

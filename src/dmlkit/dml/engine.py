@@ -15,6 +15,7 @@ import numpy as np
 
 from ..dist import normal_quantile
 from ..errors import BadFoldCount, SingularJacobian
+from ..linalg import as_vectors
 
 JACOBIAN_ATOL = 1e-12
 
@@ -88,8 +89,7 @@ def linear_score_result(psi_a, psi_b, alpha: float = 0.05,
     ``jacobian`` overrides E_n[psi_a] in the influence normalization for
     estimands whose variance theory prescribes a specific J.
     """
-    psi_a = np.asarray(psi_a, dtype=float).ravel()
-    psi_b = np.asarray(psi_b, dtype=float).ravel()
+    psi_a, psi_b = as_vectors(psi_a=psi_a, psi_b=psi_b)
     n = psi_b.size
     J_solve = float(np.mean(psi_a))
     if abs(J_solve) < JACOBIAN_ATOL:

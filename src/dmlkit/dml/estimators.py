@@ -15,27 +15,16 @@ from ..errors import (
     WeakResidualVariation,
 )
 from ..learners import cross_fit_predict
-from ..linalg import as_matrix
+from ..linalg import as_columns, as_vectors, check_rows
 from .engine import DmlResult, linear_score_result
 
 DEFAULT_TRIM = 0.01
 WEAK_VARIATION_RTOL = 1e-10
 
 
-def _columns(X, n) -> np.ndarray:
-    if X is None:
-        return np.empty((n, 0))
-    X = as_matrix(X)
-    if X.shape[0] != n:
-        raise DimensionMismatch("covariate row count mismatch")
-    return X
-
-
-def _check_binary(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
+def _check_binary(v, name: str) -> None:
     if not np.all(np.isin(v, (0.0, 1.0))):
         raise DimensionMismatch(f"{name} must be binary 0/1")
-    return v
 
 
 def _rmse(target, pred) -> float:
@@ -62,7 +51,8 @@ def _propensity(learner, X, d, plan, trim):
 
 def _plm_residuals(y, d, X, learner_l, learner_m, plan):
     """Cross-fitted residuals Y - l(X) and D - m(X) with their RMSEs."""
-    X = _columns(X, y.size)
+    y, d = as_vectors(y=y, d=d)
+    X = as_columns(X, y.size)
     ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
     m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
     rd = d - m_hat
@@ -75,8 +65,6 @@ def _plm_residuals(y, d, X, learner_l, learner_m, plan):
 def dml_plm(y, d, X, learner_l, learner_m, plan, alpha: float = 0.05) -> DmlResult:
     """Partially linear model: residual-on-residual slope with
     cross-fitted conditional means of Y and D given X."""
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
     ry, rd, diag = _plm_residuals(y, d, X, learner_l, learner_m, plan)
     return linear_score_result(psi_a=rd * rd, psi_b=rd * ry, alpha=alpha,
                                diagnostics=diag)
@@ -86,9 +74,9 @@ def irm_signals(y, d, X, learner_g, learner_m, plan,
                 trim: float = DEFAULT_TRIM):
     """Per-observation doubly robust ATE signals
     g(1,X) - g(0,X) + H (Y - g(D,X)) and the trim count."""
-    y = np.asarray(y, dtype=float).ravel()
-    d = _check_binary(d, "treatment")
-    X = _columns(X, y.size)
+    y, d = as_vectors(y=y, d=d)
+    _check_binary(d, "treatment")
+    X = as_columns(X, y.size)
     if not (np.any(d == 1) and np.any(d == 0)):
         raise OneArmEmpty("both treatment arms must be present")
     g1 = _subset_fit(learner_g, X, y, plan, d == 1.0)
@@ -123,7 +111,8 @@ def dml_gate(y, d, X, groups, learner_g, learner_m, plan,
     weighted by group shares reproduce the ATE exactly.
     """
     phi, trimmed, diag = irm_signals(y, d, X, learner_g, learner_m, plan, trim)
-    groups = np.asarray(groups).ravel()
+    groups = np.asarray(groups).ravel()  # labels keep their type for reports
+    check_rows(y=phi, groups=groups)
     labels = np.unique(groups)
     n = phi.size
     q = labels.size
@@ -167,9 +156,9 @@ def dml_atet(y, d, X, learner_g0, learner_m, plan,
     Uses the bounded composite weight D - (1-D) m(X)/(1-m(X)), so only
     the control-arm outcome regression g(0, X) is required.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = _check_binary(d, "treatment")
-    X = _columns(X, y.size)
+    y, d = as_vectors(y=y, d=d)
+    _check_binary(d, "treatment")
+    X = as_columns(X, y.size)
     if not np.any(d == 1):
         raise NoTreatedUnits("no treated observations")
     g0 = _subset_fit(learner_g0, X, y, plan, d == 0.0)
@@ -192,10 +181,8 @@ def dml_pliv(y, d, z, X, learner_l, learner_r, learner_m, plan,
     learner_l predicts Y from X, learner_r predicts the instrument Z,
     and learner_m predicts the treatment D.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    X = _columns(X, y.size)
+    y, d, z = as_vectors(y=y, d=d, z=z)
+    X = as_columns(X, y.size)
     ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
     r_hat, _ = cross_fit_predict(learner_r, X, z, plan)
     m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
@@ -221,10 +208,10 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
     Ratio of two doubly robust signals: the instrument's effect on the
     outcome over its effect on treatment take-up.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = _check_binary(d, "treatment")
-    z = _check_binary(z, "instrument")
-    X = _columns(X, y.size)
+    y, d, z = as_vectors(y=y, d=d, z=z)
+    _check_binary(d, "treatment")
+    _check_binary(z, "instrument")
+    X = as_columns(X, y.size)
     if not (np.any(z == 1) and np.any(z == 0)):
         raise OneArmEmpty("both instrument arms must be present")
     on, off = z == 1.0, z == 0.0

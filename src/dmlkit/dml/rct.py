@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import OneArmEmpty
-from ..linalg import ols_fit
+from ..linalg import as_columns, as_vectors, constant_columns, ols_fit
 from .engine import DmlResult, normal_interval
-from .estimators import _check_binary, _columns
+from .estimators import _check_binary
 
 # The estimators that ``mode`` names; the value is read case-insensitively.
 MODES = ("CL", "CRA", "IRA")
@@ -44,17 +44,16 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
     adjustment. The relative ATE is ate / E[Y(0)]; its negative is the
     conventional efficacy measure for adverse outcomes.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = _check_binary(d, "treatment")
+    y, d = as_vectors(y=y, d=d)
+    _check_binary(d, "treatment")
     n = y.size
-    W = _columns(W, n)
+    W = as_columns(W, n)
     if not (np.any(d == 1) and np.any(d == 0)):
         raise OneArmEmpty("both arms must be present")
-    Wc = W - W.mean(axis=0) if W.shape[1] else W
-    if Wc.shape[1]:
-        # Constant covariates carry no adjustment information and would
-        # make the regression designs singular; drop them up front.
-        Wc = Wc[:, np.ptp(Wc, axis=0) > 0.0]
+    # Constant covariates carry no adjustment information and would make
+    # the regression designs singular; drop them up front.
+    Wc = W - W.mean(axis=0)
+    Wc = Wc[:, ~constant_columns(Wc)]
 
     mode = mode.upper()
     if mode not in MODES:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import OneSideEmpty
-from ..linalg import ols_fit, robust_variance
+from ..linalg import as_columns, as_vectors, ols_fit, robust_variance
 from .engine import DmlResult
-from .estimators import _columns
 
 # Kernel weights of the scaled running variable u = (x - cutoff) / h.
 KERNELS = {
@@ -27,8 +26,7 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     the HC0 weighted-least-squares sandwich under the kernel weights,
     and ``influence`` holds each used row's HC0 influence on the jump.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
+    y, x = as_vectors(y=y, x=x)
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     u = (x - cutoff) / bandwidth
@@ -38,7 +36,7 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     if not np.any(keep & (treat == 1.0)) or not np.any(keep & (treat == 0.0)):
         raise OneSideEmpty("need observations on both sides of the cutoff "
                            "within the bandwidth")
-    Z = _columns(Z, y.size)
+    Z = as_columns(Z, y.size)
     design = np.column_stack(
         [np.ones(y.size), treat, u, treat * u] + ([Z] if Z.shape[1] else [])
     )

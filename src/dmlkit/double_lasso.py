@@ -15,9 +15,9 @@ import numpy as np
 
 from .dist import normal_p_value, normal_quantile
 from .dml.engine import InferenceResult, normal_interval
-from .dml.estimators import _columns
 from .errors import DimensionMismatch, WeakResidualVariation
-from .linalg import as_matrix, ols_fit, robust_variance
+from .linalg import (as_columns, as_matrix, as_vectors, check_rows, ols_fit,
+                     robust_variance)
 from .penalized import _lambda_max, cv_fit, lasso_fit, lasso_plugin
 from .rng import stream
 
@@ -60,8 +60,8 @@ def _lasso_residual(y, W, lam_rule: str, seed: int = 0):
     which removes the shrinkage that the penalty leaves in the fitted
     values.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if W is None or W.shape[1] == 0:
+    y = as_vectors(y=y)
+    if W.shape[1] == 0:
         return y - np.mean(y)
     active = np.flatnonzero(_rule_fit(y, W, lam_rule, seed).coefficients)
     if active.size == 0 or active.size >= y.size:
@@ -86,14 +86,13 @@ def _rule_fit(y, W, lam_rule: str, seed: int = 0):
 
 
 def _inputs(y, d, W):
-    """The outcome as a float vector, the target(s) ``d`` as given by the
-    caller (a vector, or a matrix of target columns) and the controls as
-    a matrix, n x 0 for None, all with the outcome's row count n."""
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float)
-    if len(d) != y.size:
-        raise DimensionMismatch("y and d have different row counts")
-    return y, d, _columns(W, y.size)
+    """The outcome as a float vector, the target(s) ``d`` as shaped by
+    the caller (a float vector, or a matrix of target columns) and the
+    controls as a matrix, n x 0 for None, all with the outcome's row
+    count n."""
+    y = as_vectors(y=y)
+    check_rows(y=y, d=d)
+    return y, d, as_columns(W, y.size)
 
 
 def _single_target_inference(estimate, variance, n, alpha, resid_y=None,
@@ -121,7 +120,7 @@ def double_lasso(y, d, W, lam_rule: str = "plugin",
     refits the selected controls by least squares before taking
     residuals.
     """
-    y, d, W = _inputs(y, np.ravel(d), W)
+    y, d, W = _inputs(y, as_vectors(d=d), W)
     n = y.size
     if n <= 2:
         raise DimensionMismatch("double_lasso needs n > 2 rows")
@@ -231,7 +230,7 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
 def double_selection(y, d, W, lam_rule: str = "plugin",
                      alpha: float = 0.05) -> TargetInference:
     """Refit OLS of y on d plus the union of Lasso-selected controls."""
-    y, d, W = _inputs(y, np.ravel(d), W)
+    y, d, W = _inputs(y, as_vectors(d=d), W)
     n = y.size
 
     selected: set[int] = set()
@@ -253,7 +252,7 @@ def desparsified_lasso(y, d, W, lam_rule: str = "plugin",
     """Debias the Lasso coefficient of d using the residualized target
     as the instrument; both Lasso fits take the penalty ``lam_rule``
     picks."""
-    y, d, W = _inputs(y, np.ravel(d), W)
+    y, d, W = _inputs(y, as_vectors(d=d), W)
     n = y.size
 
     joint = _rule_fit(y, np.column_stack([d, W]), lam_rule)
@@ -274,7 +273,7 @@ def desparsified_lasso(y, d, W, lam_rule: str = "plugin",
 def naive_single_selection(y, d, W, alpha: float = 0.05) -> TargetInference:
     """Single-selection refit. Invalid for inference; kept for demos and
     the result carries a warning tag saying so."""
-    y, d, W = _inputs(y, np.ravel(d), W)
+    y, d, W = _inputs(y, as_vectors(d=d), W)
     n = y.size
 
     full = np.column_stack([d, W])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (BadFoldCount, DimensionMismatch, FoldTooSmall,
                      OneArmEmpty, Separation, WeightsNotSupported)
-from .linalg import as_matrix, ols_fit
+from .linalg import as_columns, as_matrix, as_vectors, check_rows, ols_fit
 from .rng import stream
 
 DEFAULT_CLIP = 0.01
@@ -81,8 +81,9 @@ def cross_fit_predict(learner, X, y, plan: CrossFitPlan, weights=None,
     marked rows of each fold's training complement (a treatment arm or a
     DiD cell, say); every row is still predicted. Returns (predictions,
     per-fold predictors)."""
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
+    y, weights = as_vectors(y=y, weights=weights)
+    X = as_columns(X, y.size)
+    check_rows(y=y, rows=rows)
     if plan.n != X.shape[0]:
         raise DimensionMismatch("plan size does not match data")
     preds = np.empty(plan.n)
@@ -94,7 +95,7 @@ def cross_fit_predict(learner, X, y, plan: CrossFitPlan, weights=None,
             train = train[rows[train]]
         if train.size < 1:
             raise FoldTooSmall(f"fold {k} leaves no training rows")
-        w = None if weights is None else np.asarray(weights)[train]
+        w = None if weights is None else weights[train]
         predictor = learner.fit(X[train], y[train], weights=w)
         predictors.append(predictor)
         if test.size:
@@ -109,17 +110,12 @@ def learner_select(candidates, X, y, plan: CrossFitPlan, weights=None) -> dict:
     """
     if not candidates:
         raise DimensionMismatch("need at least one candidate learner")
-    y = np.asarray(y, dtype=float).ravel()
-    w = None if weights is None else np.asarray(weights, dtype=float).ravel()
-    mspes = []
-    for cand in candidates:
-        preds, _ = cross_fit_predict(cand, X, y, plan, weights=weights)
-        if w is None:
-            mspes.append(float(np.mean((y - preds) ** 2)))
-        else:
-            # Score on the same weighted loss the candidates were fit to.
-            mspes.append(float(np.sum(w * (y - preds) ** 2) / np.sum(w)))
-    mspes = np.asarray(mspes)
+    y, w = as_vectors(y=y, weights=weights)
+    mspes = np.empty(len(candidates))
+    for i, cand in enumerate(candidates):
+        preds, _ = cross_fit_predict(cand, X, y, plan, weights=w)
+        # Score on the same weighted loss the candidates were fit to.
+        mspes[i] = np.average((y - preds) ** 2, weights=w)
     return {"best_index": int(np.argmin(mspes)), "mspe": mspes}
 
 
@@ -153,12 +149,8 @@ class ZeroLearner:
 
 class MeanLearner:
     def fit(self, X, y, weights=None):
-        y = np.asarray(y, dtype=float)
-        if weights is None:
-            mu = float(np.mean(y))
-        else:
-            w = np.asarray(weights, dtype=float)
-            mu = float(np.sum(w * y) / np.sum(w))
+        y, w = as_vectors(y=y, weights=weights)
+        mu = float(np.mean(y) if w is None else np.sum(w * y) / np.sum(w))
         return _FunctionPredictor(lambda X, mu=mu: np.full(X.shape[0], mu))
 
 
@@ -301,10 +293,10 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     more than 1e-12. Nodes grow depth first, left before right, which
     is also the order of the ``rng`` draws.
     """
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
+    y, w = as_vectors(y=y, weights=weights)
+    X = as_columns(X, y.size)
     n, p = X.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(n) if w is None else w
     if min_leaf < 1:
         raise DimensionMismatch("min_leaf must be >= 1")
     w_wy = np.stack([w, w * y])
@@ -406,8 +398,8 @@ def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
     every feature. Each tree's resample is drawn from an independent RNG
     stream derived from (seed, tree index), so the result is
     order-independent."""
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
+    y, weights = as_vectors(y=y, weights=weights)
+    X = as_columns(X, y.size)
     n = X.shape[0]
     if B < 1:
         raise DimensionMismatch("forest needs B >= 1 trees")
@@ -420,7 +412,7 @@ def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
             idx = np.arange(n)
         else:
             raise ValueError(f"unknown sample_mode {sample_mode!r}")
-        w = None if weights is None else np.asarray(weights)[idx]
+        w = None if weights is None else weights[idx]
         trees.append(tree_fit(X[idx], y[idx], max_depth=max_depth,
                               min_leaf=min_leaf, weights=w))
     return _AveragePredictor(trees)
@@ -460,8 +452,8 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
     to current residuals and accumulate rate-scaled stage predictions."""
     if not 0 < rate <= 1:
         raise DimensionMismatch("learning rate must be in (0, 1]")
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
+    y, weights = as_vectors(y=y, weights=weights)
+    X = as_columns(X, y.size)
     if base is None:
         base = TreeLearner(max_depth=2, min_leaf=1)
     residual = y.copy()
@@ -513,13 +505,13 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP,
     separation), a Separation error is raised; callers that want the
     clipped fit anyway can catch it and use ``exc.predictor``.
     """
-    X = as_matrix(X)
-    d = np.asarray(d, dtype=float).ravel()
+    d, w = as_vectors(d=d, weights=weights)
+    X = as_columns(X, d.size)
     if not (np.any(d == 0) and np.any(d == 1)):
         raise OneArmEmpty("logistic fit requires both classes present")
     n = X.shape[0]
     design = np.column_stack([np.ones(n), X])
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(n) if w is None else w
     beta = np.zeros(design.shape[1])
     for _ in range(LOGISTIC_MAX_ITER):
         eta = np.clip(design @ beta, -LOGISTIC_INDEX_CAP - 5.0,
@@ -559,8 +551,8 @@ def perm_importance(predictor, X, y, reps: int = 10, seed: int = 0) -> np.ndarra
     """Average increase in MSE from permuting each feature column."""
     if reps < 1:
         raise DimensionMismatch("reps must be >= 1")
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
+    y = as_vectors(y=y)
+    X = as_columns(X, y.size)
     base_mse = float(np.mean((y - predictor.predict(X)) ** 2))
     n, p = X.shape
     out = np.zeros(p)

@@ -1,6 +1,9 @@
-"""Dense OLS, robust sandwich variances, and partialling out.
+"""Input coercion, dense OLS, robust sandwich variances, and partialling
+out.
 
-These primitives underpin every estimator in the library: fits are solved
+This module owns the per-row inputs of every estimator: their coercion
+to float vectors and matrices, the check that arguments describing the
+same rows do, and the rule that a column is constant. Fits are solved
 by column-pivoted QR with explicit rank detection, variance estimators
 cover the HC0/HC1/HC3 family, and ``partial_out`` implements the
 Frisch-Waugh-Lovell residualization used throughout.
@@ -80,6 +83,28 @@ class VarianceEstimate:
     std_errors: np.ndarray
 
 
+def check_rows(**named) -> None:
+    """Raise DimensionMismatch unless every array given has as many rows
+    as the first; a None (an optional argument left out) is skipped."""
+    rows = [(name, len(v)) for name, v in named.items() if v is not None]
+    for name, count in rows[1:]:
+        if count != rows[0][1]:
+            raise DimensionMismatch(
+                f"{rows[0][0]} and {name} have different row counts")
+
+
+def as_vectors(**named):
+    """Each argument as a flat float vector, in the order given: the
+    array itself for one argument, else a tuple. A None stays None.
+    Pass together only arguments that describe the same rows; they are
+    checked by ``check_rows``."""
+    out = {name: None if v is None else np.asarray(v, dtype=float).ravel()
+           for name, v in named.items()}
+    check_rows(**out)
+    vectors = tuple(out.values())
+    return vectors[0] if len(vectors) == 1 else vectors
+
+
 def as_matrix(X) -> np.ndarray:
     """Float array with a vector read as one column."""
     X = np.asarray(X, dtype=float)
@@ -90,6 +115,25 @@ def as_matrix(X) -> np.ndarray:
     return X
 
 
+def as_columns(X, n: int) -> np.ndarray:
+    """Covariates as a float matrix (``as_matrix``) of n rows; None is
+    the n x 0 matrix."""
+    if X is None:
+        return np.empty((n, 0))
+    X = as_matrix(X)
+    if X.shape[0] != n:
+        raise DimensionMismatch(
+            f"covariates have {X.shape[0]} rows, the outcome has {n}")
+    return X
+
+
+def constant_columns(X) -> np.ndarray:
+    """Mask of the columns of X whose values are all equal. Centring such
+    a column need not give exact zeros (six 0.1s centre to 1.39e-17), so
+    this, not a zero scale, marks a column as carrying no variation."""
+    return np.ptp(X, axis=0) == 0.0
+
+
 def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
     """Least squares of y on the columns of X.
 
@@ -97,19 +141,12 @@ def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
     relative tolerance, RankDeficient is raised unless the caller opts
     into the minimum-norm solution.
     """
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
+    y, w = as_vectors(y=y, weights=weights)
+    X = as_columns(X, y.size)
     n, p = X.shape
-    if y.size != n:
-        raise DimensionMismatch(f"y has length {y.size}, design has {n} rows")
     if n < 1:
         raise DimensionMismatch("need at least one observation")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.size != n:
-            raise DimensionMismatch("weights length mismatch")
+    w = np.ones(n) if w is None else w
 
     sw = np.sqrt(w)
     Xw = X * sw[:, None]
@@ -123,7 +160,7 @@ def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
         diag = np.abs(np.diag(R))
         top = diag[0] if diag.size else 0.0
         rank = int(np.sum(diag > RANK_RTOL * top)) if top > 0 else 0
-        if rank < min(n, p) or rank < p:
+        if rank < p:
             if not minimum_norm:
                 raise RankDeficient(
                     f"design has numerical rank {rank} < {p} columns"
@@ -210,7 +247,7 @@ def partial_out(V, W, weights=None) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     squeeze = V.ndim == 1
     Vm = V[:, None] if squeeze else V
-    W = as_matrix(W) if W is not None else np.empty((Vm.shape[0], 0))
+    W = as_columns(W, len(Vm))
     if W.shape[1] == 0:
         out = Vm.copy()
     else:
@@ -229,10 +266,7 @@ def predictive_metrics(y_true, y_pred, p: int, center: bool = False,
     with ``center=True`` outcomes are demeaned using ``train_mean`` (the
     training-sample mean) before the total second moment is formed.
     """
-    y_true = np.asarray(y_true, dtype=float).ravel()
-    y_pred = np.asarray(y_pred, dtype=float).ravel()
-    if y_true.size != y_pred.size:
-        raise DimensionMismatch("y_true and y_pred lengths differ")
+    y_true, y_pred = as_vectors(y_true=y_true, y_pred=y_pred)
     n = y_true.size
     y_ref = y_true
     if center:

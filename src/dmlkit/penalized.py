@@ -24,11 +24,13 @@ from .errors import (
     NoConvergence,
     NonFinitePenalty,
 )
-from .linalg import OlsFit, as_matrix, ols_fit
+from .linalg import (OlsFit, as_columns, as_matrix, as_vectors,
+                     constant_columns, ols_fit)
 
 MAX_SWEEPS = 10_000
 COORD_TOL = 1e-7
 KKT_TOL = 1e-6
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -66,24 +68,29 @@ class CvReport:
 
 
 def _prepare(X, y):
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.size:
-        raise DimensionMismatch("X and y have different row counts")
-    return X, y
+    y = as_vectors(y=y)
+    return as_columns(X, y.size), y
 
 
 def _standardize(X, y):
     """The design every Lasso solve reads: y centred, and the columns of
-    X centred and scaled to unit mean square (constant columns, of scale
-    0, stay zero). ``Xs`` is in Fortran order, contiguous columns for the
-    solver's BLAS calls. Returns ``(Xs, yc, xbar, ybar, scale)``."""
+    X centred and scaled to unit mean square. A degenerate column, one
+    that ``constant_columns`` marks or whose scale is 0, gets scale 0
+    and is exactly zero in ``Xs``. ``Xs`` is in Fortran order, contiguous
+    columns for the solver's BLAS calls. Returns
+    ``(Xs, yc, xbar, ybar, scale)``."""
     xbar = X.mean(axis=0)
     ybar = float(y.mean())
     Xc = X - xbar
     scale = np.sqrt(np.mean(Xc**2, axis=0))
+    # A constant column centres to its mean's rounding error, below 4 (n + 1)
+    # eps |mean| or inf once squared: only such columns need the exact test.
+    dust = np.flatnonzero((scale <= 4.0 * (len(X) + 1) * EPS * np.abs(xbar))
+                          | np.isinf(scale))
+    scale[dust[constant_columns(X[:, dust])]] = 0.0
     Xs = np.divide(Xc, np.where(scale > 0, scale, 1.0),
                    out=np.empty(X.shape, order="F"))
+    Xs[:, scale == 0.0] = 0.0
     return Xs, y - ybar, xbar, ybar, scale
 
 
@@ -273,7 +280,7 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
         psi = np.where(scale > 0, 1.0, 0.0)  # sqrt(E_n[x_j^2]) after scaling
         psi_orig = scale.copy()
     else:
-        psi_orig = np.asarray(loadings, dtype=float).ravel()
+        psi_orig = as_vectors(loadings=loadings)
         if psi_orig.size != p:
             raise DimensionMismatch("loadings length mismatch")
         if np.any(psi_orig < 0) or not np.all(np.isfinite(psi_orig)):

@@ -15,8 +15,9 @@ import numpy as np
 from .dml.engine import linear_score_result, normal_interval
 from .dist import chi2_sf
 from .dml.estimators import _plm_residuals
-from .errors import BadR2, DimensionMismatch, NotADistribution, SingularProxyMatrix
-from .linalg import as_matrix, ols_fit, robust_variance
+from .errors import BadR2, NotADistribution, SingularProxyMatrix
+from .linalg import (as_matrix, as_vectors, constant_columns, ols_fit,
+                     robust_variance)
 
 CONTOUR_POINTS = 50
 CONTOUR_R_MAX = 0.5  # the contour spans partial R-squares in [0, this]
@@ -81,8 +82,6 @@ def ovb_from_data(y, d, X, learner_l, learner_m, plan, r2_y: float,
     Also fills a contour grid of the bias bound over
     [0, CONTOUR_R_MAX]^2 for plotting.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
     ry, rd, _ = _plm_residuals(y, d, X, learner_l, learner_m, plan)
     beta = linear_score_result(psi_a=rd * rd, psi_b=rd * ry).theta
     s = float(np.mean((ry - beta * rd) ** 2) / np.mean(rd**2))
@@ -97,7 +96,7 @@ def ovb_from_data(y, d, X, learner_l, learner_m, plan, r2_y: float,
 
 
 def _check_distribution(vec, name) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float).ravel()
+    vec = as_vectors(vec=vec)
     if np.any(vec < -1e-12) or abs(vec.sum() - 1.0) > 1e-8:
         raise NotADistribution(f"{name} must be a probability vector")
     return vec
@@ -142,16 +141,12 @@ def proxy_linear_iv(y, d, s, q, X, learner, plan, alpha: float = 0.05):
     from .learners import cross_fit_predict
     from .weak_id import first_stage_diag
 
-    y = np.asarray(y, dtype=float).ravel()
-    n = y.size
-    resids = {}
-    for name, v in (("y", y), ("d", d), ("s", s), ("q", q)):
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != n:
-            raise DimensionMismatch(f"{name} length mismatch")
+    resids = []
+    for v in as_vectors(y=y, d=d, s=s, q=q):
         pred, _ = cross_fit_predict(learner, X, v, plan)
-        resids[name] = v - pred
-    ry, rd, rs, rq = resids["y"], resids["d"], resids["s"], resids["q"]
+        resids.append(v - pred)
+    ry, rd, rs, rq = resids
+    n = ry.size
 
     diag = first_stage_diag(rs, rq)
     Zmat = np.column_stack([rd, rq])
@@ -180,11 +175,11 @@ def balance_check(H, W, alpha: float = 0.05) -> dict:
     """Regress the Horvitz-Thompson transform on covariates and test
     that every slope is zero (robust Wald). Under correct propensities
     the transform is mean-independent of W."""
-    H = np.asarray(H, dtype=float).ravel()
+    H = as_vectors(H=H)
     W = as_matrix(W)
-    n, p = W.shape
-    keep = [j for j in range(p) if np.std(W[:, j]) > 0]
-    if not keep:
+    n = W.shape[0]
+    keep = np.flatnonzero(~constant_columns(W))
+    if not keep.size:
         return {"r2": 0.0, "wald": np.nan, "p_value": np.nan,
                 "t_stats": np.array([]), "vacuous": True}
     Wk = W[:, keep]

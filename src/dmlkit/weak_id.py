@@ -15,7 +15,7 @@ from scipy import linalg as sla
 
 from .dist import chi2_quantile
 from .errors import DegenerateVariance, DimensionMismatch
-from .linalg import as_matrix, ols_fit, robust_variance
+from .linalg import as_columns, as_matrix, as_vectors, ols_fit, robust_variance
 
 GRID_POINTS = 401
 CHOLESKY_JITTER = 1e-12
@@ -48,9 +48,7 @@ class ConfidenceRegion:
 
 def _moment_matrix(ry, rd, rz, theta):
     """Per-observation moments (y_res - theta d_res) * z_res, (n, m)."""
-    ry = np.asarray(ry, dtype=float).ravel()
-    rd = np.asarray(rd, dtype=float).ravel()
-    return (ry - theta * rd)[:, None] * as_matrix(rz)
+    return (ry - theta * rd)[:, None] * rz
 
 
 def _score_statistic(moments):
@@ -79,6 +77,8 @@ def _score_statistic(moments):
 
 def c_statistic(ry, rd, rz, theta: float) -> float:
     """Score statistic C(theta) for the residualized IV moments."""
+    ry, rd = as_vectors(ry=ry, rd=rd)
+    rz = as_columns(rz, ry.size)
     stat, _ = _score_statistic(_moment_matrix(ry, rd, rz, theta))
     return stat
 
@@ -141,15 +141,16 @@ def generic_weak_id(score_values, grid, alpha: float = 0.05) -> ConfidenceRegion
 def robust_region(ry, rd, rz, grid, alpha: float = 0.05) -> ConfidenceRegion:
     """``generic_weak_id`` for the residualized IV moments
     (ry - theta rd) rz."""
-    rz = as_matrix(rz)
+    ry, rd = as_vectors(ry=ry, rd=rd)
+    rz = as_columns(rz, ry.size)
     return generic_weak_id(lambda theta: _moment_matrix(ry, rd, rz, theta),
                            grid, alpha)
 
 
 def first_stage_diag(rd, rz) -> dict:
     """Robust t statistic of the first stage; |t| > 4 counts as strong."""
-    rd = np.asarray(rd, dtype=float).ravel()
-    rz = as_matrix(rz)
+    rd = as_vectors(rd=rd)
+    rz = as_columns(rz, rd.size)
     if rd.size < 3:
         raise DimensionMismatch("need n >= 3")
     design = np.column_stack([np.ones(rd.size), rz])

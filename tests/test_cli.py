@@ -538,3 +538,15 @@ def test_weak_id_region_table_writes_acceptance_as_0_1(study, tmp_path):
     table = ingest_csv(str(tmp_path / "out" / "region.csv"), ["accepted"],
                        binary=["accepted"])
     assert table["accepted"].size == 101
+
+
+def test_cate_pipeline_warns_of_the_meta_learners_own_trim(study, tmp_path):
+    # trim_count is the DR signal's; the meta-learner fits its own
+    # propensity on the training split and its trimming is a warning.
+    code, report = _run_study(study, tmp_path, "estimate", "cate-pipeline",
+                              trim="0.4", **STUDY_KEYS["cate-pipeline"])
+    assert code == 0
+    (warning,) = [w for w in report["warnings"]
+                  if w.startswith("meta-learner trimmed")]
+    count = int(warning.split()[2])
+    assert 0 < count <= report["split_sizes"][0]

@@ -502,3 +502,48 @@ def test_trim_counts_the_logistic_learners_own_clip():
     assert on_bound > 0
     res = dml_irm_ate(y, d, X, MeanLearner(), LogisticLearner(), plan)
     assert res.trim_count == on_bound
+
+
+class TestDidGuards:
+    def test_canonical_rejects_a_third_period(self):
+        y, d, t = _did_cells(1.0, 3.0, 0.0, 1.0)
+        t[0] = 3.0
+        with pytest.raises(EmptyCell, match="period"):
+            did_canonical(y, d, t)
+
+    def test_panel_without_treated_units(self):
+        with pytest.raises(NoTreatedUnits):
+            dml_did_panel(TRIM_Y, TRIM_Y, np.zeros(8), None, ZeroLearner(),
+                          HALF, no_crossfit_plan(8))
+
+    def test_rcs_rejects_a_third_period(self):
+        with pytest.raises(EmptyCell, match="period"):
+            dml_did_rcs(TRIM_Y, TRIM_T + 1.0, TRIM_D, None, ZeroLearner(),
+                        HALF, no_crossfit_plan(8))
+
+    def test_rcs_without_treated_units(self):
+        with pytest.raises(NoTreatedUnits):
+            dml_did_rcs(TRIM_Y, TRIM_T, np.zeros(8), None, ZeroLearner(),
+                        HALF, no_crossfit_plan(8))
+
+    def test_rcs_with_a_single_period(self):
+        with pytest.raises(EmptyCell, match="both periods"):
+            dml_did_rcs(TRIM_Y, np.ones(8), TRIM_D, None, ZeroLearner(),
+                        HALF, no_crossfit_plan(8))
+
+    def test_rcs_with_an_empty_cell(self):
+        # The treated are all observed in period 1.
+        t = np.where(TRIM_D == 1.0, 1.0, TRIM_T)
+        with pytest.raises(EmptyCell, match=r"cell \(d=1, t=2\)"):
+            dml_did_rcs(TRIM_Y, t, TRIM_D, None, ZeroLearner(), HALF,
+                        no_crossfit_plan(8))
+
+    def test_rcs_flags_a_single_row_cell(self):
+        t = TRIM_T.copy()
+        t[0] = 2.0  # the treated rows 0, 2, 4, 6 leave one in period 1
+        res = dml_did_rcs(TRIM_Y, t, TRIM_D, None, MeanLearner(), HALF,
+                          no_crossfit_plan(8))
+        assert res.diagnostics["degenerate_lambda"] is True
+        full = dml_did_rcs(TRIM_Y, TRIM_T, TRIM_D, None, MeanLearner(), HALF,
+                           no_crossfit_plan(8))
+        assert "degenerate_lambda" not in full.diagnostics

@@ -550,3 +550,14 @@ class TestMidpointRounding:
         assert goes_left.sum() == 2 and (~goes_left).sum() == 2
         assert not np.any(np.isnan(tree.value))
         assert preds.tolist() == [0.0, 1.0, 1.0]
+
+
+def test_boost_learner_matches_boost_fit():
+    r = np.random.default_rng(21)
+    X = r.standard_normal((50, 3))
+    y = X[:, 0] + r.standard_normal(50)
+    w = r.uniform(0.5, 2.0, size=50)
+    learner = BoostLearner(J=7, rate=0.3)
+    got = learner.fit(X, y, weights=w).predict(X)
+    want = boost_fit(X, y, J=7, rate=0.3, weights=w).predict(X)
+    assert np.array_equal(got, want)

@@ -329,3 +329,39 @@ def test_objective_increase_raises_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence, match="objective increased"):
         penalized._coordinate_descent(X - X.mean(axis=0), y - y.mean(), 1.0,
                                       0.0, np.ones(X.shape[1]))
+
+
+def test_rounding_constant_column_is_degenerate():
+    # Six 0.1s centre to 1.39e-17, not to zero: the column must still be
+    # found constant, get loading zero and vanish from the design.
+    from dmlkit.penalized import _standardize
+
+    r = np.random.default_rng(3)
+    x, y = r.standard_normal(6), r.standard_normal(6)
+    X = np.column_stack([x, np.full(6, 0.1)])
+    assert np.any(X[:, 1] - X[:, 1].mean() != 0.0)
+    fit = lasso_fit(X, y, lam=0.01)
+    assert fit.degenerate_columns == [1]
+    assert fit.loadings[1] == 0.0 and fit.coefficients[1] == 0.0
+    Xs, _, _, _, scale = _standardize(X, y)
+    assert scale[1] == 0.0 and not np.any(Xs[:, 1])
+    alone = lasso_fit(x, y, lam=0.01).coefficients[0]
+    assert fit.coefficients[0] == pytest.approx(alone, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 1.1, 3.3, -2.7, 1e200,
+                                   1e-100])
+def test_every_constant_column_is_found(value):
+    # _standardize runs the exact test only on columns whose scale is
+    # rounding dust of their mean; every constant column must be one, and
+    # a column one ulp from constant must not.
+    from dmlkit.penalized import _standardize
+
+    for n in range(1, 200):
+        X = np.column_stack([np.full(n, value),
+                             np.append(np.full(n - 1, value),
+                                       np.nextafter(value, np.inf))])
+        with np.errstate(over="ignore"):  # 1e200 squares to inf
+            scale = _standardize(X, np.zeros(n))[4]
+        assert scale[0] == 0.0
+        assert (scale[1] > 0.0) == (n > 1 and X[0, 1] != X[-1, 1])

@@ -232,3 +232,15 @@ class TestOvbFitsEachNuisanceOnce:
         assert (out.estimate, out.s, out.bias_bound, out.lower, out.upper) \
             == (direct.estimate, direct.s, direct.bias_bound, direct.lower,
                 direct.upper)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5])
+def test_balance_check_drops_any_constant_column(value):
+    # Fifty 0.1s have a standard deviation of about 1e-17 after rounding;
+    # the column is as constant as one of 0.5s and is dropped.
+    r = np.random.default_rng(8)
+    w = r.standard_normal(50)
+    H = w + r.standard_normal(50)
+    out = balance_check(H, np.column_stack([w, np.full(50, value)]))
+    assert out["dof"] == 1
+    assert out["wald"] == balance_check(H, w)["wald"]
