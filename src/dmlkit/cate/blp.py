@@ -10,7 +10,7 @@ import numpy as np
 from ..dist import normal_p_value
 from ..dml.engine import InferenceResult, normal_interval
 from ..double_lasso import band_critical_value
-from ..errors import ConstantModel
+from ..errors import ConstantModel, DimensionMismatch
 from ..linalg import as_matrix, as_vectors, ols_fit
 
 CONSTANT_TOL = 1e-12
@@ -47,7 +47,8 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
     Regresses the DR signals on the basis columns with a sandwich
     covariance. When an evaluation basis is supplied, pointwise and
     uniform bands for the fitted projection over those rows are computed,
-    the latter via the Gaussian sup-norm Monte Carlo.
+    the latter via the Gaussian sup-norm Monte Carlo; its columns must
+    match the basis's.
     """
     basis = as_matrix(basis)
     fit = ols_fit(basis, signals)
@@ -61,6 +62,10 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
     )
     if eval_basis is not None:
         G = as_matrix(eval_basis)
+        if G.shape[1] != basis.shape[1]:
+            raise DimensionMismatch(
+                f"eval_basis has {G.shape[1]} columns, basis has "
+                f"{basis.shape[1]}")
         fitted = G @ fit.coefficients
         point_cov = G @ cov @ G.T
         point_se = np.sqrt(np.clip(np.diag(point_cov), 0.0, None))

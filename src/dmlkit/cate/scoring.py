@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dml.engine import normal_interval
+from ..dml.engine import linear_score_result
 from ..errors import DimensionMismatch, IndistinguishableModels
 from ..linalg import as_matrix, as_vectors
 
@@ -46,19 +46,19 @@ def compare_models(tau_i, tau_j, signals, alpha: float = 0.05,
                    X=None) -> dict:
     """Difference in DR loss between two models with a normal CI.
 
-    The variance comes from the per-observation loss differences, so
-    shared noise in the signals cancels.
+    The difference is the mean of the per-observation loss differences
+    (a linear score with psi_a = 1), and its variance comes from them,
+    so shared noise in the signals cancels.
     """
     ti, tj, signals = as_vectors(tau_i=_as_values(tau_i, X),
                                  tau_j=_as_values(tau_j, X), signals=signals)
     if float(np.mean((ti - tj) ** 2)) <= DISTINGUISH_TOL:
         raise IndistinguishableModels("models coincide on the scoring data")
-    delta_obs = (signals - ti) ** 2 - (signals - tj) ** 2
-    delta = float(np.mean(delta_obs))
-    variance = float(np.mean((delta_obs - delta) ** 2))
-    se = float(np.sqrt(variance / signals.size))
-    return {"delta": delta, "se": se, "variance": variance,
-            "ci": normal_interval(delta, se, alpha)}
+    res = linear_score_result(np.ones(signals.size),
+                              (signals - ti) ** 2 - (signals - tj) ** 2,
+                              alpha=alpha)
+    return {"delta": res.estimate, "se": res.std_error,
+            "variance": float(res.variance[0]), "ci": res.ci}
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..cate import dr_signal, ensemble, meta_learn
 from ..dml import dml_late, dml_plm
-from ..dml.engine import normal_interval
+from ..dml.engine import linear_score_result
 from ..double_lasso import double_lasso, naive_single_selection
 from ..errors import UnknownDgp
 from ..learners import (ForestLearner, LinearLearner, LogisticLearner,
@@ -36,8 +36,8 @@ class Dgp:
     default_n: int
     truth: dict
     draw: Callable  # (n, rng) -> dict of column arrays
-    estimators: dict  # name -> (data, truth, seed) -> flat record
-    default_estimator: str
+    # name -> (data, truth, seed) -> flat record; the first is the default
+    estimators: dict
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +139,14 @@ def _est_weak_iv(data, truth, seed):
     ry = data["y"] - np.mean(data["y"])
     rd = data["d"] - np.mean(data["d"])
     rz = data["z"] - np.mean(data["z"])
-    n = ry.size
-    est = float(rz @ ry / (rz @ rd))
-    eps = ry - est * rd
-    V = float(np.mean(rz**2 * eps**2) / np.mean(rz * rd) ** 2)
-    se = np.sqrt(V / n)
-    wald_lo, wald_hi = normal_interval(est, se, 0.05)
+    res = linear_score_result(rz * rd, rz * ry)  # the IV slope
+    wald_lo, wald_hi = res.ci
     # Acceptance of theta0 itself is exact; the full region uses a grid.
     at_truth = robust_region(ry, rd, rz, np.array([theta0]))
     return {
-        "estimate": est,
-        "std_error": float(se),
-        "error": est - theta0,
+        "estimate": res.estimate,
+        "std_error": res.std_error,
+        "error": res.estimate - theta0,
         "covered_wald": float(wald_lo <= theta0 <= wald_hi),
         "covered_robust": float(at_truth.accepted[0]),
         "reject_at_truth": float(not at_truth.accepted[0]),
@@ -307,18 +303,16 @@ def _draw_sem(n, rng):
 
 
 def _est_ovb(data, truth, seed):
-    y, d = data["y"], data["d"]
-    rd = d - np.mean(d)
-    beta_short = float(rd @ y / (rd @ rd))
-    eps = y - np.mean(y) - beta_short * rd
-    n = y.size
-    se = float(np.sqrt(np.mean(rd**2 * eps**2) / np.mean(rd**2) ** 2 / n))
+    rd = data["d"] - np.mean(data["d"])
+    ry = data["y"] - np.mean(data["y"])
+    res = linear_score_result(rd * rd, rd * ry)  # the short regression
     pop = sem_population()
-    bound = ovb_bound(beta_short, pop["r2_y"], pop["r2_d"], pop["s"])
-    lo = normal_interval(bound.lower, se, 0.05)[0]
-    hi = normal_interval(bound.upper, se, 0.05)[1]
+    bound = ovb_bound(res.estimate, pop["r2_y"], pop["r2_d"], pop["s"])
+    # The bound interval widens the bounds by the Wald half-width.
+    half = res.ci[1] - res.estimate
+    lo, hi = bound.lower - half, bound.upper + half
     return {
-        "estimate": beta_short,
+        "estimate": res.estimate,
         "bias_bound": bound.bias_bound,
         "covered": float(lo <= truth["alpha"] <= hi),
     }
@@ -378,7 +372,6 @@ _register(Dgp(
     estimators={"double_lasso": _est_selection("plugin"),
                 "double_lasso_cv": _est_selection("cv"),
                 "naive": _est_selection("naive")},
-    default_estimator="double_lasso",
 ))
 
 _register(Dgp(
@@ -389,7 +382,6 @@ _register(Dgp(
     truth={},
     draw=_draw_sparse_regression,
     estimators={"plugin_lasso": _est_plugin_lasso},
-    default_estimator="plugin_lasso",
 ))
 
 _register(Dgp(
@@ -400,7 +392,6 @@ _register(Dgp(
     truth={"theta": 1.0},
     draw=_draw_weak_iv,
     estimators={"score_inversion": _est_weak_iv},
-    default_estimator="score_inversion",
 ))
 
 _register(Dgp(
@@ -412,7 +403,6 @@ _register(Dgp(
     draw=_draw_plm_smooth,
     estimators={"plm_forest": _est_plm_forest,
                 "plm_overfit_nocrossfit": _est_plm_overfit_no_crossfit},
-    default_estimator="plm_forest",
 ))
 
 for _k, _p, _het in ((1, 0.05, False), (2, 0.05, True), (3, 0.95, True)):
@@ -425,7 +415,6 @@ for _k, _p, _het in ((1, 0.05, False), (2, 0.05, True), (3, 0.95, True)):
         truth={},
         draw=(lambda n, rng, p=_p, het=_het: _draw_uplift(n, rng, p, het)),
         estimators={"meta_all": _est_meta_all},
-        default_estimator="meta_all",
     ))
 
 _register(Dgp(
@@ -436,7 +425,6 @@ _register(Dgp(
     truth={"alpha": SEM_ALPHA},
     draw=_draw_sem,
     estimators={"ovb": _est_ovb},
-    default_estimator="ovb",
 ))
 
 _register(Dgp(
@@ -447,7 +435,6 @@ _register(Dgp(
     truth={"theta": late_truth()},
     draw=_draw_discrete_late,
     estimators={"dml_late": _est_discrete_late},
-    default_estimator="dml_late",
 ))
 
 
@@ -462,7 +449,7 @@ def simulate_once(dgp_name: str, estimator: str | None, n: int | None,
                   master_seed: int, rep: int) -> dict:
     """Run a single replication; fully determined by (seed, rep)."""
     dgp = get_dgp(dgp_name)
-    est_name = estimator or dgp.default_estimator
+    est_name = estimator or next(iter(dgp.estimators))
     if est_name not in dgp.estimators:
         known = ", ".join(sorted(dgp.estimators))
         raise UnknownDgp(

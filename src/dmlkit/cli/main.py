@@ -20,8 +20,9 @@ from ..cate import (calibration, dr_signal, heterogeneity_blp_test,
                     meta_learn, three_way_split, toc_qini)
 from ..dml import did_canonical, rct_estimators, rdd_sharp
 from ..dml.estimators import DEFAULT_TRIM
-from ..errors import (ConfigError, DmlkitError, NonBinaryTreatment,
-                      ParseError, UnknownDgp, WeightsNotSupported)
+from ..errors import (ConfigError, ConstantModel, DmlkitError,
+                      NonBinaryTreatment, ParseError, UnknownDgp,
+                      WeightsNotSupported)
 from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
                         LinearLearner, LogisticLearner, MeanLearner,
                         TreeLearner, ZeroLearner, cross_fit_predict,
@@ -118,7 +119,9 @@ def _load_columns(config: RunConfig, data_path, roles, binary) -> dict:
             for role, cols in names.items()}
 
 
-def _result_rows(result, labels=None) -> list[dict]:
+def _result_rows(result) -> list[dict]:
+    """One row per estimate, labelled by its group for GATEs."""
+    labels = result.diagnostics.get("group_labels")
     rows = []
     for i in range(result.estimates.size):
         rows.append({
@@ -131,11 +134,11 @@ def _result_rows(result, labels=None) -> list[dict]:
     return rows
 
 
-def _result_report(config: RunConfig, result, labels=None):
+def _result_report(config: RunConfig, result):
     """Report and estimates table of a ``DmlResult``."""
     diag = dict(result.diagnostics)
     rmse = {k: diag.pop(k) for k in list(diag) if k.startswith("rmse_")}
-    rows = _result_rows(result, labels)
+    rows = _result_rows(result)
     report = {
         "estimand": config.estimand,
         "provenance": provenance(config),
@@ -178,11 +181,8 @@ def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
                          spec.binary)
     y = data["outcome"]
     alpha = config.get("alpha", DEFAULT_ALPHA)
-    labels = None
     if spec.estimator is not None:
         result = _cross_fit(config, spec, data, alpha)
-        if estimand == "gate":
-            labels = np.unique(data["group"])
     elif estimand == "did_canonical":
         result = did_canonical(y, data["treatment"], data["time"],
                                alpha=alpha)
@@ -206,7 +206,7 @@ def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
         return _weak_id_report(config, spec, data, alpha)
     else:
         return _cate_pipeline_report(config, spec, data, alpha)
-    return _result_report(config, result, labels)
+    return _result_report(config, result)
 
 
 def _sensitivity_report(config, spec, data):
@@ -306,15 +306,17 @@ def _cate_pipeline_report(config, spec, data, alpha):
                       K=config.get("bins", 5), alpha=alpha)
     curves = toc_qini(tau_test, s_test, tau_valid, alpha=alpha,
                       seed=derive_seed(seed, "uplift-band", 0))
+    warnings = []
     try:
         het = heterogeneity_blp_test(tau_test, s_test, alpha=alpha)
-    except DmlkitError:
-        het = {"slope": 0.0, "p_value": 1.0, "reject": False,
-               "note": "constant predictions"}
+    except ConstantModel:
+        het = {"slope": 0.0, "p_value": 1.0, "reject": False}
+        warnings.append("heterogeneity test skipped: constant effect "
+                        "predictions")
     # trim_count is the DR signal's; the meta-learner trims on its own.
     model_trim = model.metadata.get("trim_count", 0)
-    warnings = ([f"meta-learner trimmed {model_trim} propensities"]
-                if model_trim > 0 else [])
+    if model_trim > 0:
+        warnings.append(f"meta-learner trimmed {model_trim} propensities")
     report = {
         "estimand": "cate-pipeline",
         "provenance": provenance(config),
@@ -329,7 +331,7 @@ def _cate_pipeline_report(config, spec, data, alpha):
             "model_means": cal.model_means,
         },
         "heterogeneity_test": {k: het[k] for k in ("slope", "p_value",
-                                                   "reject") if k in het},
+                                                   "reject")},
         "autoc": curves.autoc,
         "autoc_se": curves.autoc_se,
         "autoc_lower": curves.autoc_lower,
@@ -439,7 +441,7 @@ def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> di
     records.sort(key=lambda r: r["replication"])
     report = {
         "dgp": name,
-        "estimator": estimator or dgp.default_estimator,
+        "estimator": estimator or next(iter(dgp.estimators)),
         "n": n or dgp.default_n,
         "replications": reps,
         "truth": dgp.truth,

@@ -17,7 +17,7 @@ from ..dist import normal_quantile
 from ..errors import BadFoldCount, SingularJacobian
 from ..linalg import as_vectors
 
-JACOBIAN_ATOL = 1e-12
+JACOBIAN_RTOL = 1e-12
 
 
 @dataclass(kw_only=True)
@@ -87,16 +87,19 @@ def linear_score_result(psi_a, psi_b, alpha: float = 0.05,
     """Solve the empirical moment condition for a linear score.
 
     ``jacobian`` overrides E_n[psi_a] in the influence normalization for
-    estimands whose variance theory prescribes a specific J.
+    estimands whose variance theory prescribes a specific J. Both
+    Jacobians count as zero at or below 1e-12 E_n[|psi_a|], so the check
+    does not depend on the units of the data.
     """
     psi_a, psi_b = as_vectors(psi_a=psi_a, psi_b=psi_b)
     n = psi_b.size
+    zero = JACOBIAN_RTOL * float(np.mean(np.abs(psi_a)))
     J_solve = float(np.mean(psi_a))
-    if abs(J_solve) < JACOBIAN_ATOL:
+    if abs(J_solve) <= zero:
         raise SingularJacobian("moment Jacobian is numerically zero")
     theta = float(np.mean(psi_b)) / J_solve
     J = J_solve if jacobian is None else float(jacobian)
-    if abs(J) < JACOBIAN_ATOL:
+    if abs(J) <= zero:
         raise SingularJacobian("variance Jacobian is numerically zero")
     influence = (psi_b - psi_a * theta) / J
     variance = float(np.mean(influence**2) - np.mean(influence) ** 2)

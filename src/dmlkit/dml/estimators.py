@@ -6,7 +6,6 @@ import numpy as np
 
 from ..errors import (
     DimensionMismatch,
-    EmptyGroup,
     ExactlyZeroCovariance,
     FoldTooSmall,
     NoCompliance,
@@ -106,45 +105,31 @@ def dml_gate(y, d, X, groups, learner_g, learner_m, plan,
              trim: float = DEFAULT_TRIM, alpha: float = 0.05) -> DmlResult:
     """Group average treatment effects from shared IRM signals.
 
-    ``groups`` is an (n,) integer label array; one estimate per distinct
-    label. Each GATE is the group mean of the ATE signal, so GATEs
-    weighted by group shares reproduce the ATE exactly.
+    ``groups`` is an (n,) label array without missing (NaN) labels; one
+    estimate per distinct label. Group g's GATE solves the linear score
+    with psi_a = 1{g} and psi_b = phi 1{g}, where phi is the ATE signal,
+    so it is the group mean of phi, and GATEs weighted by group shares
+    reproduce the ATE exactly. The SE of a one-row group is NaN.
     """
     phi, trimmed, diag = irm_signals(y, d, X, learner_g, learner_m, plan, trim)
     groups = np.asarray(groups).ravel()  # labels keep their type for reports
     check_rows(y=phi, groups=groups)
+    missing = np.flatnonzero(groups != groups)
+    if missing.size:
+        raise DimensionMismatch(f"group label is missing in row {missing[0]}")
     labels = np.unique(groups)
-    n = phi.size
-    q = labels.size
-    estimates = np.empty(q)
-    variances = np.empty(q)
-    influence = np.zeros((n, q))
-    degenerate = []
-    for j, lab in enumerate(labels):
-        mask = groups == lab
-        share = float(np.mean(mask))
-        if share == 0.0:
-            raise EmptyGroup(f"group {lab!r} is empty")
-        theta_g = float(np.mean(phi[mask]))
-        estimates[j] = theta_g
-        influence[mask, j] = (phi[mask] - theta_g) / share
-        variances[j] = float(np.mean(influence[:, j] ** 2))
-        if np.sum(mask) < 2:
-            degenerate.append(lab)
-            variances[j] = np.nan
-    se = np.sqrt(variances / n)
-    diag = dict(diag)
-    diag["group_labels"] = labels
-    if degenerate:
-        diag["degenerate_groups"] = degenerate
+    masks = groups == labels[:, None]
+    fits = [linear_score_result(m, phi * m, alpha=alpha) for m in masks]
+    single = masks.sum(axis=1) < 2
+    variances = np.where(single, np.nan, [f.variance[0] for f in fits])
+    diag = {**diag, "group_labels": labels}
+    if np.any(single):
+        diag["degenerate_groups"] = list(labels[single])
     return DmlResult(
-        estimates=estimates,
-        std_errors=se,
-        influence=influence,
-        variance=variances,
-        alpha=alpha,
-        n=n,
-        trim_count=trimmed,
+        estimates=np.array([f.theta for f in fits]),
+        std_errors=np.sqrt(variances / phi.size),
+        influence=np.column_stack([f.influence for f in fits]),
+        variance=variances, alpha=alpha, n=phi.size, trim_count=trimmed,
         diagnostics=diag,
     )
 

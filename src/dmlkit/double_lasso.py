@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import normal_p_value, normal_quantile
-from .dml.engine import InferenceResult, normal_interval
+from .dml.engine import (InferenceResult, linear_score_result,
+                         normal_interval)
 from .errors import DimensionMismatch, WeakResidualVariation
 from .linalg import (as_columns, as_matrix, as_vectors, check_rows, ols_fit,
                      robust_variance)
@@ -95,6 +96,15 @@ def _inputs(y, d, W):
     return y, d, as_columns(W, y.size)
 
 
+def _check_variation(denom: float, target, message: str) -> None:
+    """Raise ``WeakResidualVariation`` when ``denom``, the moment whose
+    inverse scales the target's slope, is at or below WEAK_VARIATION_RTOL
+    times E_n[target^2] in absolute value (so also for an all-zero
+    target)."""
+    if abs(denom) <= WEAK_VARIATION_RTOL * float(np.mean(target**2)):
+        raise WeakResidualVariation(message)
+
+
 def _single_target_inference(estimate, variance, n, alpha, resid_y=None,
                              resid_d=None, warning=None) -> TargetInference:
     # With one target the simultaneous band is the pointwise interval.
@@ -128,10 +138,8 @@ def double_lasso(y, d, W, lam_rule: str = "plugin",
     ry = _lasso_residual(y, W, lam_rule)
     rd = _lasso_residual(d, W, lam_rule)
     denom = float(np.mean(rd**2))
-    if denom < WEAK_VARIATION_RTOL * float(np.mean(d**2)):
-        raise WeakResidualVariation(
-            "target has no residual variation after partialling out"
-        )
+    _check_variation(denom, d,
+                     "target has no residual variation after partialling out")
     estimate = float(np.mean(rd * ry) / denom)
     eps = ry - estimate * rd
     variance = float(np.mean(rd**2 * eps**2)) / denom**2
@@ -188,102 +196,86 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
     """One-by-one Double Lasso over the columns of D with a joint band.
 
     Target ell is partialled out of the other targets stacked with the
-    shared controls. The joint variance uses cross residual products and
-    the simultaneous critical value comes from a Gaussian sup-norm
-    Monte Carlo on the implied correlation matrix.
+    shared controls, and its slope solves the linear score with
+    psi_a = rd^2 and psi_b = rd ry. The joint variance is the covariance
+    of the targets' stacked influence values, and the simultaneous
+    critical value comes from a Gaussian sup-norm Monte Carlo on the
+    implied correlation matrix.
     """
     y, D, W = _inputs(y, as_matrix(D), W)
     n, p1 = D.shape
 
-    ry_all = np.empty((n, p1))
     rd_all = np.empty((n, p1))
-    estimates = np.empty(p1)
+    fits = []
     for ell in range(p1):
         others = np.delete(D, ell, axis=1)
         controls = np.column_stack([others, W]) if others.size or W.size else W
         ry = _lasso_residual(y, controls, lam_rule)
         rd = _lasso_residual(D[:, ell], controls, lam_rule)
-        denom = float(np.mean(rd**2))
-        if denom < WEAK_VARIATION_RTOL * float(np.mean(D[:, ell] ** 2)):
-            raise WeakResidualVariation(f"target {ell} has no residual variation")
-        estimates[ell] = np.mean(rd * ry) / denom
-        ry_all[:, ell] = ry
+        _check_variation(float(np.mean(rd**2)), D[:, ell],
+                         f"target {ell} has no residual variation")
+        fits.append(linear_score_result(rd * rd, rd * ry, alpha=alpha))
         rd_all[:, ell] = rd
 
-    eps = ry_all - rd_all * estimates[None, :]
-    denoms = np.mean(rd_all**2, axis=0)
-    # V_lk = (E[rd_l^2])^-1 E[rd_l rd_k eps_l eps_k] (E[rd_k^2])^-1
-    cross = (rd_all * eps).T @ (rd_all * eps) / n
-    V = cross / denoms[:, None] / denoms[None, :]
-    V = 0.5 * (V + V.T)
+    influence = np.column_stack([f.influence for f in fits])
+    V = np.atleast_2d(np.cov(influence, rowvar=False, bias=True))
     return TargetInference(
-        estimates=estimates,
-        std_errors=np.sqrt(np.diag(V) / n),
+        estimates=np.concatenate([f.estimates for f in fits]),
+        std_errors=np.concatenate([f.std_errors for f in fits]),
         joint_variance=V,
         critical_value=band_critical_value(V, alpha, seed=seed),
-        residual_targets=rd_all,
-        alpha=alpha,
-        n=n,
+        residual_targets=rd_all, alpha=alpha, n=n,
     )
+
+
+def _support_refit(y, d, W, keep, alpha, warning=None) -> TargetInference:
+    """OLS of y on (1, d, W[:, keep]): d's coefficient with its HC0
+    variance."""
+    n = y.size
+    fit = ols_fit(np.column_stack([np.ones(n), d, W[:, keep]]), y)
+    variance = float(robust_variance(fit, "HC0").matrix[1, 1] * n)
+    return _single_target_inference(float(fit.coefficients[1]), variance, n,
+                                    alpha, warning=warning)
 
 
 def double_selection(y, d, W, lam_rule: str = "plugin",
                      alpha: float = 0.05) -> TargetInference:
     """Refit OLS of y on d plus the union of Lasso-selected controls."""
     y, d, W = _inputs(y, as_vectors(d=d), W)
-    n = y.size
-
     selected: set[int] = set()
     if W.shape[1]:
         for target in (y, d):
             fit = _rule_fit(target, W, lam_rule)
             selected.update(int(j) for j in fit.active_set)
-    keep = sorted(selected)
-    design = np.column_stack([np.ones(n), d, W[:, keep]])
-    fit = ols_fit(design, y)
-    var = robust_variance(fit, "HC0")
-    estimate = float(fit.coefficients[1])
-    variance = float(var.matrix[1, 1] * n)
-    return _single_target_inference(estimate, variance, n, alpha)
+    return _support_refit(y, d, W, sorted(selected), alpha)
 
 
 def desparsified_lasso(y, d, W, lam_rule: str = "plugin",
                        alpha: float = 0.05) -> TargetInference:
     """Debias the Lasso coefficient of d using the residualized target
     as the instrument; both Lasso fits take the penalty ``lam_rule``
-    picks."""
+    picks. The estimate solves the linear score with psi_a = d rd and
+    psi_b = partial_y rd, where partial_y is y less the joint Lasso's
+    intercept and control part."""
     y, d, W = _inputs(y, as_vectors(d=d), W)
-    n = y.size
-
     joint = _rule_fit(y, np.column_stack([d, W]), lam_rule)
     if W.shape[1]:
         rd = d - _rule_fit(d, W, lam_rule).predict(W)
     else:
         rd = d - np.mean(d)
-    denom = float(np.mean(d * rd))
-    if abs(denom) < WEAK_VARIATION_RTOL * max(float(np.mean(d**2)), 1e-300):
-        raise WeakResidualVariation("instrumenting residual is degenerate")
+    _check_variation(float(np.mean(d * rd)), d,
+                     "instrumenting residual is degenerate")
     partial_y = y - joint.intercept - W @ joint.coefficients[1:]
-    estimate = float(np.mean(partial_y * rd) / denom)
-    eps = partial_y - estimate * d
-    variance = float(np.mean(rd**2 * eps**2)) / denom**2
-    return _single_target_inference(estimate, variance, n, alpha)
+    fit = linear_score_result(d * rd, partial_y * rd, alpha=alpha)
+    return _single_target_inference(fit.theta, fit.variance[0], y.size, alpha)
 
 
 def naive_single_selection(y, d, W, alpha: float = 0.05) -> TargetInference:
     """Single-selection refit. Invalid for inference; kept for demos and
     the result carries a warning tag saying so."""
     y, d, W = _inputs(y, as_vectors(d=d), W)
-    n = y.size
-
-    full = np.column_stack([d, W])
-    fit = lasso_plugin(full, y)
+    fit = lasso_plugin(np.column_stack([d, W]), y)
     keep = sorted(int(j) - 1 for j in fit.active_set if j >= 1)
-    design = np.column_stack([np.ones(n), d, W[:, keep]])
-    ofit = ols_fit(design, y)
-    var = robust_variance(ofit, "HC0")
-    estimate = float(ofit.coefficients[1])
-    variance = float(var.matrix[1, 1] * n)
-    return _single_target_inference(
-        estimate, variance, n, alpha,
+    return _support_refit(
+        y, d, W, keep, alpha,
         warning="single selection is not Neyman orthogonal; inference invalid")

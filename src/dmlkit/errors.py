@@ -53,10 +53,6 @@ class OneArmEmpty(DmlkitError):
     pass
 
 
-class EmptyGroup(DmlkitError):
-    pass
-
-
 class NoTreatedUnits(DmlkitError):
     pass
 

@@ -8,7 +8,8 @@ from dmlkit.cate import (blp_cate, calibration, compare_models, dr_loss,
                          optimal_policy_value, policy_learn, policy_value,
                          three_way_split, toc_qini)
 from dmlkit.dml import dml_irm_ate, dml_plm
-from dmlkit.errors import (ConstantModel, EmptyBin, IndistinguishableModels)
+from dmlkit.errors import (ConstantModel, DimensionMismatch, EmptyBin,
+                           IndistinguishableModels)
 from dmlkit.learners import (FunctionLearner, LinearLearner, LogisticLearner,
                              MeanLearner, ZeroLearner, make_folds,
                              no_crossfit_plan)
@@ -472,3 +473,10 @@ def test_calibration_merges_tied_cut_points():
                       K=4)
     assert rep.bin_edges.tolist() == [1.0]
     assert rep.counts.tolist() == [1, 3]
+
+
+def test_blp_eval_basis_must_match_the_basis_columns():
+    r = np.random.default_rng(3)
+    B = np.column_stack([np.ones(50), r.standard_normal(50)])
+    with pytest.raises(DimensionMismatch, match="3 columns"):
+        blp_cate(r.standard_normal(50), B, eval_basis=np.ones((3, 3)))

@@ -5,6 +5,7 @@ import pytest
 
 from dmlkit.cli.config import (ESTIMANDS, parse_config_text,
                                validate_config)
+from dmlkit.cli.dgps import REGISTRY, Dgp
 from dmlkit.cli.ingest import ingest_csv
 from dmlkit.cli.main import main
 from dmlkit.cli.reports import render_report
@@ -550,3 +551,27 @@ def test_cate_pipeline_warns_of_the_meta_learners_own_trim(study, tmp_path):
                   if w.startswith("meta-learner trimmed")]
     count = int(warning.split()[2])
     assert 0 < count <= report["split_sizes"][0]
+
+
+def test_cate_pipeline_reports_a_skipped_heterogeneity_test(study, tmp_path):
+    # A constant effect model leaves the BLP slope unidentified: the
+    # placeholder is reported together with a warning.
+    keys = {**STUDY_KEYS["cate-pipeline"], "learner_effect": "mean"}
+    code, report = _run_study(study, tmp_path, "estimate", "cate-pipeline",
+                              **keys)
+    assert code == 0
+    assert report["heterogeneity_test"] == {"slope": 0.0, "p_value": 1.0,
+                                            "reject": False}
+    assert ("heterogeneity test skipped: constant effect predictions"
+            in report["warnings"])
+
+
+def test_simulate_defaults_to_the_first_listed_estimator(tmp_path):
+    assert "default_estimator" not in Dgp.__dataclass_fields__
+    config = _write(tmp_path / "sim.cfg",
+                    "dgp = weak_iv\nn = 60\nreplications = 2\nseed = 4\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["estimator"] == next(iter(REGISTRY["weak_iv"].estimators))
+    assert report["estimator"] == "score_inversion"

@@ -6,9 +6,10 @@ from dmlkit.dml import (did_canonical, dml_atet, dml_did_panel, dml_did_rcs,
                         dml_gate, dml_irm_ate, dml_late, dml_pliv, dml_plm,
                         rct_estimators, rdd_sharp)
 from dmlkit.dml.engine import generic_dml, linear_score_result, normal_interval
-from dmlkit.errors import (BadFoldCount, EmptyCell, NoCompliance,
-                           NoTreatedUnits, OneArmEmpty, OneSideEmpty,
-                           SingularJacobian, WeakResidualVariation)
+from dmlkit.errors import (BadFoldCount, DimensionMismatch, EmptyCell,
+                           NoCompliance, NoTreatedUnits, OneArmEmpty,
+                           OneSideEmpty, SingularJacobian,
+                           WeakResidualVariation)
 from dmlkit.learners import (FunctionLearner, LogisticLearner, MeanLearner,
                              ZeroLearner, cross_fit_predict, make_folds,
                              no_crossfit_plan)
@@ -547,3 +548,21 @@ class TestDidGuards:
         full = dml_did_rcs(TRIM_Y, TRIM_T, TRIM_D, None, MeanLearner(), HALF,
                            no_crossfit_plan(8))
         assert "degenerate_lambda" not in full.diagnostics
+
+
+@pytest.mark.parametrize("dtype", [float, object])
+def test_gate_rejects_a_missing_group_label(dtype):
+    # np.unique gathers the NaNs into one label that no row equals, so a
+    # missing label is named as missing before any group is formed.
+    groups = np.array([0.0, 1.0, 0.0, np.nan], dtype=dtype)
+    with pytest.raises(DimensionMismatch, match="row 3"):
+        dml_gate(IRM_Y, IRM_D, np.zeros((4, 1)), groups, ZeroLearner(),
+                 HALF, no_crossfit_plan(4))
+
+
+def test_gate_keeps_string_labels():
+    groups = np.array(["b", "a", "b", "a"])
+    res = dml_gate(IRM_Y, IRM_D, np.zeros((4, 1)), groups, ZeroLearner(),
+                   HALF, no_crossfit_plan(4))
+    assert res.diagnostics["group_labels"].tolist() == ["a", "b"]
+    assert res.estimates == pytest.approx([-1.0, 3.0])

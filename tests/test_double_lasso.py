@@ -269,3 +269,11 @@ def test_short_controls_are_a_dimension_mismatch(procedure):
     y, d, W = _confounded_data(0, n=30)
     with pytest.raises(DimensionMismatch):
         procedure(y, d, W[:-1])
+
+
+@pytest.mark.parametrize("procedure",
+                         [double_lasso, desparsified_lasso, many_targets])
+def test_all_zero_target_is_weak_variation(procedure):
+    y, _, W = _confounded_data(0, n=30)
+    with pytest.raises(WeakResidualVariation):
+        procedure(y, np.zeros(30), W)

@@ -1,0 +1,234 @@
+"""Estimates that go through ``dml.engine.linear_score_result`` against
+frozen copies of the hand-written formulas they replaced.
+
+Each ``_ref_*`` function keeps the earlier closed form verbatim: the
+estimate as a ratio of sample moments and the HC0 variance as the
+second moment of the (uncentred) influence values. The engine centres
+its influence values and sums in a different order, so the two agree
+to rounding: estimates to 1e-12 and SEs and joint variances to 1e-10,
+relative to the larger of 1 and the reference's magnitude.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from dmlkit.cate import compare_models
+from dmlkit.cli.dgps import (_draw_sem, _draw_weak_iv, _est_ovb,
+                             _est_weak_iv, sem_population)
+from dmlkit.dml import dml_gate, dml_pliv, dml_plm
+from dmlkit.dml.engine import linear_score_result, normal_interval
+from dmlkit.dml.estimators import irm_signals
+from dmlkit.double_lasso import (_lasso_residual, _rule_fit,
+                                 desparsified_lasso, many_targets)
+from dmlkit.errors import SingularJacobian
+from dmlkit.learners import LinearLearner, LogisticLearner, make_folds
+from dmlkit.sensitivity import ovb_bound
+
+ESTIMATE_RTOL = 1e-12
+VARIANCE_RTOL = 1e-10
+
+
+def _close(actual, reference, rtol):
+    reference = np.asarray(reference, dtype=float)
+    scale = max(1.0, float(np.nanmax(np.abs(reference))))
+    np.testing.assert_allclose(actual, reference, rtol=rtol,
+                               atol=rtol * scale, equal_nan=True)
+
+
+def _ref_gate(phi, groups):
+    labels = np.unique(groups)
+    n = phi.size
+    estimates = np.empty(labels.size)
+    variances = np.empty(labels.size)
+    for j, lab in enumerate(labels):
+        mask = groups == lab
+        share = float(np.mean(mask))
+        estimates[j] = float(np.mean(phi[mask]))
+        influence = np.zeros(n)
+        influence[mask] = (phi[mask] - estimates[j]) / share
+        variances[j] = float(np.mean(influence**2))
+        if np.sum(mask) < 2:
+            variances[j] = np.nan
+    return estimates, np.sqrt(variances / n)
+
+
+def _ref_many_targets(y, D, W):
+    n, p1 = D.shape
+    ry_all = np.empty((n, p1))
+    rd_all = np.empty((n, p1))
+    estimates = np.empty(p1)
+    for ell in range(p1):
+        controls = np.column_stack([np.delete(D, ell, axis=1), W])
+        ry = _lasso_residual(y, controls, "plugin")
+        rd = _lasso_residual(D[:, ell], controls, "plugin")
+        estimates[ell] = np.mean(rd * ry) / float(np.mean(rd**2))
+        ry_all[:, ell] = ry
+        rd_all[:, ell] = rd
+    eps = ry_all - rd_all * estimates[None, :]
+    denoms = np.mean(rd_all**2, axis=0)
+    cross = (rd_all * eps).T @ (rd_all * eps) / n
+    V = cross / denoms[:, None] / denoms[None, :]
+    return estimates, 0.5 * (V + V.T)
+
+
+def _ref_desparsified(y, d, W):
+    joint = _rule_fit(y, np.column_stack([d, W]), "plugin")
+    rd = d - _rule_fit(d, W, "plugin").predict(W)
+    denom = float(np.mean(d * rd))
+    partial_y = y - joint.intercept - W @ joint.coefficients[1:]
+    estimate = float(np.mean(partial_y * rd) / denom)
+    eps = partial_y - estimate * d
+    variance = float(np.mean(rd**2 * eps**2)) / denom**2
+    return estimate, np.sqrt(variance / y.size)
+
+
+def _ref_compare(ti, tj, signals):
+    delta_obs = (signals - ti) ** 2 - (signals - tj) ** 2
+    delta = float(np.mean(delta_obs))
+    variance = float(np.mean((delta_obs - delta) ** 2))
+    return delta, variance
+
+
+def _ref_weak_iv(data, theta0):
+    ry = data["y"] - np.mean(data["y"])
+    rd = data["d"] - np.mean(data["d"])
+    rz = data["z"] - np.mean(data["z"])
+    est = float(rz @ ry / (rz @ rd))
+    eps = ry - est * rd
+    V = float(np.mean(rz**2 * eps**2) / np.mean(rz * rd) ** 2)
+    se = np.sqrt(V / ry.size)
+    lo, hi = normal_interval(est, se, 0.05)
+    return est, se, float(lo <= theta0 <= hi)
+
+
+def _ref_ovb(data, alpha):
+    y, d = data["y"], data["d"]
+    rd = d - np.mean(d)
+    beta_short = float(rd @ y / (rd @ rd))
+    eps = y - np.mean(y) - beta_short * rd
+    se = float(np.sqrt(np.mean(rd**2 * eps**2) / np.mean(rd**2) ** 2
+                       / y.size))
+    pop = sem_population()
+    bound = ovb_bound(beta_short, pop["r2_y"], pop["r2_d"], pop["s"])
+    lo = normal_interval(bound.lower, se, 0.05)[0]
+    hi = normal_interval(bound.upper, se, 0.05)[1]
+    return beta_short, se, float(lo <= alpha <= hi)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_gate_matches_the_hand_formula(seed, groups_count):
+    r = np.random.default_rng(seed)
+    n = 80
+    X = r.standard_normal((n, 2))
+    d = (r.uniform(size=n) < 0.5).astype(float)
+    y = d * (1.0 + X[:, 0]) + r.standard_normal(n)
+    groups = r.integers(0, groups_count, size=n)
+    groups[0] = groups_count  # a one-row group, whose SE is NaN
+    plan = make_folds(n, 3, seed)
+    res = dml_gate(y, d, X, groups, LinearLearner(), LogisticLearner(), plan)
+    phi, _, _ = irm_signals(y, d, X, LinearLearner(), LogisticLearner(), plan)
+    estimates, se = _ref_gate(phi, groups)
+    _close(res.estimates, estimates, ESTIMATE_RTOL)
+    _close(res.std_errors, se, VARIANCE_RTOL)
+    assert np.isnan(res.std_errors[-1])
+
+
+@given(st.integers(0, 10_000))
+def test_many_targets_match_the_hand_formula(seed):
+    r = np.random.default_rng(seed)
+    n = 90
+    D = r.standard_normal((n, 3))
+    W = r.standard_normal((n, 6))
+    y = D @ np.array([1.0, 0.0, -0.5]) + W[:, 0] + r.standard_normal(n)
+    res = many_targets(y, D, W)
+    estimates, V = _ref_many_targets(y, D, W)
+    _close(res.estimates, estimates, ESTIMATE_RTOL)
+    _close(res.joint_variance, V, VARIANCE_RTOL)
+    _close(res.std_errors, np.sqrt(np.diag(V) / n), VARIANCE_RTOL)
+
+
+@given(st.integers(0, 10_000))
+def test_desparsified_lasso_matches_the_hand_formula(seed):
+    r = np.random.default_rng(seed)
+    n = 100
+    W = r.standard_normal((n, 8))
+    d = W[:, 0] + r.standard_normal(n)
+    y = 0.7 * d + W[:, 1] + r.standard_normal(n)
+    res = desparsified_lasso(y, d, W)
+    estimate, se = _ref_desparsified(y, d, W)
+    _close(res.estimate, estimate, ESTIMATE_RTOL)
+    _close(res.std_error, se, VARIANCE_RTOL)
+    _close(res.joint_variance, [[se**2 * n]], VARIANCE_RTOL)
+
+
+@given(st.integers(0, 10_000))
+def test_compare_models_matches_the_hand_formula(seed):
+    r = np.random.default_rng(seed)
+    s, ti, tj = r.standard_normal((3, 60))
+    out = compare_models(ti, tj, s)
+    delta, variance = _ref_compare(ti, tj, s)
+    _close(out["delta"], delta, ESTIMATE_RTOL)
+    _close(out["variance"], variance, VARIANCE_RTOL)
+    _close(out["se"], np.sqrt(variance / s.size), VARIANCE_RTOL)
+
+
+@given(st.integers(0, 10_000))
+def test_weak_iv_slope_matches_the_hand_formula(seed):
+    data = _draw_weak_iv(300, np.random.default_rng(seed))
+    record = _est_weak_iv(data, {"theta": 1.0}, seed)
+    est, se, covered = _ref_weak_iv(data, 1.0)
+    _close(record["estimate"], est, ESTIMATE_RTOL)
+    _close(record["std_error"], se, VARIANCE_RTOL)
+    assert record["covered_wald"] == covered
+
+
+@given(st.integers(0, 10_000))
+def test_ovb_slope_matches_the_hand_formula(seed):
+    data = _draw_sem(300, np.random.default_rng(seed))
+    record = _est_ovb(data, {"alpha": 1.0}, seed)
+    estimate, se, covered = _ref_ovb(data, 1.0)
+    _close(record["estimate"], estimate, ESTIMATE_RTOL)
+    assert record["covered"] == covered
+    rd = data["d"] - np.mean(data["d"])
+    ry = data["y"] - np.mean(data["y"])
+    _close(linear_score_result(rd * rd, rd * ry).std_error, se,
+           VARIANCE_RTOL)
+
+
+# ---------------------------------------------------------------------------
+# The Jacobian checks are relative to E_n[|psi_a|]
+
+
+def _plm_draw(n=500, seed=5):
+    r = np.random.default_rng(seed)
+    X = r.standard_normal((n, 3))
+    z = X[:, 0] + r.standard_normal(n)
+    d = 0.8 * z + X[:, 1] + r.standard_normal(n)
+    y = 2.0 * d + X[:, 2] + r.standard_normal(n)
+    return y, d, z, X
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e7])
+def test_plm_estimate_scales_with_the_treatment(s):
+    y, d, _, X = _plm_draw()
+    plan = make_folds(y.size, 5, 0)
+    base = dml_plm(y, d, X, LinearLearner(), LinearLearner(), plan)
+    scaled = dml_plm(y, s * d, X, LinearLearner(), LinearLearner(), plan)
+    assert scaled.theta * s == pytest.approx(base.theta, rel=1e-9)
+    assert scaled.std_error * s == pytest.approx(base.std_error, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e7])
+def test_pliv_estimate_scales_with_treatment_and_instrument(s):
+    y, d, z, X = _plm_draw()
+    plan = make_folds(y.size, 5, 0)
+    learners = LinearLearner(), LinearLearner(), LinearLearner()
+    base = dml_pliv(y, d, z, X, *learners, plan)
+    scaled = dml_pliv(y, s * d, s * z, X, *learners, plan)
+    assert scaled.theta * s == pytest.approx(base.theta, rel=1e-9)
+
+
+def test_cancelling_jacobian_is_singular():
+    with pytest.raises(SingularJacobian):
+        linear_score_result(np.tile([1.0, -1.0], 5), np.ones(10))
