@@ -13,7 +13,7 @@ from ..double_lasso import band_critical_value
 from ..errors import ConstantModel, DimensionMismatch
 from ..linalg import as_matrix, as_vectors, ols_fit
 
-CONSTANT_TOL = 1e-12
+CONSTANT_RTOL = 1e-12
 
 
 @dataclass(kw_only=True)
@@ -83,10 +83,12 @@ def heterogeneity_blp_test(tau_values, signals, alpha: float = 0.05) -> dict:
 
     The slope estimates Cov(true CATE, model) / Var(model); a
     significantly nonzero slope certifies detected heterogeneity, and
-    the intercept estimates the ATE.
+    the intercept estimates the ATE. The predictions count as constant
+    when their variance is at or below CONSTANT_RTOL times E_n[tau^2],
+    so the check does not depend on units.
     """
     tau, signals = as_vectors(tau_values=tau_values, signals=signals)
-    if float(np.var(tau)) <= CONSTANT_TOL:
+    if float(np.var(tau)) <= CONSTANT_RTOL * float(np.mean(tau**2)):
         raise ConstantModel("model predictions have no variation")
     blp = blp_cate(signals, np.column_stack([np.ones(tau.size),
                                              tau - np.mean(tau)]), alpha)

@@ -11,7 +11,7 @@ from ..linalg import as_matrix, as_vectors
 
 QAGG_MAX_ITERS = 5000
 QAGG_GRAD_TOL = 1e-9
-DISTINGUISH_TOL = 1e-12
+DISTINGUISH_RTOL = 1e-12
 
 
 def _as_values(model, X):
@@ -48,11 +48,14 @@ def compare_models(tau_i, tau_j, signals, alpha: float = 0.05,
 
     The difference is the mean of the per-observation loss differences
     (a linear score with psi_a = 1), and its variance comes from them,
-    so shared noise in the signals cancels.
+    so shared noise in the signals cancels. The models count as the same
+    when E_n[(tau_i - tau_j)^2] is at or below DISTINGUISH_RTOL times
+    E_n[tau_i^2] + E_n[tau_j^2], so the check does not depend on units.
     """
     ti, tj, signals = as_vectors(tau_i=_as_values(tau_i, X),
                                  tau_j=_as_values(tau_j, X), signals=signals)
-    if float(np.mean((ti - tj) ** 2)) <= DISTINGUISH_TOL:
+    scale = float(np.mean(ti**2)) + float(np.mean(tj**2))
+    if float(np.mean((ti - tj) ** 2)) <= DISTINGUISH_RTOL * scale:
         raise IndistinguishableModels("models coincide on the scoring data")
     res = linear_score_result(np.ones(signals.size),
                               (signals - ti) ** 2 - (signals - tj) ** 2,

@@ -14,10 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dist import normal_quantile
-from ..errors import BadFoldCount, SingularJacobian
+from ..errors import BadFoldCount, SingularJacobian, WeakResidualVariation
 from ..linalg import as_vectors
 
 JACOBIAN_RTOL = 1e-12
+WEAK_VARIATION_RTOL = 1e-10
+
+
+def _check_variation(denom: float, target, message: str) -> None:
+    """Raise ``WeakResidualVariation`` when ``denom``, the moment whose
+    inverse scales the target's slope, is at or below WEAK_VARIATION_RTOL
+    times E_n[target^2] in absolute value (so also for an all-zero
+    target)."""
+    if abs(denom) <= WEAK_VARIATION_RTOL * float(np.mean(target**2)):
+        raise WeakResidualVariation(message)
 
 
 @dataclass(kw_only=True)

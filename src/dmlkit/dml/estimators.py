@@ -11,14 +11,12 @@ from ..errors import (
     NoCompliance,
     NoTreatedUnits,
     OneArmEmpty,
-    WeakResidualVariation,
 )
 from ..learners import cross_fit_predict
 from ..linalg import as_columns, as_vectors, check_rows
-from .engine import DmlResult, linear_score_result
+from .engine import DmlResult, _check_variation, linear_score_result
 
 DEFAULT_TRIM = 0.01
-WEAK_VARIATION_RTOL = 1e-10
 
 
 def _check_binary(v, name: str) -> None:
@@ -55,8 +53,8 @@ def _plm_residuals(y, d, X, learner_l, learner_m, plan):
     ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
     m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
     rd = d - m_hat
-    if float(np.mean(rd**2)) < WEAK_VARIATION_RTOL * float(np.mean(d**2)):
-        raise WeakResidualVariation("treatment residual variation is degenerate")
+    _check_variation(float(np.mean(rd**2)), d,
+                     "treatment residual variation is degenerate")
     return y - ell_hat, rd, {"rmse_y": _rmse(y, ell_hat),
                              "rmse_d": _rmse(d, m_hat)}
 

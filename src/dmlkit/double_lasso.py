@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import normal_p_value, normal_quantile
-from .dml.engine import (InferenceResult, linear_score_result,
-                         normal_interval)
-from .errors import DimensionMismatch, WeakResidualVariation
+from .dml.engine import (InferenceResult, _check_variation,
+                         linear_score_result, normal_interval)
+from .errors import DimensionMismatch
 from .linalg import (as_columns, as_matrix, as_vectors, check_rows, ols_fit,
                      robust_variance)
 from .penalized import _lambda_max, cv_fit, lasso_fit, lasso_plugin
@@ -24,7 +24,6 @@ from .rng import stream
 
 SIMULTANEOUS_DRAWS = 100_000
 SIMULTANEOUS_BLOCK = 8192
-WEAK_VARIATION_RTOL = 1e-10
 
 
 @dataclass(kw_only=True)
@@ -94,15 +93,6 @@ def _inputs(y, d, W):
     y = as_vectors(y=y)
     check_rows(y=y, d=d)
     return y, d, as_columns(W, y.size)
-
-
-def _check_variation(denom: float, target, message: str) -> None:
-    """Raise ``WeakResidualVariation`` when ``denom``, the moment whose
-    inverse scales the target's slope, is at or below WEAK_VARIATION_RTOL
-    times E_n[target^2] in absolute value (so also for an all-zero
-    target)."""
-    if abs(denom) <= WEAK_VARIATION_RTOL * float(np.mean(target**2)):
-        raise WeakResidualVariation(message)
 
 
 def _single_target_inference(estimate, variance, n, alpha, resid_y=None,

@@ -223,31 +223,45 @@ class RegressionTree:
         return self.value[node]
 
 
-def _best_split(order, xs, w_wy, features, min_leaf, total_w, total_wy):
+def _best_split(order, xs, channels, features, min_leaf, total_w, total_wy):
     """Best (feature, threshold, gain) among a node's usable midpoints,
     or None when it has none.
 
     ``order`` and ``xs`` hold, per feature, the node's row ids and their
-    values in ascending value order. Each block of candidate features is
-    scored from one cumulative sum of the sorted weights and weighted
-    outcomes; the gain of a split is its weighted SSE reduction.
+    values in ascending value order. ``channels`` is the stack (w, w*y)
+    or, for unit weights, y alone: the left weight at size i is then
+    exactly i, so no weight channel is gathered or summed. Each block of
+    candidate features is scored from one cumulative sum of the sorted
+    channels; the gain of a split is its weighted SSE reduction.
     """
     m = order.shape[1]
     # Left-side sizes that leave at least min_leaf rows on each side; a
     # size i splits between sorted positions i - 1 and i.
     lo, hi = min_leaf, m - min_leaf
+    unit = channels.ndim == 1
+    if unit:
+        # Both sides hold at least min_leaf >= 1 rows, so both weights
+        # are positive.
+        lw = np.arange(lo, hi + 1, dtype=float)
+        rw = total_w - lw
     step = max(1, _BLOCK_CELLS // m)
     best = None
     for start in range(0, features.size, step):
         block = features[start:start + step]
-        cum = np.cumsum(np.take(w_wy, order[block, :hi], axis=1), axis=2)
-        lw, lwy = cum[0, :, lo - 1:], cum[1, :, lo - 1:]
-        rw = total_w - lw
+        cum = np.cumsum(np.take(channels, order[block, :hi], axis=-1),
+                        axis=-1)
+        if unit:
+            lwy = cum[:, lo - 1:]
+        else:
+            lw, lwy = cum[0, :, lo - 1:], cum[1, :, lo - 1:]
+            rw = total_w - lw
         rwy = total_wy - lwy
         with np.errstate(divide="ignore", invalid="ignore"):
             score = lwy**2 / lw + rwy**2 / rw
         x = xs[block]
-        usable = (lw > 0) & (rw > 0) & (x[:, lo:hi + 1] > x[:, lo - 1:hi])
+        usable = x[:, lo:hi + 1] > x[:, lo - 1:hi]
+        if not unit:
+            usable &= (lw > 0) & (rw > 0)
         score[~usable] = -np.inf
         pos = np.argmax(score, axis=1)
         top = score[np.arange(block.size), pos]
@@ -275,16 +289,30 @@ def _partition(order, xs, goes_left):
     )
 
 
+def _presort(X):
+    """A tree root's (order, xs): per column, the row ids in stable
+    ascending value order (ties in row order) and the values in that
+    order."""
+    order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
+    return order, np.take_along_axis(X.T, order, axis=1)
+
+
 def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
-             mtry: int | None = None, rng: np.random.Generator | None = None
-             ) -> RegressionTree:
+             mtry: int | None = None, rng: np.random.Generator | None = None,
+             _sorted=None) -> RegressionTree:
     """Fit a regression tree by greedy best-SSE-improvement splitting.
 
     Exact greedy search on presorted columns (Chen & Guestrin 2016,
-    arXiv:1603.02754, section 4.1). Each column is sorted once per tree
-    by a stable argsort, and each split hands its children their rows in
-    that order by a stable partition of every column, so a node always
-    sees its rows sorted by value with ties in row order. A node scores
+    arXiv:1603.02754, section 4.1). The root's column order is a stable
+    argsort of X (``_presort``), or, from ``forest_fit`` and
+    ``boost_fit``, the private ``_sorted=(order, xs)``, which must equal
+    ``_presort(X)``: a boosted fit sorts its X once for all rounds, and a
+    forest derives each resample's order from one rank table. Each split
+    hands its children their rows in that order by a stable partition of
+    every column, so a node always sees its rows sorted by value with
+    ties in row order. With ``weights=None`` the rows weigh one each and
+    the search carries no weight channel; the scores are the same bits
+    as with ``weights=np.ones(n)``. A node scores
     all its candidate features (all p, or ``mtry`` drawn from ``rng``) at
     once at every midpoint between distinct sorted values that leaves
     ``min_leaf`` rows on each side. Within a feature the lowest threshold
@@ -296,11 +324,14 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     y, w = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
     n, p = X.shape
-    w = np.ones(n) if w is None else w
     if min_leaf < 1:
         raise DimensionMismatch("min_leaf must be >= 1")
-    w_wy = np.stack([w, w * y])
-    wy2 = w_wy[1] * y
+    if w is None:
+        channels = wy = y
+    else:
+        channels = np.stack([w, w * y])
+        wy = channels[1]
+    wy2 = wy * y
     goes_left = np.empty(n, dtype=bool)
     feature, threshold, left, right, value = [], [], [], [], []
 
@@ -309,9 +340,7 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
 
     sorted_rows = None
     if can_split(n, 0):
-        order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
-        sorted_rows = (order, np.take_along_axis(X.T, order, axis=1))
-        del order
+        sorted_rows = _presort(X) if _sorted is None else _sorted
     # Nodes to grow, popped depth first and left before right, so node
     # ids run in that order and a left child's id is its parent's plus
     # one. Each entry: the node's rows in row order, (order, xs) for
@@ -323,8 +352,8 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
         node = len(value)
         if parent >= 0:
             right[parent] = node
-        total_w = w[idx].sum()
-        total_wy = w_wy[1, idx].sum()
+        total_w = float(idx.size) if w is None else w[idx].sum()
+        total_wy = wy[idx].sum()
         yn = y[idx]
         value.append(float(total_wy / total_w) if total_w > 0
                      else float(np.mean(yn)))
@@ -338,7 +367,7 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
             features = np.sort(rng.choice(p, size=mtry, replace=False))
         else:
             features = np.arange(p)
-        split = _best_split(*sorted_rows, w_wy, features, min_leaf,
+        split = _best_split(*sorted_rows, channels, features, min_leaf,
                             total_w, total_wy)
         if split is None:
             continue
@@ -390,6 +419,30 @@ class _AveragePredictor:
         return acc / len(self._trees)
 
 
+def _rank_keys(X):
+    """Per column, each row's dense rank among the column's distinct
+    values, times the row count n, as an int64 (p, n) table. Equal
+    values share a rank, as they tie in a stable sort: -0.0 and 0.0, and
+    every NaN."""
+    n, p = X.shape
+    keys = np.empty((p, n), dtype=np.int64)
+    for j in range(p):
+        keys[j] = np.unique(X[:, j], return_inverse=True)[1]
+    return keys * n
+
+
+def _resample_sort(X, keys, idx):
+    """``_presort(X[idx])`` for n resampled rows ``idx`` from the rank
+    table ``_rank_keys(X)`` of X's n rows. Adding each row's position to
+    its key breaks ties in position order, so one integer sort per
+    column gives the stable order exactly."""
+    n = idx.size
+    k = keys[:, idx] + np.arange(n)
+    k.sort(axis=1)
+    order = (k % n).astype(np.int32)
+    return order, np.take_along_axis(X.T, idx[order], axis=1)
+
+
 def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
                max_depth: int = 8, min_leaf: int = 5, seed: int = 0,
                weights=None) -> _AveragePredictor:
@@ -397,12 +450,16 @@ def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
     (``sample_mode="full"``: on all rows), and every split considers
     every feature. Each tree's resample is drawn from an independent RNG
     stream derived from (seed, tree index), so the result is
-    order-independent."""
+    order-independent. Each tree's root column order comes from one rank
+    table of X built per forest (``_resample_sort``), not from sorting
+    the resample's floats again; unit weights carry no weight channel
+    (``tree_fit``)."""
     y, weights = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
     n = X.shape[0]
     if B < 1:
         raise DimensionMismatch("forest needs B >= 1 trees")
+    keys = _rank_keys(X)
     trees = []
     for b in range(B):
         rng = stream(seed, "forest-tree", b)
@@ -414,7 +471,8 @@ def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
             raise ValueError(f"unknown sample_mode {sample_mode!r}")
         w = None if weights is None else weights[idx]
         trees.append(tree_fit(X[idx], y[idx], max_depth=max_depth,
-                              min_leaf=min_leaf, weights=w))
+                              min_leaf=min_leaf, weights=w,
+                              _sorted=_resample_sort(X, keys, idx)))
     return _AveragePredictor(trees)
 
 
@@ -449,17 +507,28 @@ class _BoostPredictor:
 def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
               weights=None) -> _BoostPredictor:
     """Gradient boosting on squared loss: repeatedly fit the base learner
-    to current residuals and accumulate rate-scaled stage predictions."""
+    to current residuals and accumulate rate-scaled stage predictions.
+
+    With a ``TreeLearner`` base (the default) X is sorted once
+    (``_presort``) and every round's ``tree_fit`` starts from that root
+    order; unweighted rounds carry no weight channel. Any other base is
+    refit through its own ``fit``."""
     if not 0 < rate <= 1:
         raise DimensionMismatch("learning rate must be in (0, 1]")
     y, weights = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
     if base is None:
         base = TreeLearner(max_depth=2, min_leaf=1)
+    presorted = _presort(X) if type(base) is TreeLearner else None
     residual = y.copy()
     stages = []
     for _ in range(J):
-        stage = base.fit(X, residual, weights=weights)
+        if presorted is None:
+            stage = base.fit(X, residual, weights=weights)
+        else:
+            stage = tree_fit(X, residual, max_depth=base.max_depth,
+                             min_leaf=base.min_leaf, weights=weights,
+                             _sorted=presorted)
         stages.append(stage)
         residual = residual - rate * stage.predict(X)
     return _BoostPredictor(stages, rate)

@@ -480,3 +480,36 @@ def test_blp_eval_basis_must_match_the_basis_columns():
     B = np.column_stack([np.ones(50), r.standard_normal(50)])
     with pytest.raises(DimensionMismatch, match="3 columns"):
         blp_cate(r.standard_normal(50), B, eval_basis=np.ones((3, 3)))
+
+
+def _scaled_cate_draw():
+    r = np.random.default_rng(11)
+    tau = r.standard_normal(200)
+    signals = 0.8 * tau + r.standard_normal(200)
+    return tau, tau + 0.5 * r.standard_normal(200), signals
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e7])
+def test_compare_models_does_not_depend_on_units(s):
+    ti, tj, signals = _scaled_cate_draw()
+    base = compare_models(ti, tj, signals)
+    out = compare_models(s * ti, s * tj, s * signals)
+    assert out["delta"] == pytest.approx(s * s * base["delta"], rel=1e-9)
+    assert out["se"] == pytest.approx(s * s * base["se"], rel=1e-9)
+    with pytest.raises(IndistinguishableModels):
+        compare_models(s * ti, s * ti, s * signals)
+    with pytest.raises(IndistinguishableModels):
+        compare_models(np.zeros(200), np.zeros(200), signals)
+
+
+@pytest.mark.parametrize("s", [1e-7, 1e7])
+def test_heterogeneity_test_does_not_depend_on_units(s):
+    tau, _, signals = _scaled_cate_draw()
+    base = heterogeneity_blp_test(tau, signals)
+    out = heterogeneity_blp_test(s * tau, signals)
+    assert out["slope"] == pytest.approx(base["slope"] / s, rel=1e-9)
+    assert out["intercept"] == pytest.approx(base["intercept"], rel=1e-9)
+    assert out["p_value"] == pytest.approx(base["p_value"], rel=1e-6)
+    for constant in (np.full(200, s), np.full(200, 0.1 * s), np.zeros(200)):
+        with pytest.raises(ConstantModel):
+            heterogeneity_blp_test(constant, signals)

@@ -566,3 +566,14 @@ def test_gate_keeps_string_labels():
                    HALF, no_crossfit_plan(4))
     assert res.diagnostics["group_labels"].tolist() == ["a", "b"]
     assert res.estimates == pytest.approx([-1.0, 3.0])
+
+
+def test_all_zero_treatment_is_weak_variation():
+    # An all-zero d leaves rd = 0, which the weak-variation rule must name
+    # before the moment Jacobian does.
+    r = np.random.default_rng(3)
+    X = r.standard_normal((200, 2))
+    y = X[:, 0] + r.standard_normal(200)
+    with pytest.raises(WeakResidualVariation):
+        dml_plm(y, np.zeros(200), X, MeanLearner(), MeanLearner(),
+                make_folds(200, 5, seed=0))

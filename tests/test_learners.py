@@ -13,6 +13,8 @@ from dmlkit.learners import (BoostLearner, CrossFitPlan, ForestLearner,
                              forest_fit, learner_select, logistic_fit,
                              make_folds, no_crossfit_plan, perm_importance,
                              tree_fit)
+from dmlkit import learners
+from dmlkit.learners import _presort, _rank_keys, _resample_sort
 
 
 class _Memorizer:
@@ -561,3 +563,115 @@ def test_boost_learner_matches_boost_fit():
     got = learner.fit(X, y, weights=w).predict(X)
     want = boost_fit(X, y, J=7, rate=0.3, weights=w).predict(X)
     assert np.array_equal(got, want)
+
+
+# The root order a tree starts from may come from a caller (a boosted
+# fit's one presort, a forest's rank table) and unit weights skip the
+# weight channel; every tree must stay the one tree_fit grows from X
+# alone.
+def _nodes(tree):
+    return [getattr(tree, f).tolist()
+            for f in ("feature", "threshold", "left", "right", "value")]
+
+
+def _tied_draw(n=300, p=4, seed=31):
+    # Outcomes and weights span six decades, so summing tied rows in
+    # another order moves splits (as in _split_search_case's "ties").
+    r = np.random.default_rng(seed)
+    X = np.round(r.standard_normal((n, p)), 1)
+    y = (np.round(X[:, 0] - X[:, 1] ** 2 + r.standard_normal(n), 1)
+         * 10 ** r.uniform(-3, 3, n))
+    return X, y, 10 ** r.uniform(-3, 3, n)
+
+
+def _recording_tree_fit(monkeypatch):
+    """Replace the module's tree_fit with a wrapper that records each
+    call's (X, y, keyword arguments, tree)."""
+    calls = []
+    original = learners.tree_fit
+
+    def recording(X, y, **kw):
+        tree = original(X, y, **kw)
+        calls.append((X, y, kw, tree))
+        return tree
+
+    monkeypatch.setattr(learners, "tree_fit", recording)
+    return calls
+
+
+def test_boost_and_forest_count_one_tree_fit_per_tree(monkeypatch):
+    X, y, _ = _tied_draw(n=80)
+    calls = _recording_tree_fit(monkeypatch)
+    boost_fit(X, y, J=7)
+    assert len(calls) == 7
+    calls.clear()
+    forest_fit(X, y, B=4, max_depth=3)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("case", ["ties", "bootstrap", "zero_weights",
+                                  "mtry", "min_leaf", "constant",
+                                  "constant_y", "tall"])
+def test_unit_weights_match_explicit_ones(case):
+    X, y, kw = _split_search_case(case)
+    kw.pop("weights", None)
+    trees = []
+    for weights in (None, np.ones(y.size)):
+        if "rng" in kw:
+            kw["rng"] = np.random.default_rng(5)
+        trees.append(_nodes(tree_fit(X, y, weights=weights, **kw)))
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_forest_trees_match_tree_fit_on_their_resample(monkeypatch,
+                                                       weighted):
+    X, y, w = _tied_draw()
+    calls = _recording_tree_fit(monkeypatch)
+    forest = forest_fit(X, y, B=5, max_depth=7, min_leaf=2, seed=4,
+                        weights=w if weighted else None)
+    assert len(calls) == 5
+    for Xb, yb, kw, tree in calls:
+        assert "_sorted" in kw
+        kw = {k: v for k, v in kw.items() if k != "_sorted"}
+        assert _nodes(tree) == _nodes(tree_fit(Xb, yb, **kw))
+    want = np.mean([tree.predict(X) for *_, tree in calls], axis=0)
+    assert np.array_equal(forest.predict(X), want)
+
+
+def test_rank_key_order_is_the_stable_argsort():
+    r = np.random.default_rng(8)
+    n = 400
+    X = np.round(r.standard_normal((n, 5)), 1)
+    X[(X == 0.0) & (r.uniform(size=X.shape) < 0.5)] = -0.0
+    X[r.uniform(size=X.shape) < 0.05] = np.nan
+    X[:, 4] = 2.5
+    keys = _rank_keys(X)
+    for idx in [np.arange(n), n - 1 - np.arange(n)] + [
+            r.integers(0, n, size=n) for _ in range(5)]:
+        order, xs = _resample_sort(X, keys, idx)
+        want = np.argsort(X[idx], axis=0, kind="stable").T
+        assert order.dtype == np.int32
+        assert np.array_equal(order, want)
+        assert np.array_equal(xs, _presort(X[idx])[1], equal_nan=True)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("base", [None, TreeLearner(max_depth=3, min_leaf=4)])
+def test_boost_fit_equals_a_loop_of_tree_fits(weighted, base):
+    X, y, w = _tied_draw()
+    w = w if weighted else None
+    rate = 0.3
+    model = boost_fit(X, y, J=12, rate=rate, base=base, weights=w)
+    depth, leaf = (2, 1) if base is None else (base.max_depth, base.min_leaf)
+    residual = y.copy()
+    want = np.zeros(y.size)
+    for stage in model._stages:
+        tree = tree_fit(X, residual, max_depth=depth, min_leaf=leaf,
+                        weights=w)
+        assert _nodes(stage) == _nodes(tree)
+        step = tree.predict(X)
+        residual = residual - rate * step
+        want += rate * step
+    assert len(model._stages) == 12
+    assert np.array_equal(model.predict(X), want)
