@@ -11,7 +11,7 @@ from ..dist import normal_p_value
 from ..dml.engine import InferenceResult, normal_interval
 from ..double_lasso import band_critical_value
 from ..errors import ConstantModel, DimensionMismatch
-from ..linalg import as_matrix, as_vectors, ols_fit
+from ..linalg import as_matrix, as_vectors, ols_fit, robust_variance
 
 CONSTANT_RTOL = 1e-12
 
@@ -32,19 +32,11 @@ class BlpResult(InferenceResult):
         return self.estimates
 
 
-def _sandwich(basis, residuals):
-    n = basis.shape[0]
-    Q = basis.T @ basis / n
-    meat = (basis * residuals[:, None] ** 2).T @ basis / n
-    Qinv = np.linalg.inv(Q)
-    return Qinv @ meat @ Qinv / n
-
-
 def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
              seed: int = 0) -> BlpResult:
     """Best linear predictor of the CATE in a user-supplied basis.
 
-    Regresses the DR signals on the basis columns with a sandwich
+    Regresses the DR signals on the basis columns with the HC0 sandwich
     covariance. When an evaluation basis is supplied, pointwise and
     uniform bands for the fitted projection over those rows are computed,
     the latter via the Gaussian sup-norm Monte Carlo; its columns must
@@ -52,7 +44,7 @@ def blp_cate(signals, basis, alpha: float = 0.05, eval_basis=None,
     """
     basis = as_matrix(basis)
     fit = ols_fit(basis, signals)
-    cov = _sandwich(basis, fit.residuals)
+    cov = robust_variance(fit, "HC0").matrix
     out = BlpResult(
         estimates=fit.coefficients,
         covariance=cov,

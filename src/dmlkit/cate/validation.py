@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dist import normal_quantile
-from ..dml.engine import InferenceResult, normal_interval
+from ..dml.engine import (InferenceResult, linear_score_result,
+                          normal_interval)
 from ..double_lasso import band_critical_value
 from ..errors import EmptyBin, EmptyTopGroup
 from ..linalg import as_vectors
@@ -59,26 +60,22 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
     # prediction would bound a bin with no non-test mass; drop them.
     cuts = np.quantile(tau_nontest, np.linspace(0.0, 1.0, K + 1)[:-1])
     edges = np.unique(cuts)[1:]
-    K = edges.size + 1
     assignment = np.searchsorted(edges, tau_test, side="right")
     n = signals.size
-    dr_means = np.empty(K)
-    model_means = np.empty(K)
-    se = np.empty(K)
-    counts = np.empty(K, dtype=int)
-    for k in range(K):
-        mask = assignment == k
-        counts[k] = int(np.sum(mask))
-        if counts[k] == 0:
-            raise EmptyBin(f"bin {k} contains no test observations")
-        dr_means[k] = float(np.mean(signals[mask]))
-        model_means[k] = float(np.mean(tau_test[mask]))
-        se[k] = float(np.std(signals[mask]) / np.sqrt(counts[k]))
+    counts = np.bincount(assignment, minlength=edges.size + 1)
+    if not counts.all():
+        raise EmptyBin(f"bin {int(np.argmin(counts))} contains no test "
+                       "observations")
+    bins = assignment == np.arange(counts.size)[:, None]
+    # Bin k's mean DR signal solves psi_a = 1{bin k}, psi_b = signal 1{bin k}.
+    fits = [linear_score_result(m, signals * m, alpha=alpha) for m in bins]
+    dr_means = np.concatenate([f.estimates for f in fits])
+    model_means = np.array([np.mean(tau_test[m]) for m in bins])
     gaps = np.abs(dr_means - model_means)
     shares = counts / n
     return CalibrationReport(
         estimates=dr_means,
-        std_errors=se,
+        std_errors=np.concatenate([f.std_errors for f in fits]),
         bin_edges=edges,
         model_means=model_means,
         counts=counts,
@@ -174,8 +171,10 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
 
     psi_toc = centered[:, None] * (indicators / shares[None, :] - 1.0) - toc
     psi_qini = centered[:, None] * (indicators - shares[None, :]) - qini
-    V_toc = psi_toc.T @ psi_toc / n
-    V_qini = psi_qini.T @ psi_qini / n
+    # Each curve's joint variance: the covariance of its stacked
+    # per-grid-point influence values.
+    V_toc = np.atleast_2d(np.cov(psi_toc, rowvar=False, bias=True))
+    V_qini = np.atleast_2d(np.cov(psi_qini, rowvar=False, bias=True))
 
     def bands(values, V):
         # Two-sided at alpha and one-sided (lower) at alpha from the

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
+from scipy.linalg.lapack import dgesv
 
 from .dist import normal_quantile
 from .errors import (
@@ -36,8 +37,10 @@ EPS = np.finfo(float).eps
 @dataclass
 class LassoFit:
     """A fitted Lasso. ``n_sweeps`` counts coordinate-descent sweeps, each
-    one pass over the solver's working set rather than over all columns
-    (0 for the closed-form fits); ``kkt_gap`` is the certified gap."""
+    one pass over the solver's working set rather than over all columns.
+    It is 0 for the closed-form fits, and for a warm-started fit that the
+    step to its warm start's sign-pattern minimizer certified before any
+    sweep. ``kkt_gap`` is the certified gap."""
 
     coefficients: np.ndarray
     intercept: float
@@ -94,6 +97,14 @@ def _standardize(X, y):
     return Xs, y - ybar, xbar, ybar, scale
 
 
+def _design(X, y):
+    """``_standardize(X, y)`` followed by the constants every solve on it
+    reads: the column sums of squares of ``Xs`` and ``Xs'yc``."""
+    design = _standardize(X, y)
+    Xs, yc = design[:2]
+    return design + (np.einsum("ij,ij->j", Xs, Xs), Xs.T @ yc)
+
+
 def _lambda_max(X, y) -> float:
     """Smallest penalty at which the Lasso solution is all zeros (1.0
     when y is constant)."""
@@ -102,48 +113,60 @@ def _lambda_max(X, y) -> float:
     return 2.0 * top if top > 0 else 1.0
 
 
-def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
+def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None,
+                        consts=None):
     """Minimize sum (yc - Xc b)^2 + lam_ridge ||b||^2 + lam sum psi_j |b_j|.
 
     Exact coordinate minimization with a running residual, cycled over a
     working set (glmnet's active-set cycling): the nonzero coordinates
     plus those that violate the KKT conditions at the start
     (|2 x_j'r| > lam psi_j). A sweep is one pass over the working set.
-    When a sweep converges (largest change below ``COORD_TOL``, or an
-    objective that has stalled, as flat directions of an underdetermined
-    design can keep coefficients drifting without changing the fit), the
-    full gradient is recomputed and every violator outside the set joins
-    it; with none left, the solve stops once the KKT stationarity gap of
-    ``_kkt_gap`` is within ``KKT_TOL`` of the problem scale.
+    The convergence check recomputes the full gradient and lets every
+    violator outside the set join it; with none left, the solve stops
+    once the KKT stationarity gap of ``_kkt_gap`` is within ``KKT_TOL``
+    of the problem scale.
 
-    After a sweep that leaves the support A and its signs s unchanged,
-    the minimizer on that sign pattern is solved for,
-    (X_A'X_A + lam_ridge I) b = X_A'yc - lam psi_A s_A / 2 (the step of
-    the Lasso homotopy method). The solve moves to b if sign(b) = s_A;
-    otherwise it moves towards b up to the first coefficient that
-    reaches zero, which leaves the pattern. Without a ridge and with
-    |A| >= n, X_A'X_A is singular and the move is instead along the null
-    space of X_A, where the fit is unchanged and the l1 term falls. A
-    move is kept only if the objective does not rise, and each pattern
-    is tried once. The objective is non-increasing across sweeps by
-    construction (checked below). ``beta0`` warm-starts the solve.
-    Returns the coefficients, the sweep count and the certified KKT gap.
+    A sign-pattern step solves for the minimizer on a support A with
+    signs s, (X_A'X_A + lam_ridge I) b = X_A'yc - lam psi_A s_A / 2 (the
+    step of the Lasso homotopy method). It moves to b if sign(b) = s_A
+    (an exact step); otherwise it moves towards b up to the first
+    coefficient that reaches zero, which leaves the pattern. Without a
+    ridge and with |A| >= n, X_A'X_A is singular and the move is instead
+    along the null space of X_A, where the fit is unchanged and the l1
+    term falls. A move is kept only if the objective does not rise, and
+    each pattern is tried once.
+
+    The order: a warm start ``beta0`` first takes the step on its own
+    sign pattern at the new penalty. Each sweep is then followed by the
+    convergence check if it converged (largest change below
+    ``COORD_TOL``, or an objective that has stalled, as flat directions
+    of an underdetermined design can keep coefficients drifting without
+    changing the fit), or else by a step if it left the pattern
+    unchanged. Every exact step is followed by the convergence check at
+    once, so a warm start certified by its first step takes 0 sweeps.
+    The objective is non-increasing across sweeps by construction
+    (checked below). ``consts`` is ``(colsq, Xc'yc)`` when the caller
+    has them. Returns the coefficients, the sweep count and the
+    certified KKT gap.
     """
     n, p = Xc.shape
     Xc = np.asfortranarray(Xc)  # contiguous columns for the BLAS calls
+    colsq, xty = consts or (np.einsum("ij,ij->j", Xc, Xc), Xc.T @ yc)
     beta = np.zeros(p) if beta0 is None else beta0.astype(float)
-    colsq = np.einsum("ij,ij->j", Xc, Xc)
     live = colsq > 0
     beta[~live] = 0.0
-    r = yc - Xc @ beta if beta.any() else yc.astype(float)
+    warm = bool(beta.any())
+    r = yc - Xc @ beta if warm else yc.astype(float)
     thresholds = 0.5 * lam * loadings
     denom = colsq + lam_ridge
     gap_scale = max(1.0, lam * float(loadings.max(initial=0.0)),
-                    2.0 * float(np.abs(Xc.T @ yc).max(initial=0.0)))
+                    2.0 * float(np.abs(xty).max(initial=0.0)))
     sign = np.sign
     b = beta.tolist()
-    in_set = live & ((beta != 0.0) | (np.abs(Xc.T @ r) > thresholds))
+    in_set = live & ((beta != 0.0) | (np.abs(Xc.T @ r if warm else xty)
+                                      > thresholds))
     tried = set()
+    gap = None
 
     def working_set():
         ws = np.flatnonzero(in_set)
@@ -158,8 +181,10 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
         )
 
     def sign_pattern_step(ws, bw):
-        """A descent step on the sign pattern of ``bw``, the working-set
-        coefficients, or None."""
+        """Take a descent step on the sign pattern of ``bw``, the
+        working-set coefficients. Returns None if no step was taken, and
+        otherwise whether the step reached the pattern minimizer."""
+        nonlocal r, prev_obj
         nz = np.flatnonzero(bw)
         if nz.size == 0:
             return None
@@ -179,10 +204,11 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
         else:
             gram = XA.T @ XA
             gram.flat[:: A.size + 1] += lam_ridge
-            try:
-                v = np.linalg.solve(gram, XA.T @ yc - thresholds[A] * s) - cur
-            except np.linalg.LinAlgError:
+            *_, target, info = dgesv(gram, XA.T @ yc - thresholds[A] * s,
+                                     overwrite_a=True, overwrite_b=True)
+            if info != 0:
                 return None
+            v = target - cur
             reach = 1.0
         crossing = np.flatnonzero(cur * v < 0.0)
         steps = -cur[crossing] / v[crossing]
@@ -194,11 +220,29 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
             bA[crossing[np.argmin(steps)]] = 0.0
         rA = yc - XA @ bA
         obj = objective(rA, bA, loadings[A])
-        return (A, bA, rA, obj) if obj <= prev_obj else None
+        if not obj <= prev_obj:
+            return None
+        r, prev_obj = rA, obj
+        for j, bj in zip(A.tolist(), bA.tolist()):
+            b[j] = bj
+        return alpha == reach
+
+    def certified():
+        """The convergence check: admit violators, or certify."""
+        nonlocal ws, items, beta, gap
+        violators = live & ~in_set & (np.abs(Xc.T @ r) > thresholds)
+        if violators.any():
+            in_set[violators] = True
+            ws, items = working_set()
+            return False
+        beta = np.array(b)
+        gap = _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings)
+        return gap <= KKT_TOL * gap_scale
 
     ws, items = working_set()
     prev_obj = objective(r, beta[ws], loadings[ws])
-    sweeps = 0
+    if warm and sign_pattern_step(ws, beta[ws]) and certified():
+        return beta, 0, gap
     for sweeps in range(1, MAX_SWEEPS + 1):
         max_change = 0.0
         same_pattern = True
@@ -224,19 +268,10 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None):
         stalled = obj > prev_obj - 1e-12 * (1.0 + abs(prev_obj))
         prev_obj = obj
         if max_change < COORD_TOL or stalled:
-            violators = live & ~in_set & (np.abs(Xc.T @ r) > thresholds)
-            if violators.any():
-                in_set |= violators
-                ws, items = working_set()
-                continue
-            beta = np.array(b)
-            gap = _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings)
-            if gap <= KKT_TOL * gap_scale:
+            if certified():
                 break
-        elif same_pattern and (step := sign_pattern_step(ws, bw)):
-            A, bA, r, prev_obj = step
-            for j, v in zip(A.tolist(), bA.tolist()):
-                b[j] = v
+        elif same_pattern and sign_pattern_step(ws, bw) and certified():
+            break
     else:  # pragma: no cover - convex problems converge quickly
         raise NoConvergence(f"no convergence after {MAX_SWEEPS} sweeps")
     return beta, sweeps, gap
@@ -266,10 +301,11 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
     centered columns, which makes predictions invariant to column
     rescaling. Constant columns get loading zero, stay at coefficient
     zero, and are reported in ``degenerate_columns``. ``_path``, passed
-    only by ``lasso_path``, is ``(_standardize(X, y), warm start)``.
+    only by ``lasso_path``, ``plugin_lambda`` and ``lasso_plugin``, is
+    ``(_design(X, y), warm start or None)``.
     """
-    design, warm = _path or (_standardize(*_prepare(X, y)), None)
-    Xs, yc, xbar, ybar, scale = design
+    design, warm = _path or (_design(*_prepare(X, y)), None)
+    Xs, yc, xbar, ybar, scale, colsq, xty = design
     p = Xs.shape[1]
     if not np.isfinite(lam) or lam < 0 or not np.isfinite(lam_ridge) or lam_ridge < 0:
         raise NonFinitePenalty("penalty levels must be finite and nonnegative")
@@ -293,12 +329,12 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
         # No l1 part: the problem is (possibly ridge-regularized) least
         # squares with an exact solution, so skip coordinate descent.
         A = Xs.T @ Xs + lam_ridge * np.eye(p)
-        beta_s = np.linalg.lstsq(A, Xs.T @ yc, rcond=None)[0] if p else np.empty(0)
+        beta_s = np.linalg.lstsq(A, xty, rcond=None)[0] if p else np.empty(0)
         sweeps = 0
         gap = _kkt_gap(Xs, yc, beta_s, lam, lam_ridge, psi)
     else:
-        beta_s, sweeps, gap = _coordinate_descent(Xs, yc, lam, lam_ridge,
-                                                  psi, beta0=warm)
+        beta_s, sweeps, gap = _coordinate_descent(
+            Xs, yc, lam, lam_ridge, psi, beta0=warm, consts=(colsq, xty))
     beta = np.where(scale > 0, beta_s / safe, 0.0)
     intercept = ybar - float(beta @ xbar)
     fit = LassoFit(
@@ -319,13 +355,14 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
 def lasso_path(X, y, lams) -> list[LassoFit]:
     """Lasso fits along a penalty path with warm starts.
 
-    The design is standardized once and shared by every penalty.
+    The design is standardized once, and it and its constants
+    (``_design``) are shared by every penalty.
     Distinct penalties are visited from largest to smallest, each solve
     starting from the previous solution; results are returned in the
     order of ``lams``, a repeated penalty sharing one fit. Each fit
     satisfies the same KKT certificate as a cold ``lasso_fit`` call.
     """
-    design = _standardize(*_prepare(X, y))
+    design = _design(*_prepare(X, y))
     fits = {}
     warm = None
     for lam in sorted({float(l) for l in lams}, reverse=True):
@@ -334,21 +371,27 @@ def lasso_path(X, y, lams) -> list[LassoFit]:
     return [fits[float(l)] for l in lams]
 
 
+def _plugin_inputs(X, y):
+    X, y = _prepare(X, y)
+    if X.shape[0] < 2 or X.shape[1] < 1:
+        raise DimensionMismatch("plugin_lambda needs n >= 2 and p >= 1")
+    return X, y
+
+
 def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
                   sigma_iters: int = 1,
-                  heteroskedastic: bool = False) -> dict:
+                  heteroskedastic: bool = False, _path=None) -> dict:
     """Plug-in penalty level lambda = 2 c sigma_hat sqrt(n) z_{1-a/(2p)}.
 
     sigma_hat starts at the intercept-only residual standard deviation and
     is refined by refitting the Lasso ``sigma_iters`` times (one pass is
     the recommended default). With ``heteroskedastic=True`` the function
     instead returns per-coefficient loadings sqrt(E_n[eps^2 x_j^2]) and
-    sigma_hat = 1 in the lambda formula.
+    sigma_hat = 1 in the lambda formula. ``_path``, passed only by
+    ``lasso_plugin``, goes to each refit's ``lasso_fit``.
     """
-    X, y = _prepare(X, y)
+    X, y = _plugin_inputs(X, y)
     n, p = X.shape
-    if n < 2 or p < 1:
-        raise DimensionMismatch("plugin_lambda needs n >= 2 and p >= 1")
     z = normal_quantile(1.0 - a / (2.0 * p))
     if heteroskedastic:
         Xc = X - X.mean(axis=0)
@@ -356,7 +399,7 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
         resid = y - y.mean()  # intercept-only start, as for sigma
         loadings = np.sqrt(np.mean(resid[:, None] ** 2 * Xc**2, axis=0))
         for _ in range(max(sigma_iters, 0)):
-            fit = lasso_fit(X, y, lam=lam, loadings=loadings)
+            fit = lasso_fit(X, y, lam=lam, loadings=loadings, _path=_path)
             resid = y - fit.predict(X)
             loadings = np.sqrt(np.mean(resid[:, None] ** 2 * Xc**2, axis=0))
         return {"lam": lam, "sigma_hat": 1.0, "loadings": loadings, "z": z}
@@ -365,16 +408,20 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
     for _ in range(max(sigma_iters, 0)):
         if sigma == 0.0:
             break
-        fit = lasso_fit(X, y, lam=2.0 * c * sigma * np.sqrt(n) * z)
+        fit = lasso_fit(X, y, lam=2.0 * c * sigma * np.sqrt(n) * z,
+                        _path=_path)
         sigma = float(np.sqrt(np.mean((y - fit.predict(X)) ** 2)))
     lam = 2.0 * c * sigma * np.sqrt(n) * z
     return {"lam": lam, "sigma_hat": sigma, "z": z}
 
 
 def lasso_plugin(X, y, c: float = 1.1, a: float = 0.05) -> LassoFit:
-    """Lasso with the plug-in penalty; convenience wrapper."""
-    rule = plugin_lambda(X, y, c=c, a=a)
-    fit = lasso_fit(X, y, lam=rule["lam"])
+    """Lasso with the plug-in penalty; convenience wrapper. The sigma refit
+    and the final fit share one standardized design."""
+    X, y = _plugin_inputs(X, y)
+    path = (_design(X, y), None)
+    rule = plugin_lambda(X, y, c=c, a=a, _path=path)
+    fit = lasso_fit(X, y, lam=rule["lam"], _path=path)
     fit.sigma_hat = rule["sigma_hat"]
     return fit
 

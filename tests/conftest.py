@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -8,7 +10,10 @@ settings.register_profile(
     max_examples=25,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("default")
+# Opt-in: HYPOTHESIS_PROFILE=thorough runs every property test on 500 draws.
+settings.register_profile("thorough", settings.get_profile("default"),
+                          max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

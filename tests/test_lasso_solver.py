@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dmlkit import penalized
-from dmlkit.cli.dgps import _decay_coefficients
+from dmlkit.cli.dgps import _decay_coefficients, _draw_confounded_lasso
 from dmlkit.double_lasso import _lambda_max
 from dmlkit.errors import NoConvergence
 from dmlkit.penalized import (KKT_TOL, _coordinate_descent, _kkt_gap,
@@ -225,3 +225,92 @@ def test_lambda_max_is_the_all_zero_penalty(W, y):
 def test_lambda_max_of_constant_outcome():
     W = np.random.default_rng(3).standard_normal((12, 4))
     assert _lambda_max(W, np.full(12, 2.0)) == 1.0
+
+
+def _standardized(W, y):
+    Wc = W - W.mean(axis=0)
+    return Wc / np.sqrt(np.mean(Wc**2, axis=0)), y - y.mean()
+
+
+def test_path_certifies_right_after_an_exact_pattern_step():
+    # The example_4_3_1 outcome on its controls, on the CV Double Lasso
+    # grid: some warm starts are certified by their first sign-pattern
+    # step, before any sweep, and every fit still passes the certificate.
+    data = _draw_confounded_lasso(100, np.random.default_rng(431))
+    W, y = data["W"], data["y"]
+    grid = _lambda_max(W, y) * np.geomspace(0.01, 1.0, 16)
+    Ws, yc = _standardized(W, y)
+    ones = np.ones(W.shape[1])
+    fits = lasso_path(W, y, grid)
+    for lam, fit in zip(grid, fits):
+        gap = _kkt_gap(Ws, yc, fit._standardized_coefficients, lam, 0.0, ones)
+        assert gap <= KKT_TOL * _gap_scale(Ws, yc, lam, ones)
+    assert any(fit.n_sweeps == 0 for fit in fits)
+
+
+def test_warm_start_at_its_own_solution_takes_no_sweep():
+    Xc, yc, loadings = _problem(0, False, 0.5, False, False)
+    lam = 0.2 * 2.0 * float(np.max(np.abs(Xc.T @ yc) / loadings))
+    beta = _coordinate_descent(Xc, yc, lam, 0.0, loadings)[0]
+    again, sweeps, gap = _coordinate_descent(Xc, yc, lam, 0.0, loadings,
+                                             beta0=beta)
+    assert sweeps == 0
+    assert np.array_equal(np.flatnonzero(again), np.flatnonzero(beta))
+    assert gap <= KKT_TOL * _gap_scale(Xc, yc, lam, loadings)
+
+
+def test_duplicated_column_makes_a_singular_pattern_system(monkeypatch):
+    # Columns 0 and 1 are equal, so a pattern that holds both has a
+    # singular X_A'X_A. Whether LAPACK reports it (info > 0) or returns a
+    # huge step that the objective check rejects, the fit certifies.
+    singular = []
+    original = penalized.dgesv
+
+    def spy(a, b, **kwargs):
+        a = np.array(a)
+        singular.append(any(np.array_equal(a[i], a[j])
+                            for i in range(len(a)) for j in range(i)))
+        return original(a, b, **kwargs)
+
+    monkeypatch.setattr(penalized, "dgesv", spy)
+    r = np.random.default_rng(1)
+    X = r.standard_normal((50, 10))
+    X[:, 1] = X[:, 0]
+    y = 2.0 * X[:, 0] + X[:, 2] - X[:, 3] + r.standard_normal(50)
+    Xc, yc, loadings = X - X.mean(axis=0), y - y.mean(), np.ones(10)
+    top = 2.0 * float(np.max(np.abs(Xc.T @ yc)))
+    beta0 = None
+    for lam in (0.5 * top, 0.1 * top, 0.05 * top, 0.01 * top):
+        args = (Xc, yc, lam, 0.0, loadings)
+        beta, _, gap = _coordinate_descent(*args, beta0=beta0)
+        assert gap <= KKT_TOL * _gap_scale(Xc, yc, lam, loadings)
+        ref = _reference_descent(*args)[0]
+        ref_obj = _objective(Xc, yc, ref, lam, 0.0, loadings)
+        assert _objective(Xc, yc, beta, lam, 0.0, loadings) <= \
+            ref_obj + 1e-9 * (1.0 + abs(ref_obj))
+        beta0 = beta
+    assert any(singular)
+
+
+def test_plugin_standardizes_once(monkeypatch):
+    # The sigma refit inside plugin_lambda and the final fit share one
+    # standardized design, and each is still its own lasso_fit call.
+    calls = {"_standardize": 0, "lasso_fit": 0}
+    for name in calls:
+        original = getattr(penalized, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(penalized, name, spy)
+    r = np.random.default_rng(12)
+    X = r.standard_normal((80, 30))
+    y = X[:, :3].sum(axis=1) + r.standard_normal(80)
+    fit = penalized.lasso_plugin(X, y)
+    assert calls == {"_standardize": 1, "lasso_fit": 2}
+    rule = penalized.plugin_lambda(X, y)
+    alone = lasso_fit(X, y, lam=rule["lam"])
+    assert np.array_equal(fit.coefficients, alone.coefficients)
+    assert fit.intercept == alone.intercept
+    assert fit.sigma_hat == rule["sigma_hat"]
