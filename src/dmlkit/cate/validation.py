@@ -176,17 +176,19 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     V_toc = np.atleast_2d(np.cov(psi_toc, rowvar=False, bias=True))
     V_qini = np.atleast_2d(np.cov(psi_qini, rowvar=False, bias=True))
 
-    def bands(values, V):
-        # Two-sided at alpha and one-sided (lower) at alpha from the
-        # alpha/2 sup-t quantile, both off one set of draws.
+    # Two-sided at alpha and one-sided (lower) at alpha from the alpha/2
+    # sup-t quantile, for both curves off one set of draws.
+    critical = band_critical_value(np.stack([V_toc, V_qini]),
+                                   [alpha, alpha / 2.0], seed)
+
+    def bands(values, V, c):
         se = np.sqrt(np.diag(V) / n)
-        c_two, c_one = band_critical_value(V, [alpha, alpha / 2.0], seed)
-        two = normal_interval(values, se, alpha, critical_value=c_two)
-        one = normal_interval(values, se, alpha, critical_value=c_one)[0]
+        two = normal_interval(values, se, alpha, critical_value=c[0])
+        one = normal_interval(values, se, alpha, critical_value=c[1])[0]
         return two, one
 
-    toc_band, toc_lower = bands(toc, V_toc)
-    qini_band, qini_lower = bands(qini, V_qini)
+    toc_band, toc_lower = bands(toc, V_toc, critical[0])
+    qini_band, qini_lower = bands(qini, V_qini, critical[1])
 
     # Area under the curves by the forward-difference sum, with the top
     # of the grid closing at q = 1.

@@ -39,10 +39,13 @@ def _subset_fit(learner, X, target, plan, rows, error=OneArmEmpty):
 
 def _propensity(learner, X, d, plan, trim):
     """Cross-fitted propensity of ``d`` clipped into [trim, 1 - trim], and
-    the number of rows at or beyond either bound (a learner's own clip,
-    as the logistic one's at the default trim, puts rows on a bound)."""
-    m, _ = cross_fit_predict(learner, X, d, plan)
-    trimmed = int(np.sum((m <= trim) | (m >= 1.0 - trim)))
+    the number of rows at or beyond either bound. A fitted predictor that
+    clips its own probabilities (the logistic one, to [clip, 1 - clip])
+    puts rows on its bound, so the count uses the larger of ``trim`` and
+    the predictors' ``clip``: a trim below the clip still counts them."""
+    m, predictors = cross_fit_predict(learner, X, d, plan)
+    bound = max([trim] + [getattr(f, "clip", 0.0) for f in predictors])
+    trimmed = int(np.sum((m <= bound) | (m >= 1.0 - bound)))
     return np.clip(m, trim, 1.0 - trim), trimmed
 
 

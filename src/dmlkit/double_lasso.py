@@ -142,29 +142,42 @@ def simultaneous_critical_value(correlation: np.ndarray, alpha,
     """(1-alpha)-quantile of the sup-norm of a N(0, correlation) draw.
 
     ``alpha`` may be a sequence of levels: one set of draws then gives
-    an array with one quantile per level.
+    an array with one quantile per level. ``correlation`` may also be a
+    stack of k matrices of one size: the same draws then serve each, and
+    the result gains a leading axis of length k.
     """
-    correlation = np.atleast_2d(np.asarray(correlation, dtype=float))
+    correlation = np.asarray(correlation, dtype=float)
+    stacked = correlation.ndim == 3
+    if not stacked:
+        correlation = np.atleast_2d(correlation)[None]
     alpha = np.asarray(alpha, dtype=float)
-    p = correlation.shape[0]
+    p = correlation.shape[-1]
     if p == 1:
-        c = normal_quantile(1.0 - alpha / 2.0)
-        return float(c) if c.ndim == 0 else c
-    # Factor via eigendecomposition so rank-deficient (perfectly
-    # correlated) cases are handled without jitter.
-    vals, vecs = np.linalg.eigh(correlation)
-    root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    # Drawn and reduced block by block, so the working memory is a few
-    # MiB rather than three (draws, p) arrays. The generator yields the
-    # same stream in blocks, and with power-of-two blocks every row's
-    # product is bit-identical to that of one product over all draws.
-    gen = stream(seed, "simultaneous-band")
-    sup = np.empty(draws)
-    for start in range(0, draws, SIMULTANEOUS_BLOCK):
-        z = gen.standard_normal((min(SIMULTANEOUS_BLOCK, draws - start), p))
-        sup[start:start + len(z)] = np.max(np.abs(z @ root.T), axis=1)
-    c = np.quantile(sup, 1.0 - alpha)
-    return float(c) if c.ndim == 0 else c
+        c = np.array([normal_quantile(1.0 - alpha / 2.0)] * len(correlation))
+    else:
+        # Factor via eigendecomposition so rank-deficient (perfectly
+        # correlated) cases are handled without jitter.
+        roots = []
+        for corr in correlation:
+            vals, vecs = np.linalg.eigh(corr)
+            roots.append(vecs * np.sqrt(np.clip(vals, 0.0, None)))
+        # Drawn and reduced block by block, so the working memory is a
+        # few MiB rather than three (draws, p) arrays. The generator
+        # yields the same stream in blocks, and with power-of-two blocks
+        # every row's product is bit-identical to that of one product
+        # over all draws.
+        gen = stream(seed, "simultaneous-band")
+        sup = np.empty((len(roots), draws))
+        for start in range(0, draws, SIMULTANEOUS_BLOCK):
+            z = gen.standard_normal((min(SIMULTANEOUS_BLOCK, draws - start),
+                                     p))
+            for sup_k, root in zip(sup, roots):
+                sup_k[start:start + len(z)] = np.max(np.abs(z @ root.T),
+                                                     axis=1)
+        c = np.array([np.quantile(sup_k, 1.0 - alpha) for sup_k in sup])
+    if stacked:
+        return c
+    return float(c[0]) if c[0].ndim == 0 else c[0]
 
 
 def band_critical_value(covariance: np.ndarray, alpha, seed: int = 0):
@@ -173,11 +186,15 @@ def band_critical_value(covariance: np.ndarray, alpha, seed: int = 0):
     The covariance is scaled to a correlation; an estimate with zero
     variance is exact, so its row and column are zero and it adds
     nothing to the supremum. ``alpha`` may be a sequence of levels,
-    all read off one set of draws.
+    all read off one set of draws. ``covariance`` may be a stack of
+    matrices of one size, all likewise read off one set of draws (see
+    ``simultaneous_critical_value``).
     """
-    scale = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
+    covariance = np.asarray(covariance, dtype=float)
+    scale = np.sqrt(np.clip(np.diagonal(covariance, axis1=-2, axis2=-1),
+                            0.0, None))
     safe = np.where(scale > 0, scale, 1.0)
-    correlation = covariance / safe[:, None] / safe[None, :]
+    correlation = covariance / safe[..., :, None] / safe[..., None, :]
     return simultaneous_critical_value(correlation, alpha, seed=seed)
 
 

@@ -569,6 +569,15 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP,
                  weights=None) -> _LogisticPredictor:
     """Maximum-likelihood logistic regression via IRLS.
 
+    Each Newton step solves H step = g for the intercept and slopes, with
+    r = w (d - mu) and s = w mu (1 - mu): the gradient is g = (sum r,
+    X'r) and the Hessian is H = sum_i s_i (1, x_i)(1, x_i)'. H is summed
+    over blocks of ``_BLOCK_CELLS // (p + 1)`` rows: each block writes
+    sqrt(s) (1, x)' into one (p + 1) x rows buffer S, allocated once per
+    fit, and adds S S', a symmetric rank-k product (BLAS syrk). So the
+    fit never builds the n x (p + 1) design or a weighted copy of it:
+    besides X it holds a few n-vectors and a buffer of at most 512 KiB.
+
     Probabilities are clipped into [clip, 1 - clip]. If the fitted linear
     index exceeds ``LOGISTIC_INDEX_CAP`` anywhere (a symptom of
     separation), a Separation error is raised; callers that want the
@@ -578,17 +587,28 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP,
     X = as_columns(X, d.size)
     if not (np.any(d == 0) and np.any(d == 1)):
         raise OneArmEmpty("logistic fit requires both classes present")
-    n = X.shape[0]
-    design = np.column_stack([np.ones(n), X])
-    w = np.ones(n) if w is None else w
-    beta = np.zeros(design.shape[1])
+    n, p = X.shape
+    rows = max(1, _BLOCK_CELLS // (p + 1))
+    S = np.empty((p + 1, min(rows, n)))
+    beta = np.zeros(p + 1)
     for _ in range(LOGISTIC_MAX_ITER):
-        eta = np.clip(design @ beta, -LOGISTIC_INDEX_CAP - 5.0,
+        eta = np.clip(X @ beta[1:] + beta[0], -LOGISTIC_INDEX_CAP - 5.0,
                       LOGISTIC_INDEX_CAP + 5.0)
         mu = 1.0 / (1.0 + np.exp(-eta))
-        s = np.maximum(mu * (1.0 - mu), 1e-10) * w
-        grad = design.T @ (w * (d - mu))
-        hess = design.T @ (design * s[:, None])
+        s = np.maximum(mu * (1.0 - mu), 1e-10)
+        r = d - mu
+        if w is not None:
+            s *= w
+            r *= w
+        grad = np.concatenate(([r.sum()], X.T @ r))
+        root = np.sqrt(s)
+        hess = np.zeros((p + 1, p + 1))
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            block = S[:, :hi - lo]
+            block[0] = root[lo:hi]
+            np.multiply(X[lo:hi].T, root[lo:hi], out=block[1:])
+            hess += block @ block.T
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -597,7 +617,7 @@ def logistic_fit(X, d, clip: float = DEFAULT_CLIP,
         if np.max(np.abs(step)) < LOGISTIC_TOL:
             break
     predictor = _LogisticPredictor(beta, clip)
-    if np.max(np.abs(design @ beta)) > LOGISTIC_INDEX_CAP:
+    if np.max(np.abs(predictor._index(X))) > LOGISTIC_INDEX_CAP:
         exc = Separation("fitted linear index exceeds cap; data may be separated")
         exc.predictor = predictor
         raise exc

@@ -6,6 +6,7 @@ from dmlkit.dml import (did_canonical, dml_atet, dml_did_panel, dml_did_rcs,
                         dml_gate, dml_irm_ate, dml_late, dml_pliv, dml_plm,
                         rct_estimators, rdd_sharp)
 from dmlkit.dml.engine import generic_dml, linear_score_result, normal_interval
+from dmlkit.dml.estimators import _propensity
 from dmlkit.errors import (BadFoldCount, DimensionMismatch, EmptyCell,
                            NoCompliance, NoTreatedUnits, OneArmEmpty,
                            OneSideEmpty, SingularJacobian,
@@ -577,3 +578,22 @@ def test_all_zero_treatment_is_weak_variation():
     with pytest.raises(WeakResidualVariation):
         dml_plm(y, np.zeros(200), X, MeanLearner(), MeanLearner(),
                 make_folds(200, 5, seed=0))
+
+
+def test_trim_below_the_logistic_clip_still_counts_it():
+    # With trim 0.005 no probability reaches the trim bound, but the
+    # learner's own clip puts rows on 0.01 and 0.99, and they count.
+    r = np.random.default_rng(5)
+    X = r.standard_normal((2000, 2))
+    d = (r.random(2000) < 1.0 / (1.0 + np.exp(-3.0 * X[:, 0]))).astype(float)
+    y = d + X[:, 1] + r.standard_normal(2000)
+    plan = make_folds(2000, 2, seed=0)
+    m, _ = cross_fit_predict(LogisticLearner(), X, d, plan)
+    on_clip = int(np.sum((m == 0.01) | (m == 0.99)))
+    assert on_clip > 0
+    clipped, trimmed = _propensity(LogisticLearner(), X, d, plan, 0.005)
+    assert trimmed == on_clip
+    assert np.array_equal(clipped, m)
+    res = dml_irm_ate(y, d, X, MeanLearner(), LogisticLearner(), plan,
+                      trim=0.005)
+    assert res.trim_count == on_clip

@@ -122,3 +122,36 @@ class TestTopShareRule:
         mu, lam, pi = top_share_rule(np.array([0.5, 3.5]), ref, 0.5)
         assert (mu, lam) == (1.5, 0.0)
         assert pi.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("alpha", [0.05, [0.05, 0.025]])
+@pytest.mark.parametrize("size", [1, 3])
+def test_stacked_correlations_share_one_set_of_draws(size, alpha):
+    r = np.random.default_rng(16)
+    A = r.standard_normal((2, size, size + 2))
+    covs = A @ A.transpose(0, 2, 1)
+    stacked = band_critical_value(covs, alpha, seed=4)
+    assert stacked.shape == (2,) + np.shape(alpha)
+    for cov, got in zip(covs, stacked):
+        want = band_critical_value(cov, alpha, seed=4)
+        assert np.array_equal(got, want)
+
+
+def test_uplift_bands_equal_two_separate_band_calls():
+    r = np.random.default_rng(17)
+    n, alpha = 400, 0.1
+    tau = r.standard_normal(n)
+    s = tau + r.standard_normal(n)
+    curves = toc_qini(tau, s, r.standard_normal(n), alpha=alpha, seed=6)
+    for values, V, band, lower in [
+            (curves.toc, curves.toc_variance, curves.toc_band,
+             curves.toc_lower_band),
+            (curves.qini, curves.qini_variance, curves.qini_band,
+             curves.qini_lower_band)]:
+        c_two, c_one = band_critical_value(V, [alpha, alpha / 2.0], 6)
+        se = np.sqrt(np.diag(V) / n)
+        two = normal_interval(values, se, alpha, critical_value=c_two)
+        assert np.array_equal(band[0], two[0])
+        assert np.array_equal(band[1], two[1])
+        assert np.array_equal(
+            lower, normal_interval(values, se, alpha, critical_value=c_one)[0])

@@ -1,8 +1,9 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dmlkit.errors import (BadFoldCount, DimensionMismatch, FoldTooSmall,
                            OneArmEmpty, Separation)
@@ -675,3 +676,82 @@ def test_boost_fit_equals_a_loop_of_tree_fits(weighted, base):
         want += rate * step
     assert len(model._stages) == 12
     assert np.array_equal(model.predict(X), want)
+
+
+def _logistic_full_design(X, d, weights=None):
+    """Frozen reference: the IRLS loop that built the n x (p + 1) design
+    and its weighted copy for every Hessian. Returns beta, or raises
+    Separation as logistic_fit does."""
+    n = X.shape[0]
+    design = np.column_stack([np.ones(n), X])
+    w = np.ones(n) if weights is None else weights
+    beta = np.zeros(design.shape[1])
+    for _ in range(learners.LOGISTIC_MAX_ITER):
+        eta = np.clip(design @ beta, -learners.LOGISTIC_INDEX_CAP - 5.0,
+                      learners.LOGISTIC_INDEX_CAP + 5.0)
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        s = np.maximum(mu * (1.0 - mu), 1e-10) * w
+        grad = design.T @ (w * (d - mu))
+        hess = design.T @ (design * s[:, None])
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        beta = beta + step
+        if np.max(np.abs(step)) < learners.LOGISTIC_TOL:
+            break
+    if np.max(np.abs(design @ beta)) > learners.LOGISTIC_INDEX_CAP:
+        raise Separation("reference fit separated")
+    return beta
+
+
+def _logistic_corners(test):
+    # Every (p, height, weights) corner runs on every run of the suite.
+    for p in (0, 1, 20):
+        for tall in (False, True):
+            for weighted in (False, True):
+                test = example(p=p, tall=tall, weighted=weighted, seed=p,
+                               short=0.5)(test)
+    return test
+
+
+@_logistic_corners
+@given(p=st.sampled_from([0, 1, 20]), tall=st.booleans(),
+       weighted=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       short=st.floats(0.0, 1.0))
+def test_logistic_fit_matches_the_full_design_newton(p, tall, weighted,
+                                                     seed, short):
+    # Tall: three full Hessian blocks and a partial one; otherwise less
+    # than one block, but enough rows per coefficient to avoid separation.
+    block = learners._BLOCK_CELLS // (p + 1)
+    lo = 20 * (p + 1)
+    n = 3 * block + 17 if tall else lo + int(short * (block - 1 - lo))
+    r = np.random.default_rng(seed)
+    X = r.standard_normal((n, p))
+    coef = 0.5 * r.standard_normal(p)
+    d = (r.random(n) < 1.0 / (1.0 + np.exp(-0.3 - X @ coef))).astype(float)
+    d[:2] = [0.0, 1.0]
+    w = r.uniform(0.2, 3.0, n) if weighted else None
+    try:
+        want = _logistic_full_design(X, d, w)
+    except Separation:
+        with pytest.raises(Separation):
+            logistic_fit(X, d, weights=w)
+        return
+    got = logistic_fit(X, d, weights=w).beta
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_logistic_fit_allocates_less_than_its_design():
+    # The full-design loop peaked at 2.3x X.nbytes on this fit: the
+    # design and its weighted copy.
+    r = np.random.default_rng(48)
+    X = r.standard_normal((48_000, 20))
+    d = (r.random(48_000) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
+    tracemalloc.start()
+    try:
+        logistic_fit(X, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes
