@@ -13,26 +13,11 @@ import numpy as np
 
 from ..errors import OneArmEmpty
 from ..linalg import as_columns, as_vectors, constant_columns, ols_fit
-from .engine import DmlResult, normal_interval
+from .engine import DmlResult, linear_score_result, normal_interval
 from .estimators import _check_binary
 
 # The estimators that ``mode`` names; the value is read case-insensitively.
 MODES = ("CL", "CRA", "IRA")
-
-
-def _two_by_two_variance(eps, d):
-    """Joint variance of (ate_hat, mean0_hat) from residuals eps.
-
-    Uses the partialled-out representations: D - E_n[D] for the
-    treatment contrast and 1 - D for the control mean.
-    """
-    n = eps.size
-    dt = d - np.mean(d)
-    ot = 1.0 - d
-    v11 = np.mean(eps**2 * dt**2) / np.mean(dt**2) ** 2
-    v22 = np.mean(eps**2 * ot**2) / np.mean(ot**2) ** 2
-    v12 = np.mean(eps**2 * dt * ot) / (np.mean(ot**2) * np.mean(dt**2))
-    return np.array([[v11, v12], [v12, v22]]) / n
 
 
 def rct_estimators(y, d, W=None, mode: str = "CL",
@@ -43,6 +28,11 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
     "IRA" adds the d*W interactions so each arm gets its own linear
     adjustment. The relative ATE is ate / E[Y(0)]; its negative is the
     conventional efficacy measure for adverse outcomes.
+
+    The ATE solves the linear score psi_a = 1, psi_b = ate + its
+    influence values, so its SE is the HC0 one ``linear_score_result``
+    takes from them. The relative ATE's SE is the delta method on the
+    covariance of the stacked (ATE, control-mean) influence values.
     """
     y, d = as_vectors(y=y, d=d)
     _check_binary(d, "treatment")
@@ -72,8 +62,15 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
         mu0 = float(fit.coefficients[0])
         eps = fit.residuals
 
-    cov = _two_by_two_variance(eps, d)
-    se = float(np.sqrt(cov[0, 0]))
+    # Influence values of the ATE and of the control mean, from their
+    # partialled-out representations: D - E_n[D] for the treatment
+    # contrast and 1 - D for the control mean (mean-zero by the normal
+    # equations).
+    dt = d - np.mean(d)
+    ot = 1.0 - d
+    influence = np.column_stack([eps * dt / np.mean(dt**2),
+                                 eps * ot / np.mean(ot**2)])
+    cov = np.cov(influence, rowvar=False, bias=True) / n
     rel = ate / mu0 if mu0 != 0.0 else np.nan
     if mu0 != 0.0:
         grad = np.array([1.0 / mu0, -ate / mu0**2])
@@ -81,17 +78,8 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
     else:
         rel_se = np.nan
     rel_ci = normal_interval(rel, rel_se, alpha)
-
-    # Influence values of the ATE contrast (mean-zero by construction).
-    dt = d - np.mean(d)
-    influence = eps * dt / np.mean(dt**2)
-    return DmlResult(
-        estimates=np.array([ate]),
-        std_errors=np.array([se]),
-        influence=influence,
-        variance=np.array([se**2 * n]),
-        alpha=alpha,
-        n=n,
+    return linear_score_result(
+        np.ones(n), ate + influence[:, 0], alpha=alpha,
         diagnostics={
             "mode": mode,
             "mean_control": mu0,

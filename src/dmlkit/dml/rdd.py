@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import OneSideEmpty
-from ..linalg import as_columns, as_vectors, ols_fit, robust_variance
-from .engine import DmlResult
+from ..linalg import as_columns, as_vectors, ols_fit
+from .engine import DmlResult, linear_score_result
 
 # Kernel weights of the scaled running variable u = (x - cutoff) / h.
 KERNELS = {
@@ -22,9 +22,11 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
 
     Kernel-weighted OLS of y on an intercept, the treatment indicator
     D = 1(x >= cutoff), the scaled running variable, and its interaction
-    with D; optional covariates Z enter linearly. Standard errors are
-    the HC0 weighted-least-squares sandwich under the kernel weights,
-    and ``influence`` holds each used row's HC0 influence on the jump.
+    with D; optional covariates Z enter linearly. The jump solves the
+    linear score psi_a = 1, psi_b = tau + its HC0 influence values under
+    the kernel weights (``influence``, one per used row), so the
+    standard error ``linear_score_result`` takes from them is the HC0
+    weighted-least-squares sandwich.
     """
     y, x = as_vectors(y=y, x=x)
     if kernel not in KERNELS:
@@ -41,24 +43,15 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
         [np.ones(y.size), treat, u, treat * u] + ([Z] if Z.shape[1] else [])
     )
     fit = ols_fit(design[keep], y[keep], weights=w[keep])
-    var = robust_variance(fit, "HC0")
-    tau = float(fit.coefficients[1])
-    se = float(var.std_errors[1])
     n_used = int(np.sum(keep))
     # HC0 influence of the jump under the kernel weights,
-    # n w_i e_i [(X'WX)^{-1} x_i]_jump: its mean square is the WLS
-    # sandwich variance robust_variance reports, so
-    # sqrt(mean(influence**2) / n_used) is the standard error.
+    # n w_i e_i [(X'WX)^{-1} x_i]_jump, mean-zero by the WLS normal
+    # equations: its mean square is the WLS sandwich variance.
     jump_row = np.linalg.inv(fit.second_moment)[1] @ fit.X.T
     influence = (n_used * fit.weights / np.sum(fit.weights)
                  * fit.residuals * jump_row)
-    return DmlResult(
-        estimates=np.array([tau]),
-        std_errors=np.array([se]),
-        influence=influence,
-        variance=np.array([se**2 * n_used]),
-        alpha=alpha,
-        n=n_used,
+    return linear_score_result(
+        np.ones(n_used), float(fit.coefficients[1]) + influence, alpha=alpha,
         diagnostics={"bandwidth": bandwidth, "kernel": kernel,
                      "n_left": int(np.sum(keep & (treat == 0.0))),
                      "n_right": int(np.sum(keep & (treat == 1.0)))},

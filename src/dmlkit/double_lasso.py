@@ -17,8 +17,7 @@ from .dist import normal_p_value, normal_quantile
 from .dml.engine import (InferenceResult, _check_variation,
                          linear_score_result, normal_interval)
 from .errors import DimensionMismatch
-from .linalg import (as_columns, as_matrix, as_vectors, check_rows, ols_fit,
-                     robust_variance)
+from .linalg import as_columns, as_matrix, as_vectors, check_rows, partial_out
 from .penalized import _lambda_max, cv_fit, lasso_fit, lasso_plugin
 from .rng import stream
 
@@ -89,24 +88,58 @@ def _inputs(y, d, W):
     """The outcome as a float vector, the target(s) ``d`` as shaped by
     the caller (a float vector, or a matrix of target columns) and the
     controls as a matrix, n x 0 for None, all with the outcome's row
-    count n."""
+    count n. Raises ``DimensionMismatch`` unless n > 2: two rows leave
+    no residual variation to take a standard error from."""
     y = as_vectors(y=y)
     check_rows(y=y, d=d)
+    if y.size <= 2:
+        raise DimensionMismatch("Double Lasso inference needs n > 2 rows")
     return y, d, as_columns(W, y.size)
 
 
-def _single_target_inference(estimate, variance, n, alpha, resid_y=None,
-                             resid_d=None, warning=None) -> TargetInference:
-    # With one target the simultaneous band is the pointwise interval.
+def _residual_slope(ry, rd, target, alpha, name="target"):
+    """Slope of the residual outcome ry on the residual target rd: the
+    linear score psi_a = rd^2, psi_b = rd ry."""
+    _check_variation(float(np.mean(rd**2)), target,
+                     f"{name} has no residual variation after partialling out")
+    return linear_score_result(rd * rd, rd * ry, alpha=alpha)
+
+
+def _partialled_slopes(y, D, W, lam_rule, alpha):
+    """Partial y and each column of D out of the other columns stacked
+    with the controls W by Lasso, and take each target's residual slope.
+    Returns the fits and the (n, p1) residual outcomes and targets."""
+    n, p1 = D.shape
+    ry_all = np.empty((n, p1))
+    rd_all = np.empty((n, p1))
+    fits = []
+    for ell in range(p1):
+        controls = (np.column_stack([np.delete(D, ell, axis=1), W])
+                    if p1 > 1 else W)
+        ry = _lasso_residual(y, controls, lam_rule)
+        rd = _lasso_residual(D[:, ell], controls, lam_rule)
+        fits.append(_residual_slope(ry, rd, D[:, ell], alpha,
+                                    f"target {ell}"))
+        ry_all[:, ell], rd_all[:, ell] = ry, rd
+    return fits, ry_all, rd_all
+
+
+def _stack(fits, alpha, seed: int = 0, **fields) -> TargetInference:
+    """The per-target linear-score fits as one ``TargetInference``.
+
+    The joint variance is the covariance of the stacked influence
+    values. With more than one target the band takes the sup-t critical
+    value drawn from ``seed``; with one it is the pointwise interval.
+    """
+    influence = np.column_stack([f.influence for f in fits])
+    V = np.atleast_2d(np.cov(influence, rowvar=False, bias=True))
     return TargetInference(
-        estimates=np.array([estimate]),
-        std_errors=np.array([np.sqrt(variance / n)]),
-        joint_variance=np.array([[variance]]),
-        residual_outcome=resid_y,
-        residual_targets=None if resid_d is None else np.asarray(resid_d)[:, None],
-        warning=warning,
-        alpha=alpha,
-        n=n,
+        estimates=np.concatenate([f.estimates for f in fits]),
+        std_errors=np.concatenate([f.std_errors for f in fits]),
+        joint_variance=V,
+        critical_value=(band_critical_value(V, alpha, seed=seed)
+                        if len(fits) > 1 else None),
+        alpha=alpha, n=len(influence), **fields,
     )
 
 
@@ -115,25 +148,14 @@ def double_lasso(y, d, W, lam_rule: str = "plugin",
     """Double Lasso for a single target coefficient.
 
     Both the outcome and the target are partialled out of the controls by
-    Lasso; the estimate is the slope of the residualized regression with a
-    heteroskedasticity-robust standard error. Each partialling step
-    refits the selected controls by least squares before taking
-    residuals.
+    Lasso; the estimate is the slope of the residualized regression, the
+    linear score psi_a = rd^2, psi_b = rd ry, with the HC0 standard error
+    of its influence values. Each partialling step refits the selected
+    controls by least squares before taking residuals.
     """
     y, d, W = _inputs(y, as_vectors(d=d), W)
-    n = y.size
-    if n <= 2:
-        raise DimensionMismatch("double_lasso needs n > 2 rows")
-
-    ry = _lasso_residual(y, W, lam_rule)
-    rd = _lasso_residual(d, W, lam_rule)
-    denom = float(np.mean(rd**2))
-    _check_variation(denom, d,
-                     "target has no residual variation after partialling out")
-    estimate = float(np.mean(rd * ry) / denom)
-    eps = ry - estimate * rd
-    variance = float(np.mean(rd**2 * eps**2)) / denom**2
-    return _single_target_inference(estimate, variance, n, alpha, ry, rd)
+    fits, ry, rd = _partialled_slopes(y, d[:, None], W, lam_rule, alpha)
+    return _stack(fits, alpha, residual_outcome=ry[:, 0], residual_targets=rd)
 
 
 def simultaneous_critical_value(correlation: np.ndarray, alpha,
@@ -210,39 +232,17 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
     implied correlation matrix.
     """
     y, D, W = _inputs(y, as_matrix(D), W)
-    n, p1 = D.shape
-
-    rd_all = np.empty((n, p1))
-    fits = []
-    for ell in range(p1):
-        others = np.delete(D, ell, axis=1)
-        controls = np.column_stack([others, W]) if others.size or W.size else W
-        ry = _lasso_residual(y, controls, lam_rule)
-        rd = _lasso_residual(D[:, ell], controls, lam_rule)
-        _check_variation(float(np.mean(rd**2)), D[:, ell],
-                         f"target {ell} has no residual variation")
-        fits.append(linear_score_result(rd * rd, rd * ry, alpha=alpha))
-        rd_all[:, ell] = rd
-
-    influence = np.column_stack([f.influence for f in fits])
-    V = np.atleast_2d(np.cov(influence, rowvar=False, bias=True))
-    return TargetInference(
-        estimates=np.concatenate([f.estimates for f in fits]),
-        std_errors=np.concatenate([f.std_errors for f in fits]),
-        joint_variance=V,
-        critical_value=band_critical_value(V, alpha, seed=seed),
-        residual_targets=rd_all, alpha=alpha, n=n,
-    )
+    fits, _, rd = _partialled_slopes(y, D, W, lam_rule, alpha)
+    return _stack(fits, alpha, seed, residual_targets=rd)
 
 
 def _support_refit(y, d, W, keep, alpha, warning=None) -> TargetInference:
-    """OLS of y on (1, d, W[:, keep]): d's coefficient with its HC0
-    variance."""
-    n = y.size
-    fit = ols_fit(np.column_stack([np.ones(n), d, W[:, keep]]), y)
-    variance = float(robust_variance(fit, "HC0").matrix[1, 1] * n)
-    return _single_target_inference(float(fit.coefficients[1]), variance, n,
-                                    alpha, warning=warning)
+    """d's coefficient in the OLS of y on (1, d, W[:, keep]) with its HC0
+    variance, by Frisch-Waugh-Lovell: the residual slope of y on d, both
+    partialled out of (1, W[:, keep])."""
+    controls = np.column_stack([np.ones(y.size), W[:, keep]])
+    rd, ry = partial_out(np.column_stack([d, y]), controls).T
+    return _stack([_residual_slope(ry, rd, d, alpha)], alpha, warning=warning)
 
 
 def double_selection(y, d, W, lam_rule: str = "plugin",
@@ -273,8 +273,8 @@ def desparsified_lasso(y, d, W, lam_rule: str = "plugin",
     _check_variation(float(np.mean(d * rd)), d,
                      "instrumenting residual is degenerate")
     partial_y = y - joint.intercept - W @ joint.coefficients[1:]
-    fit = linear_score_result(d * rd, partial_y * rd, alpha=alpha)
-    return _single_target_inference(fit.theta, fit.variance[0], y.size, alpha)
+    return _stack([linear_score_result(d * rd, partial_y * rd, alpha=alpha)],
+                  alpha)
 
 
 def naive_single_selection(y, d, W, alpha: float = 0.05) -> TargetInference:

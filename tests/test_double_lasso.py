@@ -277,3 +277,21 @@ def test_all_zero_target_is_weak_variation(procedure):
     y, _, W = _confounded_data(0, n=30)
     with pytest.raises(WeakResidualVariation):
         procedure(y, np.zeros(30), W)
+
+
+@pytest.mark.parametrize("procedure", SINGLE_TARGET + [many_targets])
+def test_two_rows_are_a_dimension_mismatch(procedure):
+    # With n = 2 and one control the residuals leave no variation, and
+    # the SE would come out at rounding level (a zero-width interval).
+    y, d, W = _confounded_data(0, n=2, p=1)
+    with pytest.raises(DimensionMismatch, match="n > 2"):
+        procedure(y, d, W)
+
+
+def test_target_collinear_with_a_kept_control_is_weak_variation():
+    # The refit partials d out of the kept controls; a control that is
+    # an affine copy of d, which the d-equation Lasso keeps, leaves d no
+    # residual variation.
+    y, d, W = _confounded_data(3, n=60, p=3)
+    with pytest.raises(WeakResidualVariation):
+        double_selection(y, d, np.column_stack([2.0 * d + 1.0, W]))

@@ -16,13 +16,18 @@ from hypothesis import given, strategies as st
 from dmlkit.cate import compare_models
 from dmlkit.cli.dgps import (_draw_sem, _draw_weak_iv, _est_ovb,
                              _est_weak_iv, sem_population)
-from dmlkit.dml import dml_gate, dml_pliv, dml_plm
+from dmlkit.dml import (dml_gate, dml_pliv, dml_plm, rct_estimators,
+                        rdd_sharp)
 from dmlkit.dml.engine import linear_score_result, normal_interval
 from dmlkit.dml.estimators import irm_signals
-from dmlkit.double_lasso import (_lasso_residual, _rule_fit,
-                                 desparsified_lasso, many_targets)
+from dmlkit.dml.rct import MODES
+from dmlkit.dml.rdd import KERNELS
+from dmlkit.double_lasso import (_lasso_residual, _rule_fit, _support_refit,
+                                 desparsified_lasso, double_lasso,
+                                 many_targets)
 from dmlkit.errors import SingularJacobian
 from dmlkit.learners import LinearLearner, LogisticLearner, make_folds
+from dmlkit.linalg import constant_columns, ols_fit, robust_variance
 from dmlkit.sensitivity import ovb_bound
 
 ESTIMATE_RTOL = 1e-12
@@ -116,6 +121,68 @@ def _ref_ovb(data, alpha):
     return beta_short, se, float(lo <= alpha <= hi)
 
 
+def _ref_double_lasso(y, d, W, lam_rule):
+    ry = _lasso_residual(y, W, lam_rule)
+    rd = _lasso_residual(d, W, lam_rule)
+    denom = float(np.mean(rd**2))
+    estimate = float(np.mean(rd * ry) / denom)
+    eps = ry - estimate * rd
+    variance = float(np.mean(rd**2 * eps**2)) / denom**2
+    return estimate, variance, ry, rd
+
+
+def _ref_support_refit(y, d, W, keep):
+    n = y.size
+    fit = ols_fit(np.column_stack([np.ones(n), d, W[:, keep]]), y)
+    variance = float(robust_variance(fit, "HC0").matrix[1, 1] * n)
+    return float(fit.coefficients[1]), np.sqrt(variance / n)
+
+
+def _ref_two_by_two_variance(eps, d):
+    n = eps.size
+    dt = d - np.mean(d)
+    ot = 1.0 - d
+    v11 = np.mean(eps**2 * dt**2) / np.mean(dt**2) ** 2
+    v22 = np.mean(eps**2 * ot**2) / np.mean(ot**2) ** 2
+    v12 = np.mean(eps**2 * dt * ot) / (np.mean(ot**2) * np.mean(dt**2))
+    return np.array([[v11, v12], [v12, v22]]) / n
+
+
+def _ref_rct(y, d, W, mode):
+    n = y.size
+    Wc = W - W.mean(axis=0)
+    Wc = Wc[:, ~constant_columns(Wc)]
+    if mode == "CL":
+        mu1 = float(np.mean(y[d == 1]))
+        mu0 = float(np.mean(y[d == 0]))
+        ate = mu1 - mu0
+        eps = y - np.where(d == 1, mu1, mu0)
+    else:
+        design = np.column_stack([np.ones(n), d, Wc])
+        if mode == "IRA":
+            design = np.column_stack([design, d[:, None] * Wc])
+        fit = ols_fit(design, y)
+        ate = float(fit.coefficients[1])
+        mu0 = float(fit.coefficients[0])
+        eps = fit.residuals
+    cov = _ref_two_by_two_variance(eps, d)
+    se = float(np.sqrt(cov[0, 0]))
+    grad = np.array([1.0 / mu0, -ate / mu0**2])
+    rel_se = float(np.sqrt(grad @ cov @ grad))
+    return ate, se, ate / mu0, rel_se
+
+
+def _ref_rdd(y, x, bandwidth, kernel, Z):
+    u = x / bandwidth
+    w = KERNELS[kernel](u)
+    keep = w > 0.0
+    treat = (x >= 0.0).astype(float)
+    design = np.column_stack([np.ones(y.size), treat, u, treat * u, Z])
+    fit = ols_fit(design[keep], y[keep], weights=w[keep])
+    var = robust_variance(fit, "HC0")
+    return float(fit.coefficients[1]), float(var.std_errors[1])
+
+
 @given(st.integers(0, 10_000), st.integers(1, 4))
 def test_gate_matches_the_hand_formula(seed, groups_count):
     r = np.random.default_rng(seed)
@@ -194,6 +261,68 @@ def test_ovb_slope_matches_the_hand_formula(seed):
     ry = data["y"] - np.mean(data["y"])
     _close(linear_score_result(rd * rd, rd * ry).std_error, se,
            VARIANCE_RTOL)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["plugin", "zero"]))
+def test_double_lasso_matches_the_hand_formula(seed, lam_rule):
+    r = np.random.default_rng(seed)
+    n = 100
+    W = r.standard_normal((n, 8))
+    d = W[:, 0] + r.standard_normal(n)
+    y = 0.7 * d + W[:, 1] + r.standard_normal(n)
+    res = double_lasso(y, d, W, lam_rule=lam_rule)
+    estimate, variance, ry, rd = _ref_double_lasso(y, d, W, lam_rule)
+    _close(res.estimate, estimate, ESTIMATE_RTOL)
+    _close(res.std_error, np.sqrt(variance / n), VARIANCE_RTOL)
+    _close(res.joint_variance, [[variance]], VARIANCE_RTOL)
+    np.testing.assert_array_equal(res.residual_outcome, ry)
+    np.testing.assert_array_equal(res.residual_targets, rd[:, None])
+
+
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 5), max_size=6))
+def test_support_refit_matches_ols_with_hc0(seed, keep):
+    r = np.random.default_rng(seed)
+    n = 80
+    W = r.standard_normal((n, 6))
+    d = W[:, 0] + r.standard_normal(n)
+    y = 0.5 * d + W[:, 1] + (1.0 + W[:, 2]**2) * r.standard_normal(n)
+    keep = sorted(set(keep))
+    res = _support_refit(y, d, W, keep, 0.05)
+    estimate, se = _ref_support_refit(y, d, W, keep)
+    _close(res.estimate, estimate, ESTIMATE_RTOL)
+    _close(res.std_error, se, VARIANCE_RTOL)
+    _close(res.joint_variance, [[se**2 * n]], VARIANCE_RTOL)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(MODES + ("cra", "ira")))
+def test_rct_matches_the_two_by_two_variance(seed, mode):
+    r = np.random.default_rng(seed)
+    n = 120
+    W = r.standard_normal((n, 3))
+    d = (r.uniform(size=n) < 0.4).astype(float)
+    d[:2] = 1.0, 0.0  # both arms present
+    y = 3.0 + d * (1.0 + W[:, 0]) + W[:, 1] + r.standard_normal(n)
+    res = rct_estimators(y, d, W, mode=mode)
+    ate, se, rel, rel_se = _ref_rct(y, d, W, mode.upper())
+    _close(res.estimate, ate, ESTIMATE_RTOL)
+    _close(res.std_error, se, VARIANCE_RTOL)
+    _close(res.diagnostics["relative_ate"], rel, ESTIMATE_RTOL)
+    _close(res.diagnostics["relative_ate_se"], rel_se, VARIANCE_RTOL)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(KERNELS)),
+       st.integers(0, 2))
+def test_rdd_matches_the_wls_sandwich(seed, kernel, covariates):
+    r = np.random.default_rng(seed)
+    n = 300
+    x = r.uniform(-1.0, 1.0, n)
+    Z = r.standard_normal((n, covariates))
+    y = (0.5 * x + 1.0 * (x >= 0) + Z.sum(axis=1)
+         + (1.0 + x**2) * r.standard_normal(n))
+    res = rdd_sharp(y, x, cutoff=0.0, bandwidth=0.6, kernel=kernel, Z=Z)
+    tau, se = _ref_rdd(y, x, 0.6, kernel, Z)
+    _close(res.estimate, tau, ESTIMATE_RTOL)
+    _close(res.std_error, se, VARIANCE_RTOL)
 
 
 # ---------------------------------------------------------------------------
