@@ -63,7 +63,7 @@ def _est_selection(lam_rule):
     def estimate(data, truth, seed):
         args = data["y"], data["d"], data["W"]
         res = (naive_single_selection(*args) if lam_rule == "naive"
-               else double_lasso(*args, lam_rule=lam_rule))
+               else double_lasso(*args, lam_rule=lam_rule, seed=seed))
         return _inference_record(res, truth["alpha"])
     return estimate
 

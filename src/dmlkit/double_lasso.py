@@ -19,7 +19,7 @@ from .dml.engine import (InferenceResult, _check_variation,
 from .errors import DimensionMismatch
 from .linalg import as_columns, as_matrix, as_vectors, check_rows, partial_out
 from .penalized import _lambda_max, cv_fit, lasso_fit, lasso_plugin
-from .rng import stream
+from .rng import derive_seed, stream
 
 SIMULTANEOUS_DRAWS = 100_000
 SIMULTANEOUS_BLOCK = 8192
@@ -105,10 +105,12 @@ def _residual_slope(ry, rd, target, alpha, name="target"):
     return linear_score_result(rd * rd, rd * ry, alpha=alpha)
 
 
-def _partialled_slopes(y, D, W, lam_rule, alpha):
+def _partialled_slopes(y, D, W, lam_rule, alpha, seed):
     """Partial y and each column of D out of the other columns stacked
     with the controls W by Lasso, and take each target's residual slope.
-    Returns the fits and the (n, p1) residual outcomes and targets."""
+    Both Lasso fits of target ell draw their CV folds (``lam_rule="cv"``)
+    from ``derive_seed(seed, "lasso-cv", ell)``. Returns the fits and the
+    (n, p1) residual outcomes and targets."""
     n, p1 = D.shape
     ry_all = np.empty((n, p1))
     rd_all = np.empty((n, p1))
@@ -116,8 +118,9 @@ def _partialled_slopes(y, D, W, lam_rule, alpha):
     for ell in range(p1):
         controls = (np.column_stack([np.delete(D, ell, axis=1), W])
                     if p1 > 1 else W)
-        ry = _lasso_residual(y, controls, lam_rule)
-        rd = _lasso_residual(D[:, ell], controls, lam_rule)
+        fold_seed = derive_seed(seed, "lasso-cv", ell)
+        ry = _lasso_residual(y, controls, lam_rule, fold_seed)
+        rd = _lasso_residual(D[:, ell], controls, lam_rule, fold_seed)
         fits.append(_residual_slope(ry, rd, D[:, ell], alpha,
                                     f"target {ell}"))
         ry_all[:, ell], rd_all[:, ell] = ry, rd
@@ -143,18 +146,21 @@ def _stack(fits, alpha, seed: int = 0, **fields) -> TargetInference:
     )
 
 
-def double_lasso(y, d, W, lam_rule: str = "plugin",
-                 alpha: float = 0.05) -> TargetInference:
+def double_lasso(y, d, W, lam_rule: str = "plugin", alpha: float = 0.05,
+                 seed: int = 0) -> TargetInference:
     """Double Lasso for a single target coefficient.
 
     Both the outcome and the target are partialled out of the controls by
     Lasso; the estimate is the slope of the residualized regression, the
     linear score psi_a = rd^2, psi_b = rd ry, with the HC0 standard error
     of its influence values. Each partialling step refits the selected
-    controls by least squares before taking residuals.
+    controls by least squares before taking residuals. ``seed`` drives
+    the CV folds of ``lam_rule="cv"``; with one target the band is the
+    pointwise interval, so nothing else is drawn.
     """
     y, d, W = _inputs(y, as_vectors(d=d), W)
-    fits, ry, rd = _partialled_slopes(y, d[:, None], W, lam_rule, alpha)
+    fits, ry, rd = _partialled_slopes(y, d[:, None], W, lam_rule, alpha,
+                                      seed)
     return _stack(fits, alpha, residual_outcome=ry[:, 0], residual_targets=rd)
 
 
@@ -229,10 +235,11 @@ def many_targets(y, D, W, alpha: float = 0.05, lam_rule: str = "plugin",
     psi_a = rd^2 and psi_b = rd ry. The joint variance is the covariance
     of the targets' stacked influence values, and the simultaneous
     critical value comes from a Gaussian sup-norm Monte Carlo on the
-    implied correlation matrix.
+    implied correlation matrix. ``seed`` drives both the CV folds of
+    ``lam_rule="cv"`` (one plan per target) and the band's draws.
     """
     y, D, W = _inputs(y, as_matrix(D), W)
-    fits, _, rd = _partialled_slopes(y, D, W, lam_rule, alpha)
+    fits, _, rd = _partialled_slopes(y, D, W, lam_rule, alpha, seed)
     return _stack(fits, alpha, seed, residual_targets=rd)
 
 

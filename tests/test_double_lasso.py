@@ -295,3 +295,39 @@ def test_target_collinear_with_a_kept_control_is_weak_variation():
     y, d, W = _confounded_data(3, n=60, p=3)
     with pytest.raises(WeakResidualVariation):
         double_selection(y, d, np.column_stack([2.0 * d + 1.0, W]))
+
+
+@pytest.fixture
+def cv_fold_plans(monkeypatch):
+    """The fold assignments that CV Lasso fits draw, in call order."""
+    import dmlkit.learners
+
+    plans = []
+    make_folds = dmlkit.learners.make_folds
+
+    def recording(n, K, seed):
+        plan = make_folds(n, K, seed)
+        plans.append(tuple(plan.assignment))
+        return plan
+
+    monkeypatch.setattr(dmlkit.learners, "make_folds", recording)
+    return plans
+
+
+def test_cv_fold_plans_follow_the_seed(cv_fold_plans):
+    # The outcome and the target of one target share a fold plan; the
+    # plan changes with the seed and from target to target.
+    y, d, W = _confounded_data(8)
+    runs = []
+    for seed in (1, 2):
+        cv_fold_plans.clear()
+        double_lasso(y, d, W, lam_rule="cv", seed=seed)
+        runs.append(list(cv_fold_plans))
+    assert len(runs[0]) == 2 and runs[0][0] == runs[0][1]
+    assert runs[0] != runs[1]
+    cv_fold_plans.clear()
+    many_targets(y, np.column_stack([d, W[:, 0]]), W[:, 1:], lam_rule="cv",
+                 seed=1)
+    first, _, second, _ = cv_fold_plans
+    assert cv_fold_plans == [first, first, second, second]
+    assert first != second

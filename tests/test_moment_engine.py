@@ -28,6 +28,7 @@ from dmlkit.double_lasso import (_lasso_residual, _rule_fit, _support_refit,
 from dmlkit.errors import SingularJacobian
 from dmlkit.learners import LinearLearner, LogisticLearner, make_folds
 from dmlkit.linalg import constant_columns, ols_fit, robust_variance
+from dmlkit.rng import derive_seed
 from dmlkit.sensitivity import ovb_bound
 
 ESTIMATE_RTOL = 1e-12
@@ -121,9 +122,9 @@ def _ref_ovb(data, alpha):
     return beta_short, se, float(lo <= alpha <= hi)
 
 
-def _ref_double_lasso(y, d, W, lam_rule):
-    ry = _lasso_residual(y, W, lam_rule)
-    rd = _lasso_residual(d, W, lam_rule)
+def _ref_double_lasso(y, d, W, lam_rule, fold_seed):
+    ry = _lasso_residual(y, W, lam_rule, fold_seed)
+    rd = _lasso_residual(d, W, lam_rule, fold_seed)
     denom = float(np.mean(rd**2))
     estimate = float(np.mean(rd * ry) / denom)
     eps = ry - estimate * rd
@@ -263,15 +264,16 @@ def test_ovb_slope_matches_the_hand_formula(seed):
            VARIANCE_RTOL)
 
 
-@given(st.integers(0, 10_000), st.sampled_from(["plugin", "zero"]))
+@given(st.integers(0, 10_000), st.sampled_from(["plugin", "zero", "cv"]))
 def test_double_lasso_matches_the_hand_formula(seed, lam_rule):
     r = np.random.default_rng(seed)
     n = 100
     W = r.standard_normal((n, 8))
     d = W[:, 0] + r.standard_normal(n)
     y = 0.7 * d + W[:, 1] + r.standard_normal(n)
-    res = double_lasso(y, d, W, lam_rule=lam_rule)
-    estimate, variance, ry, rd = _ref_double_lasso(y, d, W, lam_rule)
+    res = double_lasso(y, d, W, lam_rule=lam_rule, seed=seed)
+    estimate, variance, ry, rd = _ref_double_lasso(
+        y, d, W, lam_rule, derive_seed(seed, "lasso-cv", 0))
     _close(res.estimate, estimate, ESTIMATE_RTOL)
     _close(res.std_error, np.sqrt(variance / n), VARIANCE_RTOL)
     _close(res.joint_variance, [[variance]], VARIANCE_RTOL)
