@@ -111,10 +111,8 @@ def _partialled_slopes(y, D, W, lam_rule, alpha, seed):
     Both Lasso fits of target ell draw their CV folds (``lam_rule="cv"``)
     from ``derive_seed(seed, "lasso-cv", ell)``. Returns the fits and the
     (n, p1) residual outcomes and targets."""
-    n, p1 = D.shape
-    ry_all = np.empty((n, p1))
-    rd_all = np.empty((n, p1))
-    fits = []
+    p1 = D.shape[1]
+    fits, ry_all, rd_all = [], [], []
     for ell in range(p1):
         controls = (np.column_stack([np.delete(D, ell, axis=1), W])
                     if p1 > 1 else W)
@@ -123,8 +121,9 @@ def _partialled_slopes(y, D, W, lam_rule, alpha, seed):
         rd = _lasso_residual(D[:, ell], controls, lam_rule, fold_seed)
         fits.append(_residual_slope(ry, rd, D[:, ell], alpha,
                                     f"target {ell}"))
-        ry_all[:, ell], rd_all[:, ell] = ry, rd
-    return fits, ry_all, rd_all
+        ry_all.append(ry)
+        rd_all.append(rd)
+    return fits, np.column_stack(ry_all), np.column_stack(rd_all)
 
 
 def _stack(fits, alpha, seed: int = 0, **fields) -> TargetInference:
