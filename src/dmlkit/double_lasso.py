@@ -18,7 +18,8 @@ from .dml.engine import (InferenceResult, _check_variation,
                          linear_score_result, normal_interval)
 from .errors import DimensionMismatch
 from .linalg import as_columns, as_matrix, as_vectors, check_rows, partial_out
-from .penalized import _lambda_max, cv_fit, lasso_fit, lasso_plugin
+from .penalized import (_design, _lambda_max, _prepare, cv_fit, lasso_fit,
+                        lasso_plugin)
 from .rng import derive_seed, stream
 
 SIMULTANEOUS_DRAWS = 100_000
@@ -80,8 +81,12 @@ def _rule_fit(y, W, lam_rule: str, seed: int = 0):
         raise ValueError(f"unknown lambda rule {lam_rule!r}")
     from .learners import make_folds
 
-    grid = _lambda_max(W, y) * np.geomspace(0.01, 1.0, 16)
-    return cv_fit("lasso", W, y, grid, make_folds(y.size, 5, seed)).refit
+    # One standardized design serves the grid's top and the final refit.
+    design = _design(*_prepare(W, y))
+    grid = (_lambda_max(W, y, _full_design=design)
+            * np.geomspace(0.01, 1.0, 16))
+    return cv_fit("lasso", W, y, grid, make_folds(y.size, 5, seed),
+                  _full_design=design).refit
 
 
 def _inputs(y, d, W):

@@ -12,6 +12,7 @@ boosting, and IRLS logistic oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,11 +229,16 @@ def _best_split(order, xs, channels, features, min_leaf, total_w, total_wy):
     or None when it has none.
 
     ``order`` and ``xs`` hold, per feature, the node's row ids and their
-    values in ascending value order. ``channels`` is the stack (w, w*y)
-    or, for unit weights, y alone: the left weight at size i is then
-    exactly i, so no weight channel is gathered or summed. Each block of
-    candidate features is scored from one cumulative sum of the sorted
-    channels; the gain of a split is its weighted SSE reduction.
+    values in ascending value order. ``features`` lists the candidate
+    features in ascending order, or is None for all p: each block of
+    features is then a slice of ``order`` and ``xs``, not a copy
+    gathered by index. ``channels`` is the stack (w, w*y) or, for unit
+    weights, y alone: the left weight at size i is then exactly i, so no
+    weight channel is gathered or summed and no score divides by zero.
+    Each block of candidate features is scored from one cumulative sum
+    of the sorted channels; the gain of a split is its weighted SSE
+    reduction. Features compete through their best scores alone, and
+    the midpoint cut is computed once, for the winner.
     """
     m = order.shape[1]
     # Left-side sizes that leave at least min_leaf rows on each side; a
@@ -240,53 +246,66 @@ def _best_split(order, xs, channels, features, min_leaf, total_w, total_wy):
     lo, hi = min_leaf, m - min_leaf
     unit = channels.ndim == 1
     if unit:
-        # Both sides hold at least min_leaf >= 1 rows, so both weights
-        # are positive.
         lw = np.arange(lo, hi + 1, dtype=float)
         rw = total_w - lw
+    count = order.shape[0] if features is None else features.size
     step = max(1, _BLOCK_CELLS // m)
-    best = None
-    for start in range(0, features.size, step):
-        block = features[start:start + step]
-        cum = np.cumsum(np.take(channels, order[block, :hi], axis=-1),
-                        axis=-1)
+    best = base = None  # best: (candidate index, left size, gain)
+    for start in range(0, count, step):
+        block = (slice(start, start + step) if features is None
+                 else features[start:start + step])
+        cum = channels.take(order[block, :hi], axis=-1).cumsum(axis=-1)
         if unit:
             lwy = cum[:, lo - 1:]
+            score = lwy**2 / lw + (total_wy - lwy)**2 / rw
         else:
             lw, lwy = cum[0, :, lo - 1:], cum[1, :, lo - 1:]
             rw = total_w - lw
-        rwy = total_wy - lwy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = lwy**2 / lw + rwy**2 / rw
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = lwy**2 / lw + (total_wy - lwy)**2 / rw
         x = xs[block]
         usable = x[:, lo:hi + 1] > x[:, lo - 1:hi]
         if not unit:
             usable &= (lw > 0) & (rw > 0)
-        score[~usable] = -np.inf
-        pos = np.argmax(score, axis=1)
-        top = score[np.arange(block.size), pos]
-        for k in np.flatnonzero(np.isfinite(top)):
-            gain = float(top[k]) - (total_wy**2 / total_w)
+        np.copyto(score, -np.inf, where=~usable)
+        # Each feature's best score and its first position.
+        top, pos = score.max(axis=1), score.argmax(axis=1)
+        for k, (t, i) in enumerate(zip(top.tolist(), pos.tolist()), start):
+            if not math.isfinite(t):
+                continue
+            if base is None:
+                base = total_wy**2 / total_w
+            gain = t - base
             if best is None or gain > best[2] + 1e-12:
-                i = lo + pos[k]
-                cut = float(0.5 * (x[k, i - 1] + x[k, i]))
-                # Between adjacent floats the midpoint can round up to
-                # the upper value, which would send every row left.
-                if cut >= x[k, i]:
-                    cut = float(x[k, i - 1])
-                best = (int(block[k]), cut, gain)
-    return best
+                best = (k, lo + i, gain)
+    if best is None:
+        return None
+    k, i, gain = best
+    j = k if features is None else int(features[k])
+    below, above = xs[j, i - 1], xs[j, i]
+    cut = float(0.5 * (below + above))
+    # Between adjacent floats the midpoint can round up to the upper
+    # value, which would send every row left.
+    if cut >= above:
+        cut = float(below)
+    return j, cut, gain
 
 
-def _partition(order, xs, goes_left):
-    """Split each column's sorted rows into (left, right), keeping order."""
-    keep = goes_left[order].ravel()
+def _partition(order, xs, goes_left, grow_left, grow_right):
+    """Split each column's sorted rows into (left, right), keeping order.
+    Only the sides marked to grow are built; the others are None."""
     p = order.shape[0]
-    return tuple(
-        (np.compress(side, order).reshape(p, -1),
-         np.compress(side, xs).reshape(p, -1))
-        for side in (keep, ~keep)
-    )
+    order, xs = order.ravel(), xs.ravel()
+    keep = goes_left[order]
+    left = right = None
+    if grow_left:
+        left = (order.compress(keep).reshape(p, -1),
+                xs.compress(keep).reshape(p, -1))
+    if grow_right:
+        keep = ~keep
+        right = (order.compress(keep).reshape(p, -1),
+                 xs.compress(keep).reshape(p, -1))
+    return left, right
 
 
 def _presort(X):
@@ -312,14 +331,16 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     every column, so a node always sees its rows sorted by value with
     ties in row order. With ``weights=None`` the rows weigh one each and
     the search carries no weight channel; the scores are the same bits
-    as with ``weights=np.ones(n)``. A node scores
-    all its candidate features (all p, or ``mtry`` drawn from ``rng``) at
-    once at every midpoint between distinct sorted values that leaves
-    ``min_leaf`` rows on each side. Within a feature the lowest threshold
-    wins among equal gains; across features, in ascending order, a
-    feature displaces the best so far only when its gain is larger by
-    more than 1e-12. Nodes grow depth first, left before right, which
-    is also the order of the ``rng`` draws.
+    as with ``weights=np.ones(n)``. A node scores all its candidate
+    features (all p, read as slices of the sorted columns, or ``mtry``
+    drawn from ``rng``) at once at every midpoint between distinct
+    sorted values that leaves ``min_leaf`` rows on each side. Within a
+    feature the lowest threshold wins among equal gains; across
+    features, in ascending order, a feature displaces the best so far
+    only when its gain is larger by more than 1e-12. Nodes grow depth
+    first, left before right, which is also the order of the ``rng``
+    draws; a split partitions the sorted columns only for the children
+    that will be searched in turn.
     """
     y, w = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
@@ -338,9 +359,11 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     def can_split(size, depth):
         return depth < max_depth and size >= 2 * min_leaf
 
-    sorted_rows = None
+    sorted_rows = columns = None
     if can_split(n, 0):
         sorted_rows = _presort(X) if _sorted is None else _sorted
+        columns = np.ascontiguousarray(X.T)
+    draw = mtry is not None and mtry < p
     # Nodes to grow, popped depth first and left before right, so node
     # ids run in that order and a left child's id is its parent's plus
     # one. Each entry: the node's rows in row order, (order, xs) for
@@ -352,21 +375,22 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
         node = len(value)
         if parent >= 0:
             right[parent] = node
-        total_w = float(idx.size) if w is None else w[idx].sum()
-        total_wy = wy[idx].sum()
         yn = y[idx]
+        if w is None:
+            # wy is y: the same values in the same order, so the same sum.
+            total_w, total_wy = float(idx.size), yn.sum()
+        else:
+            total_w, total_wy = w[idx].sum(), wy[idx].sum()
         value.append(float(total_wy / total_w) if total_w > 0
                      else float(np.mean(yn)))
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        if sorted_rows is None or np.all(yn == yn[0]):
+        if sorted_rows is None or (yn == yn[0]).all():
             continue
-        if mtry is not None and mtry < p:
-            features = np.sort(rng.choice(p, size=mtry, replace=False))
-        else:
-            features = np.arange(p)
+        features = (np.sort(rng.choice(p, size=mtry, replace=False))
+                    if draw else None)
         split = _best_split(*sorted_rows, channels, features, min_leaf,
                             total_w, total_wy)
         if split is None:
@@ -380,16 +404,17 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
         feature[node] = j
         threshold[node] = cut
         left[node] = node + 1
-        mask = X[idx, j] <= cut
-        idx_l, idx_r = idx[mask], idx[~mask]
+        mask = columns[j].take(idx) <= cut
+        idx_l, idx_r = idx.compress(mask), idx.compress(~mask)
         grow_l = can_split(idx_l.size, depth + 1)
         grow_r = can_split(idx_r.size, depth + 1)
         rows_l = rows_r = None
         if grow_l or grow_r:
             goes_left[idx] = mask
-            rows_l, rows_r = _partition(*sorted_rows, goes_left)
-        todo.append((idx_r, rows_r if grow_r else None, depth + 1, node))
-        todo.append((idx_l, rows_l if grow_l else None, depth + 1, -1))
+            rows_l, rows_r = _partition(*sorted_rows, goes_left, grow_l,
+                                        grow_r)
+        todo.append((idx_r, rows_r, depth + 1, node))
+        todo.append((idx_l, rows_l, depth + 1, -1))
     return RegressionTree(feature, threshold, left, right, value)
 
 

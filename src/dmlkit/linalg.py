@@ -134,6 +134,29 @@ def constant_columns(X) -> np.ndarray:
     return np.ptp(X, axis=0) == 0.0
 
 
+def _factor(Xw, rank_deficient_ok: bool = False):
+    """Column-pivoted QR of Xw with its numerical rank, ``(Q, R, piv,
+    rank)``. Raises RankDeficient if the rank falls short of the column
+    count beyond the relative tolerance, unless ``rank_deficient_ok``."""
+    Q, R, piv = sla.qr(Xw, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    top = diag[0] if diag.size else 0.0
+    rank = int(np.sum(diag > RANK_RTOL * top)) if top > 0 else 0
+    p = Xw.shape[1]
+    if rank < p and not rank_deficient_ok:
+        raise RankDeficient(f"design has numerical rank {rank} < {p} columns")
+    return Q, R, piv, rank
+
+
+def _solve(factor, yw):
+    """Least-squares coefficients of yw on a full-rank ``_factor``."""
+    Q, R, piv, rank = factor
+    beta = np.zeros(R.shape[1])
+    rhs = Q.T @ yw
+    beta[piv] = sla.solve_triangular(R[:rank, :rank], rhs[:rank])
+    return beta
+
+
 def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
     """Least squares of y on the columns of X.
 
@@ -156,20 +179,12 @@ def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
         beta = np.empty(0)
         rank = 0
     else:
-        Q, R, piv = sla.qr(Xw, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        top = diag[0] if diag.size else 0.0
-        rank = int(np.sum(diag > RANK_RTOL * top)) if top > 0 else 0
+        factor = _factor(Xw, rank_deficient_ok=minimum_norm)
+        rank = factor[-1]
         if rank < p:
-            if not minimum_norm:
-                raise RankDeficient(
-                    f"design has numerical rank {rank} < {p} columns"
-                )
             beta, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
         else:
-            beta = np.zeros(p)
-            rhs = Q.T @ yw
-            beta[piv] = sla.solve_triangular(R[:rank, :rank], rhs[:rank])
+            beta = _solve(factor, yw)
 
     fitted = X @ beta
     resid = y - fitted
@@ -242,19 +257,25 @@ def partial_out(V, W, weights=None) -> np.ndarray:
     """Residualize V (vector or columns) on the control matrix W.
 
     Returns residuals orthogonal in sample to every column of W. With an
-    empty W the input is returned unchanged.
+    empty W the input is returned unchanged. W is factored once for all
+    columns of V, and each column's residuals are those of its
+    ``ols_fit`` on W, bit for bit; a rank-deficient W raises
+    RankDeficient as that fit does.
     """
     V = np.asarray(V, dtype=float)
     squeeze = V.ndim == 1
     Vm = V[:, None] if squeeze else V
     W = as_columns(W, len(Vm))
+    w = as_vectors(weights=weights)
+    check_rows(V=Vm, weights=w)
     if W.shape[1] == 0:
         out = Vm.copy()
     else:
+        sw = np.sqrt(np.ones(len(W)) if w is None else w)
+        factor = _factor(W * sw[:, None])
         out = np.empty_like(Vm, dtype=float)
-        for j in range(Vm.shape[1]):
-            fit = ols_fit(W, Vm[:, j], weights=weights)
-            out[:, j] = fit.residuals
+        for j, v in enumerate(Vm.T):
+            out[:, j] = v - W @ _solve(factor, v * sw)
     return out[:, 0] if squeeze else out
 
 

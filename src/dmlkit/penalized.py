@@ -105,11 +105,17 @@ def _design(X, y):
     return design + (np.einsum("ij,ij->j", Xs, Xs), Xs.T @ yc)
 
 
-def _lambda_max(X, y) -> float:
+def _lambda_max(X, y, _full_design=None) -> float:
     """Smallest penalty at which the Lasso solution is all zeros (1.0
-    when y is constant)."""
-    Xs, yc = _standardize(*_prepare(X, y))[:2]
-    top = float(np.max(np.abs(Xs.T @ yc), initial=0.0))
+    when y is constant). ``_full_design``, passed only by Double
+    Lasso's CV rule, is ``_design(X, y)``: its ``Xs'yc`` is read rather
+    than standardizing X again."""
+    if _full_design is None:
+        Xs, yc = _standardize(*_prepare(X, y))[:2]
+        xty = Xs.T @ yc
+    else:
+        xty = _full_design[-1]
+    top = float(np.max(np.abs(xty), initial=0.0))
     return 2.0 * top if top > 0 else 1.0
 
 
@@ -301,8 +307,8 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
     centered columns, which makes predictions invariant to column
     rescaling. Constant columns get loading zero, stay at coefficient
     zero, and are reported in ``degenerate_columns``. ``_path``, passed
-    only by ``lasso_path``, ``plugin_lambda`` and ``lasso_plugin``, is
-    ``(_design(X, y), warm start or None)``.
+    only by ``lasso_path``, ``plugin_lambda``, ``lasso_plugin`` and
+    ``cv_fit``, is ``(_design(X, y), warm start or None)``.
     """
     design, warm = _path or (_design(*_prepare(X, y)), None)
     Xs, yc, xbar, ybar, scale, colsq, xty = design
@@ -460,20 +466,24 @@ def elastic_net_fit(X, y, lam_ridge: float, lam_lasso: float) -> LassoFit:
                      lam_ridge=lam_ridge)
 
 
-def cv_fit(method: str, X, y, grid, plan) -> CvReport:
+def cv_fit(method: str, X, y, grid, plan, _full_design=None) -> CvReport:
     """K-fold cross-validation over a parameter grid.
 
     For each grid point the model is trained on K-1 folds and scored on
     the held-out fold; the CV MSE is the plain mean of fold MSEs. Ties
     break to the smallest grid index and the winner is refit on the full
-    data.
+    data. ``_full_design``, passed only by Double Lasso's CV rule, is
+    ``_design(X, y)``: a Lasso refit then solves on it rather than
+    standardizing X again.
     """
     X, y = _prepare(X, y)
     grid = list(grid)
     if not grid:
         raise DimensionMismatch("grid must be nonempty")
     if method == "lasso":
-        fitter = lambda X, y, lam: lasso_fit(X, y, lam=lam)
+        # Only the final refit: the folds solve along lasso_path.
+        path = None if _full_design is None else (_full_design, None)
+        fitter = lambda X, y, lam: lasso_fit(X, y, lam=lam, _path=path)
     elif method == "ridge":
         fitter = lambda X, y, lam: ridge_fit(X, y, lam)
     else:

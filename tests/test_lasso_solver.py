@@ -11,8 +11,9 @@ from hypothesis import given, strategies as st
 
 from dmlkit import penalized
 from dmlkit.cli.dgps import _decay_coefficients, _draw_confounded_lasso
-from dmlkit.double_lasso import _lambda_max
+from dmlkit.double_lasso import _lambda_max, _rule_fit
 from dmlkit.errors import NoConvergence
+from dmlkit.learners import make_folds
 from dmlkit.penalized import (KKT_TOL, _coordinate_descent, _kkt_gap,
                               lasso_fit, lasso_path)
 
@@ -204,6 +205,28 @@ def test_path_standardizes_once(monkeypatch):
     for lam, fit in zip(grid, fits):
         cold = lasso_fit(W, y, lam=lam)
         assert np.max(np.abs(fit.coefficients - cold.coefficients)) < 1e-6
+
+
+def test_cv_rule_standardizes_once_per_path_and_once_more(monkeypatch):
+    # The grid's top and the final refit share one standardized design;
+    # each of the 5 folds' paths standardizes its own rows.
+    r = np.random.default_rng(12)
+    W = r.standard_normal((50, 70))
+    y = W[:, :3].sum(axis=1) + r.standard_normal(50)
+    grid = _lambda_max(W, y) * np.geomspace(0.01, 1.0, 16)
+    want = penalized.cv_fit("lasso", W, y, grid, make_folds(50, 5, 3)).refit
+    calls = []
+    original = penalized._standardize
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(penalized, "_standardize", counting)
+    got = _rule_fit(y, W, "cv", seed=3)
+    assert calls == [50] + [40] * 5
+    assert np.array_equal(got.coefficients, want.coefficients)
+    assert got.intercept == want.intercept
 
 
 def _lambda_max_designs():

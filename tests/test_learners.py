@@ -755,3 +755,89 @@ def test_logistic_fit_allocates_less_than_its_design():
     finally:
         tracemalloc.stop()
     assert peak < X.nbytes
+
+
+# Drawn cases for the presorted search against the frozen reference:
+# one-decimal X so values tie, bootstrap duplicates, zero weights and
+# weights over six decades, every depth and leaf size, mtry subsets, and
+# forest-shaped trees grown from a forest's rank table.
+@example(seed=3, n=300, p=6, shape="forest", weights=None, depth=8,
+         leaf=5, mtry=None)
+@example(seed=4, n=300, p=6, shape="free", weights="zeros", depth=8,
+         leaf=1, mtry=3)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       p=st.integers(1, 6), shape=st.sampled_from(["free", "bootstrap",
+                                                   "forest"]),
+       weights=st.sampled_from([None, "zeros", "decades"]),
+       depth=st.integers(0, 8), leaf=st.integers(1, 7),
+       mtry=st.none() | st.integers(1, 6))
+def test_tree_fit_matches_the_reference_on_drawn_cases(seed, n, p, shape,
+                                                        weights, depth,
+                                                        leaf, mtry):
+    r = np.random.default_rng(seed)
+    X = np.round(r.standard_normal((n, p)), 1)
+    y = np.round(X[:, 0] - X[:, -1] ** 2 + r.standard_normal(n), 1)
+    kw = {"max_depth": depth, "min_leaf": leaf}
+    if weights == "zeros":
+        w = r.uniform(size=n)
+        w[r.uniform(size=n) < 0.4] = 0.0
+        w[X[:, -1] > 1.0] = 0.0  # whole branches without weight
+        kw["weights"] = w
+    elif weights == "decades":
+        y = y * 10 ** r.uniform(-3, 3, n)
+        kw["weights"] = 10 ** r.uniform(-3, 3, n)
+    if shape != "free":
+        rows = r.integers(0, n, size=n)
+        if shape == "forest":
+            kw.update(max_depth=8, min_leaf=5,
+                      _sorted=_resample_sort(X, _rank_keys(X), rows))
+        X, y = X[rows], y[rows]
+        if "weights" in kw:
+            kw["weights"] = kw["weights"][rows]
+    ref_kw = {k: v for k, v in kw.items() if k != "_sorted"}
+    if mtry is not None:
+        kw.update(mtry=mtry, rng=np.random.default_rng(seed))
+        ref_kw.update(mtry=mtry, rng=np.random.default_rng(seed))
+    tree = tree_fit(X, y, **kw)
+    ref = _reference_tree(X, y, **ref_kw)
+    assert list(zip(tree.feature.tolist(), tree.threshold.tolist(),
+                    tree.value.tolist())) == _reference_nodes(ref)
+    fresh = np.round(r.standard_normal((50, p)), 1)
+    Xq = np.vstack([X, fresh])
+    assert np.array_equal(tree.predict(Xq), _reference_predict(ref, Xq))
+
+
+@pytest.mark.parametrize("case", ["zero_weights", "constant", "constant_y"])
+def test_tree_search_warns_of_nothing(case):
+    X, y, kw = _split_search_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree_fit(X, y, **kw)
+
+
+def test_a_branch_without_weight_warns_of_nothing(monkeypatch):
+    # Summed in row order these weights come to 4 more than their running
+    # sum in x order ever reaches, so a split can leave a child whose rows
+    # all weigh 0. Its search scores only empty sides and must evaluate no
+    # gain base.
+    x = np.array([6.0, 1, 3, 7, 4, 9, 0, 5, 2, 8])
+    y = np.array([3.0, 0, 2, 3, 3, 3, 0, 4, 2, 0])
+    w = np.array([0.0, 0, 1, 1, 0, 0, 1, 0, 1e16, 0])
+    totals = []
+    original = learners._best_split
+
+    def recording(*args):
+        totals.append(args[-2])
+        return original(*args)
+
+    monkeypatch.setattr(learners, "_best_split", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = tree_fit(x[:, None], y, max_depth=3, weights=w)
+        assert 0.0 in totals[1:]
+        bare = tree_fit(x[:, None], y, max_depth=3, weights=np.zeros(10))
+    ref = _reference_tree(x[:, None], y, max_depth=3, min_leaf=1, weights=w)
+    assert list(zip(tree.feature.tolist(), tree.threshold.tolist(),
+                    tree.value.tolist())) == _reference_nodes(ref)
+    assert bare.feature.tolist() == [-1]
+    assert bare.value[0] == np.mean(y)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dmlkit import linalg
+from dmlkit.double_lasso import double_selection
 from dmlkit.errors import (DegreesOfFreedom, DimensionMismatch, LeverageOne,
                            RankDeficient)
 from dmlkit.linalg import (ols_fit, partial_out, predictive_metrics,
@@ -180,6 +182,50 @@ class TestPartialOut:
         W = r.standard_normal((n, 3))
         out = partial_out(r.standard_normal(n), W)
         assert np.max(np.abs(W.T @ out / n)) < 1e-8
+
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_one_factorization_matches_per_column_fits(self, weighted):
+        r = np.random.default_rng(17)
+        n = 50
+        W = np.column_stack([np.ones(n), r.standard_normal((n, 4))])
+        V = r.standard_normal((n, 3)) * [1.0, 1e3, 1e-3]
+        w = r.uniform(0.1, 5.0, n) if weighted else None
+        got = partial_out(V, W, weights=w)
+        for j in range(V.shape[1]):
+            want = ols_fit(W, V[:, j], weights=w).residuals
+            assert (np.max(np.abs(got[:, j] - want))
+                    <= 1e-12 * np.max(np.abs(want)))
+        assert np.array_equal(partial_out(V[:, 1], W, weights=w), got[:, 1])
+
+    def test_rank_deficient_controls_raise(self):
+        r = np.random.default_rng(5)
+        x = r.standard_normal(20)
+        W = np.column_stack([np.ones(20), x, 2.0 * x])
+        with pytest.raises(RankDeficient, match="numerical rank 2 < 3"):
+            partial_out(r.standard_normal((20, 2)), W)
+        with pytest.raises(RankDeficient):
+            partial_out(x, W, weights=np.full(20, 0.5))
+
+    def test_double_selection_factors_its_controls_once(self, monkeypatch):
+        calls = []
+        original = linalg._factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_factor", counting)
+        r = np.random.default_rng(9)
+        W = r.standard_normal((80, 6))
+        d = W[:, 0] + r.standard_normal(80)
+        y = d + W[:, 1] + r.standard_normal(80)
+        res = double_selection(y, d, W)
+        assert len(calls) == 1
+        controls = calls[0]  # the constant and the selected controls
+        assert controls.shape[1] >= 3
+        joint = ols_fit(np.column_stack([d, controls]), y)
+        assert res.estimate == pytest.approx(joint.coefficients[0], rel=1e-10)
 
 
 class TestPredictiveMetrics:
