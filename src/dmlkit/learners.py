@@ -200,19 +200,22 @@ class RegressionTree:
     to ``right[i]``; at a leaf ``feature[i]`` is -1. ``value[i]`` is the
     weighted mean outcome of the training rows that reached node ``i``.
     Ties in SSE improvement break to the lower feature index, then the
-    lower threshold, so fitting is fully deterministic.
+    lower threshold, so fitting is fully deterministic. ``p`` is the
+    column count of the training design; ``predict`` raises
+    ``DimensionMismatch`` for any other.
     """
 
-    def __init__(self, feature, threshold, left, right, value):
+    def __init__(self, feature, threshold, left, right, value, p):
         self.feature = np.asarray(feature, dtype=np.intp)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.intp)
         self.right = np.asarray(right, dtype=np.intp)
         self.value = np.asarray(value, dtype=float)
+        self.p = p
 
     def predict(self, X) -> np.ndarray:
         """Route every row down one level per pass until all sit at leaves."""
-        X = as_matrix(X)
+        X = as_matrix(X, self.p)
         node = np.zeros(X.shape[0], dtype=np.intp)
         rows = np.arange(X.shape[0]) if self.feature[0] >= 0 else node[:0]
         while rows.size:
@@ -267,7 +270,7 @@ def _best_split(order, xs, channels, features, min_leaf, total_w, total_wy):
         usable = x[:, lo:hi + 1] > x[:, lo - 1:hi]
         if not unit:
             usable &= (lw > 0) & (rw > 0)
-        np.copyto(score, -np.inf, where=~usable)
+        np.putmask(score, ~usable, -np.inf)
         # Each feature's best score and its first position.
         top, pos = score.max(axis=1), score.argmax(axis=1)
         for k, (t, i) in enumerate(zip(top.tolist(), pos.tolist()), start):
@@ -293,19 +296,33 @@ def _best_split(order, xs, channels, features, min_leaf, total_w, total_wy):
 
 def _partition(order, xs, goes_left, grow_left, grow_right):
     """Split each column's sorted rows into (left, right), keeping order.
-    Only the sides marked to grow are built; the others are None."""
+    Only the sides marked to grow are built; the others are None.
+
+    Every gather goes through ``take``: indexing by the int32 ``order``
+    (``goes_left[order]``) takes numpy's slow fancy-index path, and
+    ``compress`` would find the mask's nonzeros again for each of the
+    two arrays. Taking at the nonzeros of a mask, found once per side,
+    gives the same elements in the same order as ``compress``."""
     p = order.shape[0]
     order, xs = order.ravel(), xs.ravel()
-    keep = goes_left[order]
+    keep = goes_left.take(order)
     left = right = None
     if grow_left:
-        left = (order.compress(keep).reshape(p, -1),
-                xs.compress(keep).reshape(p, -1))
+        at = keep.nonzero()[0]
+        left = order.take(at).reshape(p, -1), xs.take(at).reshape(p, -1)
     if grow_right:
-        keep = ~keep
-        right = (order.compress(keep).reshape(p, -1),
-                 xs.compress(keep).reshape(p, -1))
+        at = (~keep).nonzero()[0]
+        right = order.take(at).reshape(p, -1), xs.take(at).reshape(p, -1)
     return left, right
+
+
+def _column_values(X, rows):
+    """``X[rows[j], j]`` per column j, for a (p, m) array of row ids.
+    One ``take`` on the raveled X gathers them faster than the fancy
+    index of ``take_along_axis``; the flat indices are intp, so int32
+    row ids times p cannot overflow."""
+    p = X.shape[1]
+    return X.ravel().take(rows * np.intp(p) + np.arange(p)[:, None])
 
 
 def _presort(X):
@@ -313,7 +330,7 @@ def _presort(X):
     ascending value order (ties in row order) and the values in that
     order."""
     order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
-    return order, np.take_along_axis(X.T, order, axis=1)
+    return order, _column_values(X, order)
 
 
 def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
@@ -377,8 +394,9 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
             right[parent] = node
         yn = y[idx]
         if w is None:
-            # wy is y: the same values in the same order, so the same sum.
-            total_w, total_wy = float(idx.size), yn.sum()
+            # wy is y: the same values in the same order, so the same
+            # sum, and as a Python float the same double.
+            total_w, total_wy = float(idx.size), float(yn.sum())
         else:
             total_w, total_wy = w[idx].sum(), wy[idx].sum()
         value.append(float(total_wy / total_w) if total_w > 0
@@ -415,7 +433,7 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
                                         grow_r)
         todo.append((idx_r, rows_r, depth + 1, node))
         todo.append((idx_l, rows_l, depth + 1, -1))
-    return RegressionTree(feature, threshold, left, right, value)
+    return RegressionTree(feature, threshold, left, right, value, p)
 
 
 @dataclass(frozen=True)
@@ -465,7 +483,7 @@ def _resample_sort(X, keys, idx):
     k = keys[:, idx] + np.arange(n)
     k.sort(axis=1)
     order = (k % n).astype(np.int32)
-    return order, np.take_along_axis(X.T, idx[order], axis=1)
+    return order, _column_values(X, idx.take(order))
 
 
 def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
@@ -578,7 +596,7 @@ class _LogisticPredictor:
         self.clip = clip
 
     def _index(self, X):
-        X = as_matrix(X)
+        X = as_matrix(X, self.beta.size - 1)
         return self.beta[0] + X @ self.beta[1:]
 
     def predict_proba(self, X):

@@ -105,13 +105,18 @@ def as_vectors(**named):
     return vectors[0] if len(vectors) == 1 else vectors
 
 
-def as_matrix(X) -> np.ndarray:
-    """Float array with a vector read as one column."""
+def as_matrix(X, width: int | None = None) -> np.ndarray:
+    """Float array with a vector read as one column; with ``width``, a
+    fitted model's column count, any other count of columns raises
+    ``DimensionMismatch``."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
         raise DimensionMismatch("design must be a vector or matrix")
+    if width is not None and X.shape[1] != width:
+        raise DimensionMismatch(
+            f"design has {X.shape[1]} columns, the fit has {width}")
     return X
 
 

@@ -57,7 +57,8 @@ class LassoFit:
         return np.flatnonzero(self.coefficients)
 
     def predict(self, X) -> np.ndarray:
-        return self.intercept + as_matrix(X) @ self.coefficients
+        return self.intercept + (as_matrix(X, self.coefficients.size)
+                                 @ self.coefficients)
 
 
 @dataclass
@@ -258,7 +259,8 @@ def _coordinate_descent(Xc, yc, lam, lam_ridge, loadings, beta0=None,
             mag = abs(rho) - tj
             new = float(sign(rho)) * mag / dj if mag > 0.0 else 0.0
             if new != bj:
-                daxpy(xj, r, a=bj - new)
+                # Positional: f2py parses a keyword slowly, at every call.
+                daxpy(xj, r, n, bj - new)
                 b[j] = new
                 change = abs(new - bj)
                 if change > max_change:
@@ -496,14 +498,15 @@ def cv_fit(method: str, X, y, grid, plan, _full_design=None) -> CvReport:
         train = plan.complement_indices(k)
         if test.size < 2 or train.size < 2:
             raise FoldTooSmall("each fold and its complement need >= 2 rows")
+        X_train, y_train, X_test, y_test = X[train], y[train], X[test], y[test]
         if method == "lasso":
             # Warm-started path: same minimizers as per-point cold fits.
-            models = lasso_path(X[train], y[train], grid)
+            models = lasso_path(X_train, y_train, grid)
         else:
-            models = [fitter(X[train], y[train], par) for par in grid]
+            models = [fitter(X_train, y_train, par) for par in grid]
         for gi, model in enumerate(models):
-            pred = model.predict(X[test])
-            fold_mses[gi, k] = float(np.mean((y[test] - pred) ** 2))
+            pred = model.predict(X_test)
+            fold_mses[gi, k] = float(np.mean((y_test - pred) ** 2))
     cv_mse = fold_mses.mean(axis=1)
     best = int(np.argmin(cv_mse))  # argmin takes the first minimizer
     refit = fitter(X, y, grid[best])

@@ -252,6 +252,16 @@ class TestLogistic:
         probs = pred.predict_proba(X)
         assert np.all((probs >= 0.01) & (probs <= 0.99))
 
+    def test_predict_rejects_a_design_of_another_width(self):
+        r = np.random.default_rng(9)
+        X = r.standard_normal((40, 3))
+        d = (X[:, 0] + r.standard_normal(40) > 0).astype(float)
+        pred = logistic_fit(X, d)
+        assert pred.predict(X).shape == (40,)
+        for Xq in (np.ones((4, 6)), np.ones((4, 1)), np.ones(4)):
+            with pytest.raises(DimensionMismatch):
+                pred.predict_proba(Xq)
+
 
 class TestLearnerSelect:
     def test_single_candidate(self):
@@ -638,6 +648,66 @@ def test_forest_trees_match_tree_fit_on_their_resample(monkeypatch,
         assert _nodes(tree) == _nodes(tree_fit(Xb, yb, **kw))
     want = np.mean([tree.predict(X) for *_, tree in calls], axis=0)
     assert np.array_equal(forest.predict(X), want)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: tree_fit(X, y, max_depth=3),
+    lambda X, y: tree_fit(X, np.full(y.size, 2.0)),  # a single leaf
+    lambda X, y: forest_fit(X, y, B=3, max_depth=3),
+    lambda X, y: boost_fit(X, y, J=3),
+], ids=["tree", "leaf", "forest", "boost"])
+def test_tree_predict_rejects_a_design_of_another_width(fit):
+    # A tree fitted on 3 columns must reject 6 (not read the first 3) and
+    # 1 (not index past it); the forest and boost averages inherit this.
+    r = np.random.default_rng(10)
+    X = r.standard_normal((60, 3))
+    model = fit(X, X[:, 0] + r.standard_normal(60))
+    assert model.predict(X).shape == (60,)
+    for Xq in (np.ones((4, 6)), np.ones((4, 1)), np.ones(4)):
+        with pytest.raises(DimensionMismatch):
+            model.predict(Xq)
+
+
+def _partition_by_compress(order, xs, goes_left, grow_left, grow_right):
+    """Frozen reference: the partition that gathered its mask by fancy
+    index and each side by ``compress``."""
+    p = order.shape[0]
+    order, xs = order.ravel(), xs.ravel()
+    keep = goes_left[order]
+    left = right = None
+    if grow_left:
+        left = (order.compress(keep).reshape(p, -1),
+                xs.compress(keep).reshape(p, -1))
+    if grow_right:
+        keep = ~keep
+        right = (order.compress(keep).reshape(p, -1),
+                 xs.compress(keep).reshape(p, -1))
+    return left, right
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 400),
+       p=st.integers(1, 6), source=st.sampled_from(["presort", "resample"]),
+       share=st.floats(0.0, 1.0), grow_left=st.booleans(),
+       grow_right=st.booleans())
+def test_partition_matches_the_compress_reference(seed, m, p, source, share,
+                                                   grow_left, grow_right):
+    r = np.random.default_rng(seed)
+    X = np.round(r.standard_normal((m, p)), 1)  # one decimal, so ties
+    if source == "presort":
+        order, xs = _presort(X)
+    else:
+        order, xs = _resample_sort(X, _rank_keys(X), r.integers(0, m, size=m))
+    goes_left = r.uniform(size=m) < share
+    got = learners._partition(order, xs, goes_left, grow_left, grow_right)
+    want = _partition_by_compress(order, xs, goes_left, grow_left,
+                                  grow_right)
+    for side, grows, ref in zip(got, (grow_left, grow_right), want):
+        if not grows:
+            assert side is None
+            continue
+        assert side[0].dtype == np.int32 and side[1].dtype == float
+        assert np.array_equal(side[0], ref[0])
+        assert np.array_equal(side[1], ref[1])
 
 
 def test_rank_key_order_is_the_stable_argsort():

@@ -75,6 +75,17 @@ class TestLassoFit:
         assert np.max(np.abs(scaled.predict(scaled_X)
                              - base.predict(X))) < 1e-7
 
+    def test_predict_rejects_a_design_of_another_width(self):
+        X, y = _random_problem(12)
+        fit = lasso_fit(X, y, lam=3.0)
+        p = X.shape[1]
+        assert fit.predict(X).shape == (y.size,)
+        for width in (1, p - 1, p + 3):
+            with pytest.raises(DimensionMismatch):
+                fit.predict(np.ones((4, width)))
+        with pytest.raises(DimensionMismatch):
+            fit.predict(np.ones(4))  # a vector is one column
+
     def test_path_matches_cold_fits(self):
         X, y = _random_problem(11)
         lams = [20.0, 5.0, 1.0, 0.2]
