@@ -1,8 +1,16 @@
-"""Flat key-value run configuration and the table of estimands.
+"""Flat key-value run configuration, the table of config values and the
+table of estimands.
 
 The config grammar is one ``key = value`` pair per line, ``#`` starts a
 comment, and list-valued keys use commas. The format is deliberately
 code-free so a config file hashes to stable provenance.
+
+``VALUES`` is the one place a typed key's values are declared. It maps
+the key to its parser, a description ("a positive integer", "in (0, 0.5)",
+"one of CL, CRA, IRA") and a test of the parsed value, which NaN fails.
+``RunConfig.get`` parses and tests through it, and both validators read
+every key a config sets, so a bad value raises ``'<key>' must be
+<description>; got '<text>'`` before any compute runs.
 
 ``ESTIMANDS`` is the one place an estimand is declared. Validation,
 column loading, learner construction and dispatch all read it. Each
@@ -17,7 +25,8 @@ column loading, learner construction and dispatch all read it. Each
   the default;
 - ``trim``: whether the estimator takes a propensity ``trim``;
 - ``alpha``: whether the estimand reports at a level ``alpha``;
-- ``options``: the other keys the estimand reads;
+- ``required``: the options the estimand cannot run without, and
+  ``options`` the others it reads;
 - ``estimator``: for a cross-fitted estimand, the name of the
   ``dmlkit.dml`` function called as
   ``fn(*columns, *learners, plan, alpha=...[, trim=...])``.
@@ -28,21 +37,21 @@ A config key that no field of its estimand names is rejected.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from ..cate.meta import META_KINDS
 from ..dml.rct import MODES
 from ..dml.rdd import KERNELS
 from ..errors import ConfigError
+from .dgps import REGISTRY
 
 COMMON_KEYS = ("estimand", "seed")
 # Read by every estimand that fits nuisance learners.
 LEARNER_KEYS = ("folds", "learner")
 # Every key ``simulate`` reads.
 SIMULATE_KEYS = ("dgp", "seed", "estimator", "n", "replications", "workers")
-# Key -> (the names the library declares, read case-insensitively?).
-CHOICE_KEYS = {"mode": (MODES, True), "kernel": (tuple(KERNELS), False),
-               "meta_learner": (META_KINDS, True)}
+GRID_BOUNDS = (-2.0, 2.0)  # weak_id's grid when the config sets none
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,14 @@ class Estimand:
     learners: tuple[tuple[str, str], ...] = ()
     trim: bool = False
     alpha: bool = True
+    required: tuple[str, ...] = ()
     options: tuple[str, ...] = ()
     estimator: str | None = None
 
     def keys(self) -> set[str]:
         """Every config key the estimand reads."""
-        keys = {*COMMON_KEYS, *self.roles, *self.optional, *self.options}
+        keys = {*COMMON_KEYS, *self.roles, *self.optional, *self.required,
+                *self.options}
         if self.learners:
             keys.update(LEARNER_KEYS)
             keys.update(f"learner_{role}" for role, _ in self.learners)
@@ -103,24 +114,59 @@ ESTIMANDS = {
     "rct": Estimand(("outcome", "treatment"), optional=("controls",),
                     binary=_D, options=("mode",)),
     "rdd": Estimand(("outcome", "running"), optional=("controls",),
-                    options=("bandwidth", "cutoff", "kernel")),
+                    required=("bandwidth",), options=("cutoff", "kernel")),
     "cate-pipeline": Estimand(_YDX, optional=("effect_covariates",),
                               binary=_D,
                               learners=_IRM + (("effect", "tree"),),
                               trim=True, options=("meta_learner", "bins")),
     "sensitivity": Estimand(_YDX, learners=_PLM, alpha=False,
-                            options=("r2_y", "r2_d")),
+                            required=("r2_y", "r2_d")),
     "weak_id": Estimand(_YDZX, learners=(("outcome", "linear"),
                                          ("treatment", "linear"),
                                          ("instrument", "linear")),
                         options=("grid_lower", "grid_upper", "grid_points")),
 }
 
-LIST_KEYS = {"controls", "effect_covariates"}
-FLOAT_KEYS = {"trim", "alpha", "cutoff", "bandwidth", "r2_y", "r2_d",
-              "grid_lower", "grid_upper"}
-INT_KEYS = {"folds", "seed", "n", "replications", "workers", "bins",
-            "grid_points"}
+
+def _choice(names, fold=str):
+    return (str, f"one of {', '.join(names)}", lambda v: fold(v) in names)
+
+
+_NAMES = (lambda text: [v.strip() for v in text.split(",") if v.strip()],
+          "a list of column names", lambda v: True)
+_POSITIVE = (int, "a positive integer", lambda v: v >= 1)
+_LEVEL = (float, "in (0, 0.5)", lambda v: 0.0 < v < 0.5)
+_R2 = (float, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+_FINITE = (float, "finite", math.isfinite)
+# Key -> (parser, what the key accepts, test of the parsed value).
+VALUES = {
+    "estimand": _choice(ESTIMANDS), "dgp": _choice(REGISTRY),
+    "controls": _NAMES, "effect_covariates": _NAMES,
+    "seed": (int, "an integer", lambda v: True),
+    "folds": (int, "an integer of at least 2", lambda v: v >= 2),
+    **dict.fromkeys(("n", "replications", "workers", "bins", "grid_points"),
+                    _POSITIVE),
+    "trim": _LEVEL, "alpha": _LEVEL, "r2_y": _R2, "r2_d": _R2,
+    "cutoff": _FINITE, "grid_lower": _FINITE, "grid_upper": _FINITE,
+    "bandwidth": (float, "positive and finite", lambda v: 0.0 < v < math.inf),
+    "mode": _choice(MODES, str.upper), "kernel": _choice(KERNELS),
+    "meta_learner": _choice(META_KINDS, str.upper),
+}
+LIST_KEYS = {key for key, value in VALUES.items() if value is _NAMES}
+
+
+def read_value(key: str, text: str):
+    """``text`` parsed and tested by ``key``'s ``VALUES`` entry, if any."""
+    if key not in VALUES:
+        return text
+    parse, must, test = VALUES[key]
+    try:
+        value = parse(text)
+        if test(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{key!r} must be {must}; got {text!r}")
 
 
 @dataclass
@@ -129,23 +175,11 @@ class RunConfig:
     path: str | None = None
 
     def get(self, key: str, default=None):
-        if key not in self.raw:
-            return default
-        value = self.raw[key]
-        if key in LIST_KEYS:
-            return [v.strip() for v in value.split(",") if v.strip()]
-        try:
-            if key in FLOAT_KEYS:
-                return float(value)
-            if key in INT_KEYS:
-                return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-        return value
+        return read_value(key, self.raw[key]) if key in self.raw else default
 
     def require(self, key: str):
         value = self.get(key)
-        if value is None:
+        if value in (None, []):
             raise ConfigError(f"missing required config key {key!r}")
         return value
 
@@ -189,50 +223,32 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(config: RunConfig) -> None:
-    """Check estimand, roles and keys before any compute runs."""
-    estimand = config.get("estimand")
-    if estimand is None:
-        raise ConfigError("missing required config key 'estimand'")
-    if estimand not in ESTIMANDS:
-        raise ConfigError(
-            f"unknown estimand {estimand!r}; expected one of {', '.join(ESTIMANDS)}"
-        )
-    if config.get("seed") is None:
-        raise ConfigError("config must set an explicit integer 'seed'")
-    spec = ESTIMANDS[estimand]
-    for role in spec.roles:
-        if config.get(role) in (None, []):
-            raise ConfigError(
-                f"estimand {estimand!r} requires the {role!r} role; add "
-                f"'{role} = <column name(s)>' to the config"
-            )
-    _reject_unread(config, spec.keys(), f"estimand {estimand!r}")
-    for key, (allowed, fold_case) in CHOICE_KEYS.items():
-        value = config.get(key)
-        if value is not None and (value.upper() if fold_case
-                                  else value) not in allowed:
-            raise ConfigError(f"{key!r} must be one of {', '.join(allowed)}; "
-                              f"got {value!r}")
-    for key in ("trim", "alpha"):
-        value = config.get(key)
-        if value is not None and not 0.0 < value < 0.5:
-            raise ConfigError(f"{key} must lie in (0, 0.5), got {value}")
-    folds = config.get("folds")
-    if folds is not None and folds < 2:
-        raise ConfigError("folds must be at least 2")
+    """Check estimand, roles, keys and values before any compute runs."""
+    spec = ESTIMANDS[config.estimand]
+    for key in spec.roles + spec.required:
+        config.require(key)
+    _check_keys(config, spec.keys(), f"estimand {config.estimand!r}")
+    if (config.get("grid_lower", GRID_BOUNDS[0])
+            >= config.get("grid_upper", GRID_BOUNDS[1])):
+        raise ConfigError("'grid_lower' must be below 'grid_upper'")
 
 
 def validate_simulation_config(config: RunConfig) -> None:
-    """Check a ``simulate`` config's keys before any compute runs."""
-    _reject_unread(config, SIMULATE_KEYS, "simulate")
-    if "dgp" not in config.raw:
-        raise ConfigError("simulate requires a 'dgp' key")
-    if config.get("replications", 1) < 1:
-        raise ConfigError("replications must be positive")
+    """Check a ``simulate`` config before any compute runs."""
+    _check_keys(config, SIMULATE_KEYS, "simulate")
+    dgp = REGISTRY[config.require("dgp")]
+    if config.get("estimator") not in (None, *dgp.estimators):
+        raise ConfigError(f"'estimator' must be one of "
+                          f"{', '.join(dgp.estimators)}; "
+                          f"got {config.raw['estimator']!r}")
 
 
-def _reject_unread(config: RunConfig, keys, reader: str) -> None:
+def _check_keys(config: RunConfig, keys, reader: str) -> None:
+    """Both validators' check of the keys a config sets and their values."""
     unread = sorted(set(config.raw) - set(keys))
     if unread:
         raise ConfigError(f"{reader} does not read config key(s) "
                           f"{', '.join(map(repr, unread))}")
+    config.require("seed")
+    for key in config.raw:
+        config.get(key)

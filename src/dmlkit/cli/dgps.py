@@ -456,7 +456,7 @@ def simulate_once(dgp_name: str, estimator: str | None, n: int | None,
             f"dgp {dgp_name!r} has no estimator {est_name!r}; "
             f"available: {known}")
     rng = stream(master_seed, f"dgp-{dgp_name}", rep)
-    data = dgp.draw(n or dgp.default_n, rng)
+    data = dgp.draw(dgp.default_n if n is None else n, rng)
     rep_seed = derive_seed(master_seed, f"est-{dgp_name}", rep)
     record = dgp.estimators[est_name](data, dgp.truth, rep_seed)
     return {"replication": rep, **record}

@@ -20,7 +20,7 @@ from ..cate import (calibration, dr_signal, heterogeneity_blp_test,
                     meta_learn, three_way_split, toc_qini)
 from ..dml import did_canonical, rct_estimators, rdd_sharp
 from ..dml.estimators import DEFAULT_TRIM
-from ..errors import (ConfigError, ConstantModel, DmlkitError,
+from ..errors import (BadFoldCount, ConfigError, ConstantModel, DmlkitError,
                       NonBinaryTreatment, ParseError, UnknownDgp,
                       WeightsNotSupported)
 from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
@@ -31,8 +31,9 @@ from ..rng import derive_seed
 from ..sensitivity import ovb_from_data
 from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
 from . import dgps
-from .config import (ESTIMANDS, LIST_KEYS, Estimand, RunConfig, load_config,
-                     validate_config, validate_simulation_config)
+from .config import (ESTIMANDS, GRID_BOUNDS, LIST_KEYS, Estimand, RunConfig,
+                     load_config, read_value, validate_config,
+                     validate_simulation_config)
 from .ingest import ingest_csv
 from .reports import provenance, write_report, write_table
 
@@ -192,12 +193,9 @@ def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
         result = rct_estimators(y, data["treatment"], W, mode=mode,
                                 alpha=alpha)
     elif estimand == "rdd":
-        bandwidth = config.get("bandwidth")
-        if bandwidth is None:
-            raise ConfigError("rdd requires a 'bandwidth' key")
         result = rdd_sharp(y, data["running"],
                            cutoff=config.get("cutoff", 0.0),
-                           bandwidth=bandwidth,
+                           bandwidth=config.get("bandwidth"),
                            kernel=config.get("kernel", "triangular"),
                            Z=data.get("controls"), alpha=alpha)
     elif estimand == "sensitivity":
@@ -210,14 +208,11 @@ def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
 
 
 def _sensitivity_report(config, spec, data):
-    r2_y = config.get("r2_y")
-    r2_d = config.get("r2_d")
-    if r2_y is None or r2_d is None:
-        raise ConfigError("sensitivity requires 'r2_y' and 'r2_d' keys")
     n = data["outcome"].size
     bound = ovb_from_data(data["outcome"], data["treatment"],
                           data["controls"], *_learners(config, spec),
-                          _plan(config, n), r2_y=r2_y, r2_d=r2_d)
+                          _plan(config, n), r2_y=config.get("r2_y"),
+                          r2_d=config.get("r2_d"))
     report = {
         "estimand": "sensitivity",
         "provenance": provenance(config),
@@ -245,8 +240,8 @@ def _weak_id_report(config, spec, data, alpha):
         fit, _ = cross_fit_predict(_learner(config, role, default),
                                    data["controls"], data[role], plan)
         resid[role] = data[role] - fit
-    grid = np.linspace(config.get("grid_lower", -2.0),
-                       config.get("grid_upper", 2.0),
+    grid = np.linspace(config.get("grid_lower", GRID_BOUNDS[0]),
+                       config.get("grid_upper", GRID_BOUNDS[1]),
                        config.get("grid_points", GRID_POINTS))
     ry, rd, rz = resid["outcome"], resid["treatment"], resid["instrument"]
     region = robust_region(ry, rd, rz, grid, alpha=alpha)
@@ -427,12 +422,16 @@ def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> di
     dgp = dgps.get_dgp(name)
     seed = config.seed
     reps = config.get("replications", 100)
-    n = config.get("n")
-    estimator = config.raw.get("estimator")
+    n = config.get("n", dgp.default_n)
+    estimator = config.raw.get("estimator", next(iter(dgp.estimators)))
     if workers is None:
         workers = config.get("workers", 1)
+    else:
+        read_value("workers", str(workers))
+    # A pool starts all its workers up front: start no idle ones.
+    workers = min(workers, reps)
     tasks = [(name, estimator, n, seed, rep) for rep in range(reps)]
-    if workers <= 1:
+    if workers == 1:
         records = [_simulate_record(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
@@ -441,8 +440,8 @@ def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> di
     records.sort(key=lambda r: r["replication"])
     report = {
         "dgp": name,
-        "estimator": estimator or next(iter(dgp.estimators)),
-        "n": n or dgp.default_n,
+        "estimator": estimator,
+        "n": n,
         "replications": reps,
         "truth": dgp.truth,
         "summary": _summarize(records),
@@ -497,8 +496,6 @@ def main(argv=None) -> int:
         if args.command == "validate-config":
             if "dgp" in config.raw:
                 validate_simulation_config(config)
-                dgps.get_dgp(config.raw["dgp"])
-                config.seed
             else:
                 validate_config(config)
             print("config ok")
@@ -509,7 +506,8 @@ def main(argv=None) -> int:
             report = run_simulation(config, args.out, workers=args.workers)
         else:
             report = run_placebo(config, args.data, args.out)
-    except (ConfigError, UnknownDgp, WeightsNotSupported) as exc:
+    except (ConfigError, UnknownDgp, WeightsNotSupported,
+            BadFoldCount) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DATA_ERRORS as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import OneSideEmpty
+from ..errors import DimensionMismatch, OneSideEmpty
 from ..linalg import as_columns, as_vectors, ols_fit
 from .engine import DmlResult, linear_score_result
 
@@ -31,6 +31,8 @@ def rdd_sharp(y, x, cutoff: float, bandwidth: float,
     y, x = as_vectors(y=y, x=x)
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
+    if not 0.0 < bandwidth < np.inf:
+        raise DimensionMismatch("bandwidth must be positive and finite")
     u = (x - cutoff) / bandwidth
     w = KERNELS[kernel](u)
     keep = w > 0.0

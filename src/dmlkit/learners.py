@@ -125,11 +125,12 @@ def learner_select(candidates, X, y, plan: CrossFitPlan, weights=None) -> dict:
 
 
 class _FunctionPredictor:
-    def __init__(self, fn):
+    def __init__(self, fn, width: int | None = None):
         self._fn = fn
+        self._width = width
 
     def predict(self, X):
-        X = as_matrix(X)
+        X = as_matrix(X, self._width)
         return np.asarray(self._fn(X), dtype=float)
 
 
@@ -163,7 +164,8 @@ class LinearLearner:
         design = np.column_stack([np.ones(X.shape[0]), X])
         beta = ols_fit(design, y, weights=weights,
                        minimum_norm=True).coefficients
-        return _FunctionPredictor(lambda Xn: beta[0] + Xn @ beta[1:])
+        return _FunctionPredictor(lambda Xn: beta[0] + Xn @ beta[1:],
+                                  beta.size - 1)
 
 
 @dataclass(frozen=True)

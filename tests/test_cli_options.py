@@ -1,6 +1,7 @@
 """Config values the CLI checks before any compute runs, and a smoke run
 of every registered simulation pipeline."""
 
+import concurrent.futures
 import json
 import math
 
@@ -151,3 +152,107 @@ def test_every_simulation_pipeline_runs(tmp_path, name, estimator):
     assert report["summary"]
     for entry in report["summary"].values():
         assert all(math.isfinite(v) for v in entry.values())
+
+
+SENSITIVITY = {**BASE, "estimand": "sensitivity", "controls": "w1, w2",
+               "r2_y": "0.1", "r2_d": "0.1"}
+WEAK_ID = {**BASE, "estimand": "weak_id", "instrument": "w2",
+           "controls": "w1"}
+SIMULATE = {"dgp": "example_4_3_1", "n": "40", "replications": "2",
+            "seed": "1"}
+# (config, the key the error names): each runs into its error at the run
+# command, so validate-config must reject it too.
+RUN_REJECTS = [
+    ({k: v for k, v in RDD.items() if k != "bandwidth"}, "bandwidth"),
+    ({k: v for k, v in SENSITIVITY.items() if k != "r2_y"}, "r2_y"),
+    ({k: v for k, v in SENSITIVITY.items() if k != "r2_d"}, "r2_d"),
+    ({**SIMULATE, "estimator": "nonsense"}, "estimator"),
+    ({**RDD, "bandwidth": "-0.5"}, "bandwidth"),
+    ({**SIMULATE, "n": "0"}, "n"),
+    ({**SIMULATE, "n": "-5"}, "n"),
+    ({**BASE, "estimand": "cate-pipeline", "controls": "w1, w2",
+      "bins": "0"}, "bins"),
+    ({**SENSITIVITY, "r2_y": "1.5"}, "r2_y"),
+    ({**WEAK_ID, "grid_points": "0"}, "grid_points"),
+    ({**WEAK_ID, "grid_lower": "2", "grid_upper": "-2"}, "grid_lower"),
+    ({**RDD, "bandwidth": "0"}, "bandwidth"),
+    ({**RDD, "bandwidth": "nan"}, "bandwidth"),
+    ({**RDD, "bandwidth": "inf"}, "bandwidth"),
+    ({**RDD, "cutoff": "nan"}, "cutoff"),
+    ({**SIMULATE, "workers": "0"}, "workers"),
+]
+
+
+def _run_command(keys, config, data, out):
+    if "dgp" in keys:
+        return ["simulate", "--config", config, "--out", out]
+    return ["estimate", "--config", config, "--data", data, "--out", out]
+
+
+@pytest.mark.parametrize(
+    "keys, key", RUN_REJECTS,
+    ids=[f"{i}-{key}" for i, (_, key) in enumerate(RUN_REJECTS)])
+def test_validate_config_rejects_what_the_run_rejects(data, tmp_path, capsys,
+                                                      keys, key):
+    config = _config(tmp_path, keys)
+    assert main(["validate-config", "--config", config]) == 2
+    assert repr(key) in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(_run_command(keys, config, data, str(out))) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("keys", [
+    {**BASE, "estimand": "plm", "controls": "w1", "folds": "500"},
+    {"dgp": "plm_smooth", "n": "3", "replications": "1", "seed": "1"},
+], ids=["estimate", "simulate"])
+def test_more_folds_than_rows_is_a_config_error(data, tmp_path, capsys,
+                                                keys):
+    out = tmp_path / "out"
+    config = _config(tmp_path, keys)
+    assert main(_run_command(keys, config, data, str(out))) == 2
+    assert "config error: need 2 <= K <= n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("flag, key", [(["--workers", "8"], "1"),
+                                       ([], "8")], ids=["flag", "key"])
+def test_simulate_starts_at_most_one_worker_per_replication(
+        tmp_path, monkeypatch, flag, key):
+    # The module ``dmlkit.cli.main`` reaches as ``concurrent.futures``.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    config = _config(tmp_path, {**SIMULATE, "replications": "3",
+                                "workers": key})
+    assert main(["simulate", "--config", config,
+                 "--out", str(tmp_path / "out"), *flag]) == 0
+    assert _RecordingPool.sizes == [3]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_flag_follows_the_workers_rule(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _config(tmp_path, SIMULATE),
+                 "--out", str(out), "--workers", workers]) == 2
+    assert "'workers' must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()

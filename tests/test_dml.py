@@ -419,6 +419,12 @@ class TestRdd:
         with pytest.raises(OneSideEmpty):
             rdd_sharp(x, x, cutoff=0.0, bandwidth=1.0, kernel="uniform")
 
+    @pytest.mark.parametrize("bandwidth", [-0.5, 0.0, np.nan, np.inf])
+    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        x = np.linspace(-1, 1, 21)
+        with pytest.raises(DimensionMismatch, match="bandwidth"):
+            rdd_sharp(x, x, cutoff=0.0, bandwidth=bandwidth)
+
     def test_bandwidth_restricts_sample(self):
         x = np.array([-5.0, -0.8, -0.4, 0.4, 0.8, 5.0])
         y = np.array([100.0, 1.0, 2.0, 5.0, 6.0, -100.0])

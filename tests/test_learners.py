@@ -911,3 +911,15 @@ def test_a_branch_without_weight_warns_of_nothing(monkeypatch):
                     tree.value.tolist())) == _reference_nodes(ref)
     assert bare.feature.tolist() == [-1]
     assert bare.value[0] == np.mean(y)
+
+
+@pytest.mark.parametrize("Xq", [np.ones((4, 6)), np.ones((4, 1)), np.ones(4)],
+                         ids=["six-columns", "one-column", "vector"])
+def test_linear_predict_rejects_a_design_of_another_width(Xq):
+    # Raised as DmlkitError, not as numpy's matmul ValueError.
+    r = np.random.default_rng(11)
+    X = r.standard_normal((30, 3))
+    model = LinearLearner().fit(X, X @ [1.0, -2.0, 0.5])
+    assert model.predict(X).shape == (30,)
+    with pytest.raises(DimensionMismatch):
+        model.predict(Xq)
