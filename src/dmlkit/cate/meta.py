@@ -16,12 +16,14 @@ import numpy as np
 
 from ..dml.estimators import (DEFAULT_TRIM, _check_binary, _propensity,
                               _subset_fit)
-from ..errors import OneArmEmpty, WeightOverflow
+from ..errors import OneArmEmpty, WeightOverflow, WeightsNotSupported
 from ..learners import cross_fit_predict
 from ..linalg import as_columns, as_matrix, as_vectors
 from .signals import dr_signal
 
 META_KINDS = ("S", "T", "X", "DAX", "DR", "R")
+# The kinds whose effect regression is a weighted fit.
+WEIGHTED_KINDS = ("DAX", "R")
 
 
 @dataclass
@@ -40,6 +42,18 @@ class CateModel:
         return self.predict(X)
 
 
+def check_effect_learner(kind: str, learner_final) -> None:
+    """Raise ``WeightsNotSupported`` when ``kind`` fits its effect model
+    with observation weights and ``learner_final`` has no weighted fit
+    (its class sets ``takes_weights = False``)."""
+    if (kind.upper() in WEIGHTED_KINDS
+            and not getattr(learner_final, "takes_weights", True)):
+        raise WeightsNotSupported(
+            f"the {kind.upper()}-learner fits its effect model with "
+            f"observation weights; {type(learner_final).__name__} takes "
+            f"no weights")
+
+
 def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
                plan, X_effect=None, trim: float = DEFAULT_TRIM) -> CateModel:
     """Fit a CATE model of the requested kind.
@@ -51,6 +65,7 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
     kind = kind.upper()
     if kind not in META_KINDS:
         raise ValueError(f"unknown meta-learner kind {kind!r}")
+    check_effect_learner(kind, learner_final)
     y, d = as_vectors(y=y, d=d)
     _check_binary(d, "treatment")
     Z = as_columns(Z, y.size)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dist import normal_quantile
-from ..dml.engine import (InferenceResult, linear_score_result,
-                          normal_interval)
+from ..dml.engine import (InferenceResult, influence_covariance,
+                          linear_score_result, normal_interval)
 from ..double_lasso import band_critical_value
 from ..errors import EmptyBin, EmptyTopGroup
 from ..linalg import as_vectors
@@ -165,16 +165,13 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     if np.any(shares <= 0.0):
         raise EmptyTopGroup("no test observations above a threshold")
 
-    centered = s - theta
-    toc = centered @ (indicators / shares[None, :] - 1.0) / n
-    qini = centered @ (indicators - shares[None, :]) / n
-
-    psi_toc = centered[:, None] * (indicators / shares[None, :] - 1.0) - toc
-    psi_qini = centered[:, None] * (indicators - shares[None, :]) - qini
-    # Each curve's joint variance: the covariance of its stacked
-    # per-grid-point influence values.
-    V_toc = np.atleast_2d(np.cov(psi_toc, rowvar=False, bias=True))
-    V_qini = np.atleast_2d(np.cov(psi_qini, rowvar=False, bias=True))
+    # Per-grid-point influence values: each curve is their mean and its
+    # joint variance their covariance.
+    psi_toc = (s - theta)[:, None] * (indicators / shares - 1.0)
+    psi_qini = (s - theta)[:, None] * (indicators - shares)
+    toc, qini = psi_toc.mean(axis=0), psi_qini.mean(axis=0)
+    V_toc = influence_covariance(psi_toc)
+    V_qini = influence_covariance(psi_qini)
 
     # Two-sided at alpha and one-sided (lower) at alpha from the alpha/2
     # sup-t quantile, for both curves off one set of draws.
@@ -195,14 +192,13 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     dq = np.append(np.diff(grid), 1.0 - grid[-1])
     z_one = normal_quantile(1.0 - alpha)
 
-    def area(values, psi):
+    def area(values, V):
         a = float(values @ dq)
-        infl = psi @ dq
-        se = float(np.sqrt(np.mean(infl**2) / n))
+        se = float(np.sqrt(dq @ V @ dq / n))
         return a, se, normal_interval(a, se, alpha, critical_value=z_one)[0]
 
-    autoc, autoc_se, autoc_lower = area(toc, psi_toc)
-    auqc, auqc_se, auqc_lower = area(qini, psi_qini)
+    autoc, autoc_se, autoc_lower = area(toc, V_toc)
+    auqc, auqc_se, auqc_lower = area(qini, V_qini)
 
     return UpliftCurves(
         grid=grid,

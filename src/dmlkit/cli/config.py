@@ -12,6 +12,11 @@ the key to its parser, a description ("a positive integer", "in (0, 0.5)",
 every key a config sets, so a bad value raises ``'<key>' must be
 <description>; got '<text>'`` before any compute runs.
 
+``LEARNERS`` is the one place a learner spec ``name(key=value, ...)`` is
+declared; ``make_learner`` parses a spec and ``build_learner`` picks and
+builds a role's. ``validate_config`` builds every learner its estimand
+fits, so a bad spec is rejected before any data is read.
+
 ``ESTIMANDS`` is the one place an estimand is declared. Validation,
 column loading, learner construction and dispatch all read it. Each
 ``Estimand`` record holds:
@@ -38,12 +43,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
-from ..cate.meta import META_KINDS
+from ..cate.meta import META_KINDS, check_effect_learner
 from ..dml.rct import MODES
 from ..dml.rdd import KERNELS
 from ..errors import ConfigError
+from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
+                        LinearLearner, LogisticLearner, MeanLearner,
+                        TreeLearner, ZeroLearner)
+from ..rng import derive_seed
 from .dgps import REGISTRY
 
 COMMON_KEYS = ("estimand", "seed")
@@ -222,12 +232,74 @@ def load_config(path) -> RunConfig:
         return parse_config_text(fh.read(), path=str(path))
 
 
+_LEARNER_SPEC = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
+
+# Learner spec name -> (class, {spec option: constructor field}). Learner
+# defaults live on the classes alone: an option left out keeps its
+# field's default. A class with a ``seed`` field gets the role's seed.
+LEARNERS = {
+    "mean": (MeanLearner, {}),
+    "zero": (ZeroLearner, {}),
+    "linear": (LinearLearner, {}),
+    "logistic": (LogisticLearner, {}),
+    "lasso": (LassoPluginLearner, {"c": "c", "a": "a"}),
+    "tree": (TreeLearner, {"depth": "max_depth", "min_leaf": "min_leaf"}),
+    "forest": (ForestLearner, {"trees": "B", "depth": "max_depth",
+                               "min_leaf": "min_leaf"}),
+    "boost": (BoostLearner, {"rounds": "J", "rate": "rate"}),
+}
+
+
+def make_learner(spec: str, seed: int):
+    """Build a learner from a config string like ``forest(trees=50)``."""
+    match = _LEARNER_SPEC.match(spec.strip())
+    if not match:
+        raise ConfigError(f"cannot parse learner spec {spec!r}")
+    name, argtext = match.group(1), match.group(2) or ""
+    kwargs = {}
+    for part in filter(None, (p.strip() for p in argtext.split(","))):
+        if "=" not in part:
+            raise ConfigError(f"learner option {part!r} must be key=value")
+        key, value = (s.strip() for s in part.split("=", 1))
+        kwargs[key] = value
+    if name not in LEARNERS:
+        raise ConfigError(f"unknown learner {name!r}")
+    cls, options = LEARNERS[name]
+    try:
+        # The field's default on the class gives the option's type.
+        fields = {field: type(getattr(cls, field))(kwargs.pop(option))
+                  for option, field in options.items() if option in kwargs}
+    except ValueError as exc:
+        raise ConfigError(f"bad learner option in {spec!r}: {exc}") from exc
+    if kwargs:
+        raise ConfigError(
+            f"unknown learner option(s) {', '.join(kwargs)} in {spec!r}")
+    if hasattr(cls, "seed"):
+        fields["seed"] = seed
+    return cls(**fields)
+
+
+def build_learner(config: RunConfig, role: str, default: str):
+    """``role``'s learner, built from ``learner_<role>``, else ``learner``,
+    else ``default``, with the role's seed. Learners keep no fitted state
+    (fit returns a new predictor), so one instance serves every fold of
+    its role."""
+    spec = config.get(f"learner_{role}", config.get("learner", default))
+    return make_learner(spec, derive_seed(config.seed, f"learner-{role}", 0))
+
+
 def validate_config(config: RunConfig) -> None:
-    """Check estimand, roles, keys and values before any compute runs."""
+    """Check estimand, roles, keys, values and learner specs before any
+    compute runs."""
     spec = ESTIMANDS[config.estimand]
     for key in spec.roles + spec.required:
         config.require(key)
     _check_keys(config, spec.keys(), f"estimand {config.estimand!r}")
+    learners = {role: build_learner(config, role, default)
+                for role, default in spec.learners}
+    if "effect" in learners:
+        check_effect_learner(config.get("meta_learner", "DR"),
+                             learners["effect"])
     if (config.get("grid_lower", GRID_BOUNDS[0])
             >= config.get("grid_upper", GRID_BOUNDS[1])):
         raise ConfigError("'grid_lower' must be below 'grid_upper'")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import re
 import sys
 from pathlib import Path
 
@@ -23,17 +22,14 @@ from ..dml.estimators import DEFAULT_TRIM
 from ..errors import (BadFoldCount, ConfigError, ConstantModel, DmlkitError,
                       NonBinaryTreatment, ParseError, UnknownDgp,
                       WeightsNotSupported)
-from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
-                        LinearLearner, LogisticLearner, MeanLearner,
-                        TreeLearner, ZeroLearner, cross_fit_predict,
-                        make_folds)
+from ..learners import cross_fit_predict, make_folds
 from ..rng import derive_seed
 from ..sensitivity import ovb_from_data
 from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
 from . import dgps
 from .config import (ESTIMANDS, GRID_BOUNDS, LIST_KEYS, Estimand, RunConfig,
-                     load_config, read_value, validate_config,
-                     validate_simulation_config)
+                     build_learner as _learner, load_config, make_learner,
+                     read_value, validate_config, validate_simulation_config)
 from .ingest import ingest_csv
 from .reports import provenance, write_report, write_table
 
@@ -42,60 +38,6 @@ DEFAULT_FOLDS = 5
 
 DATA_ERRORS = (ParseError, NonBinaryTreatment, FileNotFoundError,
                IsADirectoryError)
-
-_LEARNER_SPEC = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
-
-# Learner spec name -> (class, {spec option: constructor field}). Learner
-# defaults live on the classes alone: an option left out keeps its
-# field's default. A class with a ``seed`` field gets the role's seed.
-LEARNERS = {
-    "mean": (MeanLearner, {}),
-    "zero": (ZeroLearner, {}),
-    "linear": (LinearLearner, {}),
-    "logistic": (LogisticLearner, {}),
-    "lasso": (LassoPluginLearner, {"c": "c", "a": "a"}),
-    "tree": (TreeLearner, {"depth": "max_depth", "min_leaf": "min_leaf"}),
-    "forest": (ForestLearner, {"trees": "B", "depth": "max_depth",
-                               "min_leaf": "min_leaf"}),
-    "boost": (BoostLearner, {"rounds": "J", "rate": "rate"}),
-}
-
-
-def make_learner(spec: str, seed: int):
-    """Build a learner from a config string like ``forest(trees=50)``."""
-    match = _LEARNER_SPEC.match(spec.strip())
-    if not match:
-        raise ConfigError(f"cannot parse learner spec {spec!r}")
-    name, argtext = match.group(1), match.group(2) or ""
-    kwargs = {}
-    for part in filter(None, (p.strip() for p in argtext.split(","))):
-        if "=" not in part:
-            raise ConfigError(f"learner option {part!r} must be key=value")
-        key, value = (s.strip() for s in part.split("=", 1))
-        kwargs[key] = value
-    if name not in LEARNERS:
-        raise ConfigError(f"unknown learner {name!r}")
-    cls, options = LEARNERS[name]
-    try:
-        # The field's default on the class gives the option's type.
-        fields = {field: type(getattr(cls, field))(kwargs.pop(option))
-                  for option, field in options.items() if option in kwargs}
-    except ValueError as exc:
-        raise ConfigError(f"bad learner option in {spec!r}: {exc}") from exc
-    if kwargs:
-        raise ConfigError(
-            f"unknown learner option(s) {', '.join(kwargs)} in {spec!r}")
-    if hasattr(cls, "seed"):
-        fields["seed"] = seed
-    return cls(**fields)
-
-
-def _learner(config: RunConfig, role: str, default: str):
-    # Learners keep no fitted state (fit returns a new predictor), so
-    # one instance serves every fold of its role.
-    spec = config.get(f"learner_{role}", config.get("learner", default))
-    return make_learner(spec, derive_seed(config.seed, f"learner-{role}", 0))
-
 
 def _learners(config: RunConfig, spec: Estimand) -> list:
     return [_learner(config, role, default) for role, default in spec.learners]

@@ -3,8 +3,9 @@
 A score contributes per-observation arrays psi_a and psi_b with
 psi = psi_b - psi_a * theta; the engine solves E_n[psi] = 0, giving
 theta_hat = E_n[psi_b] / E_n[psi_a], and builds the variance from the
-centered second moment of the influence values
-phi_i = J^{-1} (psi_b_i - psi_a_i * theta_hat).
+influence values phi_i = J^{-1} (psi_b_i - psi_a_i * theta_hat).
+``influence_covariance`` is the one variance: every SE and covariance
+built from influence values is their centred second moment.
 """
 
 from __future__ import annotations
@@ -77,6 +78,15 @@ class DmlResult(InferenceResult):
     diagnostics: dict = field(default_factory=dict)
 
 
+def influence_covariance(influence) -> np.ndarray:
+    """The (q, q) centred second moment E_n[(phi - phi_bar)(phi - phi_bar)']
+    of (n,) or (n, q) influence values phi, by two passes: the mean, then
+    the product of the centred values."""
+    phi = np.asarray(influence, dtype=float)
+    centered = phi.reshape(phi.shape[0], -1) - phi.mean(axis=0)
+    return centered.T @ centered / phi.shape[0]
+
+
 def normal_interval(estimates, std_errors, alpha: float,
                     critical_value: float | None = None):
     """Two-sided interval estimates -/+ c * std_errors, elementwise.
@@ -112,7 +122,7 @@ def linear_score_result(psi_a, psi_b, alpha: float = 0.05,
     if abs(J) <= zero:
         raise SingularJacobian("variance Jacobian is numerically zero")
     influence = (psi_b - psi_a * theta) / J
-    variance = float(np.mean(influence**2) - np.mean(influence) ** 2)
+    variance = influence_covariance(influence)[0, 0]
     return DmlResult(
         estimates=np.array([theta]),
         std_errors=np.array([np.sqrt(variance / n)]),

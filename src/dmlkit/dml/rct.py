@@ -13,7 +13,8 @@ import numpy as np
 
 from ..errors import OneArmEmpty
 from ..linalg import as_columns, as_vectors, constant_columns, ols_fit
-from .engine import DmlResult, linear_score_result, normal_interval
+from .engine import (DmlResult, influence_covariance, linear_score_result,
+                     normal_interval)
 from .estimators import _check_binary
 
 # The estimators that ``mode`` names; the value is read case-insensitively.
@@ -70,7 +71,7 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
     ot = 1.0 - d
     influence = np.column_stack([eps * dt / np.mean(dt**2),
                                  eps * ot / np.mean(ot**2)])
-    cov = np.cov(influence, rowvar=False, bias=True) / n
+    cov = influence_covariance(influence) / n
     rel = ate / mu0 if mu0 != 0.0 else np.nan
     if mu0 != 0.0:
         grad = np.array([1.0 / mu0, -ate / mu0**2])

@@ -15,7 +15,8 @@ import numpy as np
 
 from .dist import normal_p_value, normal_quantile
 from .dml.engine import (InferenceResult, _check_variation,
-                         linear_score_result, normal_interval)
+                         influence_covariance, linear_score_result,
+                         normal_interval)
 from .errors import DimensionMismatch
 from .linalg import as_columns, as_matrix, as_vectors, check_rows, partial_out
 from .penalized import (_design, _lambda_max, _prepare, cv_fit, lasso_fit,
@@ -139,7 +140,7 @@ def _stack(fits, alpha, seed: int = 0, **fields) -> TargetInference:
     value drawn from ``seed``; with one it is the pointwise interval.
     """
     influence = np.column_stack([f.influence for f in fits])
-    V = np.atleast_2d(np.cov(influence, rowvar=False, bias=True))
+    V = influence_covariance(influence)
     return TargetInference(
         estimates=np.concatenate([f.estimates for f in fits]),
         std_errors=np.concatenate([f.std_errors for f in fits]),

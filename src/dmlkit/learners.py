@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -175,6 +176,7 @@ class LassoPluginLearner:
 
     c: float = 1.1
     a: float = 0.05
+    takes_weights: ClassVar[bool] = False
 
     def fit(self, X, y, weights=None):
         from .penalized import lasso_plugin
@@ -366,6 +368,8 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     n, p = X.shape
     if min_leaf < 1:
         raise DimensionMismatch("min_leaf must be >= 1")
+    if max_depth < 0:
+        raise DimensionMismatch("max_depth must be >= 0")
     if w is None:
         channels = wy = y
     else:
@@ -560,6 +564,8 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
     refit through its own ``fit``."""
     if not 0 < rate <= 1:
         raise DimensionMismatch("learning rate must be in (0, 1]")
+    if J < 1:
+        raise DimensionMismatch("boosting needs J >= 1 rounds")
     y, weights = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
     if base is None:

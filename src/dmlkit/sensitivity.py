@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dml.engine import linear_score_result, normal_interval
+from .dml.engine import (influence_covariance, linear_score_result,
+                         normal_interval)
 from .dist import chi2_sf
 from .dml.estimators import _plm_residuals
 from .errors import BadR2, NotADistribution, SingularProxyMatrix
@@ -157,7 +158,7 @@ def proxy_linear_iv(y, d, s, q, X, learner, plan, alpha: float = 0.05):
     b = Zmat.T @ ry / n
     coef = np.linalg.solve(A, b)
     eps = ry - Xmat @ coef
-    meat = (Zmat * eps[:, None]).T @ (Zmat * eps[:, None]) / n
+    meat = influence_covariance(Zmat * eps[:, None])  # E_n[Z eps] = 0
     Ainv = np.linalg.inv(A)
     V = Ainv @ meat @ Ainv.T
     se = float(np.sqrt(V[0, 0] / n))

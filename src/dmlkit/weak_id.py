@@ -14,6 +14,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .dist import chi2_quantile
+from .dml.engine import influence_covariance
 from .errors import DegenerateVariance, DimensionMismatch
 from .linalg import as_columns, as_matrix, as_vectors, ols_fit, robust_variance
 
@@ -58,8 +59,7 @@ def _score_statistic(moments):
     if n < 2:
         raise DimensionMismatch("need n >= 2 observations")
     mbar = moments.mean(axis=0)
-    centered = moments - mbar
-    V = centered.T @ centered / n
+    V = influence_covariance(moments)
     jitter = False
     try:
         L = sla.cholesky(V, lower=True)

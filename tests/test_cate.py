@@ -9,10 +9,10 @@ from dmlkit.cate import (blp_cate, calibration, compare_models, dr_loss,
                          three_way_split, toc_qini)
 from dmlkit.dml import dml_irm_ate, dml_plm
 from dmlkit.errors import (ConstantModel, DimensionMismatch, EmptyBin,
-                           IndistinguishableModels)
-from dmlkit.learners import (FunctionLearner, LinearLearner, LogisticLearner,
-                             MeanLearner, ZeroLearner, make_folds,
-                             no_crossfit_plan)
+                           IndistinguishableModels, WeightsNotSupported)
+from dmlkit.learners import (FunctionLearner, LassoPluginLearner,
+                             LinearLearner, LogisticLearner, MeanLearner,
+                             ZeroLearner, make_folds, no_crossfit_plan)
 
 HALF = FunctionLearner(lambda X: np.full(X.shape[0], 0.5))
 
@@ -449,6 +449,26 @@ def test_s_learner_predicts_each_fold_twice():
         zero = np.column_stack([np.zeros(test.size), Z[test]])
         expect[test] = g.predict(one) - g.predict(zero)
     np.testing.assert_array_equal(recorder.labels, expect)
+
+
+class _FitCounter:
+    """A mean learner that counts its fits."""
+
+    fits = 0
+
+    def fit(self, X, y, weights=None):
+        self.fits += 1
+        return MeanLearner().fit(X, y, weights=weights)
+
+
+@pytest.mark.parametrize("kind", ["R", "dax"])
+def test_weighted_meta_learner_rejects_lasso_before_any_fit(kind):
+    y, d, Z = _tree_rct()
+    counter = _FitCounter()
+    with pytest.raises(WeightsNotSupported, match="weights"):
+        meta_learn(kind, y, d, Z, counter, counter, LassoPluginLearner(),
+                   make_folds(y.size, 2, seed=1))
+    assert counter.fits == 0
 
 
 @pytest.mark.parametrize("kind", ["X", "DAX"])

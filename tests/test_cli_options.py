@@ -106,6 +106,49 @@ def test_weighted_meta_learner_rejects_lasso_effect(data, tmp_path, capsys,
     assert "weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["R", "dax"])
+def test_weighted_meta_learner_fails_validate_config(tmp_path, capsys, kind):
+    config = _config(tmp_path, {**BASE, "estimand": "cate-pipeline",
+                                "controls": "w1, w2", "meta_learner": kind,
+                                "learner_effect": "lasso"})
+    assert main(["validate-config", "--config", config]) == 2
+    assert "weights" in capsys.readouterr().err
+
+
+PLM = {**BASE, "estimand": "plm", "controls": "w1, w2"}
+
+
+@pytest.mark.parametrize("spec", ["nonsense", "forest(trees=x)"])
+def test_learner_spec_is_checked_before_the_data(tmp_path, capsys, spec):
+    # The CSV does not exist: a data error would exit 3.
+    config = _config(tmp_path, {**PLM, "learner": spec})
+    assert main(["validate-config", "--config", config]) == 2
+    assert main(["estimate", "--config", config,
+                 "--data", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"{spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("boost(rounds=0)", "J >= 1"), ("boost(rounds=-1)", "J >= 1"),
+    ("tree(depth=-1)", "max_depth must be >= 0"),
+])
+def test_degenerate_learner_option_is_a_named_failure(data, tmp_path, capsys,
+                                                      spec, message):
+    # Before, these ran as ``learner = zero`` and ``learner = mean``.
+    config = _config(tmp_path, {**PLM, "learner": spec})
+    assert main(["estimate", "--config", config, "--data", data,
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "DimensionMismatch" in err and message in err
+
+
+def test_depth_zero_tree_runs(data, tmp_path):
+    config = _config(tmp_path, {**PLM, "learner": "tree(depth=0)"})
+    assert main(["estimate", "--config", config, "--data", data,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
 def test_simulate_rejects_unread_key(tmp_path, capsys):
     config = _config(tmp_path, {"dgp": "example_4_3_1", "n": "40",
                                 "replication": "3", "seed": "1"})

@@ -12,13 +12,15 @@ relative to the larger of 1 and the reference's magnitude.
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dmlkit.cate import compare_models
+from dmlkit.cate import compare_models, toc_qini
 from dmlkit.cli.dgps import (_draw_sem, _draw_weak_iv, _est_ovb,
                              _est_weak_iv, sem_population)
 from dmlkit.dml import (dml_gate, dml_pliv, dml_plm, rct_estimators,
                         rdd_sharp)
-from dmlkit.dml.engine import linear_score_result, normal_interval
+from dmlkit.dml.engine import (influence_covariance, linear_score_result,
+                               normal_interval)
 from dmlkit.dml.estimators import irm_signals
 from dmlkit.dml.rct import MODES
 from dmlkit.dml.rdd import KERNELS
@@ -363,3 +365,43 @@ def test_pliv_estimate_scales_with_treatment_and_instrument(s):
 def test_cancelling_jacobian_is_singular():
     with pytest.raises(SingularJacobian):
         linear_score_result(np.tile([1.0, -1.0], 5), np.ones(10))
+
+
+# ---------------------------------------------------------------------------
+# One influence covariance serves every variance
+
+
+@given(hnp.arrays(np.float64,
+                  hnp.array_shapes(min_dims=2, max_dims=2, min_side=2,
+                                   max_side=40),
+                  elements=st.floats(-1e3, 1e3)).map(lambda a: a.round(6)))
+def test_influence_covariance_is_the_biased_sample_covariance(phi):
+    V = influence_covariance(phi)
+    ref = np.atleast_2d(np.cov(phi, rowvar=False, bias=True))
+    assert V.shape == ref.shape == (phi.shape[1],) * 2
+    # Each entry relative to sqrt(V_ii V_jj), the scale of its column pair.
+    scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+    assert np.all(np.abs(V - ref) <= 1e-12 * scale)
+
+
+def test_influence_covariance_of_a_vector_is_the_score_variance():
+    r = np.random.default_rng(8)
+    res = linear_score_result(1.0 + r.uniform(size=50),
+                              r.standard_normal(50))
+    V = influence_covariance(res.influence)
+    assert V.shape == (1, 1)
+    assert V[0, 0] == res.variance[0]
+
+
+def test_area_ses_are_the_curve_variances_along_dq():
+    # Bit for bit, on every draw: the area SEs come from the curves'
+    # joint variances, not from a second pass over the influence values.
+    n = 300
+    for seed in range(8):
+        r = np.random.default_rng(seed)
+        tau = r.standard_normal(n)
+        s = tau + r.standard_normal(n)
+        curves = toc_qini(tau, s, r.standard_normal(n))
+        dq = np.append(np.diff(curves.grid), 1.0 - curves.grid[-1])
+        assert curves.autoc_se == np.sqrt(dq @ curves.toc_variance @ dq / n)
+        assert curves.auqc_se == np.sqrt(dq @ curves.qini_variance @ dq / n)
