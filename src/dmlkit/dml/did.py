@@ -2,7 +2,10 @@
 
 Covers the canonical 2x2 four-means estimator and its cross-fitted
 doubly robust generalizations for panel data and repeated cross
-sections.
+sections. With a panel, conditional parallel trends make the ATET the
+ATET of the first-differenced outcome, so the panel estimator is
+``dml_atet`` on Y2 - Y1; only repeated cross sections need a score of
+their own.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from ..errors import EmptyCell, NoTreatedUnits
 from ..linalg import as_columns, as_vectors
 from .engine import DmlResult, linear_score_result
 from .estimators import (DEFAULT_TRIM, _check_binary, _propensity, _rmse,
-                         _subset_fit)
+                         _subset_fit, dml_atet)
 
 
 def did_canonical(y, d, t, alpha: float = 0.05) -> DmlResult:
@@ -51,27 +54,15 @@ def did_canonical(y, d, t, alpha: float = 0.05) -> DmlResult:
 
 def dml_did_panel(y1, y2, d, X, learner_g, learner_m, plan,
                   trim: float = DEFAULT_TRIM, alpha: float = 0.05) -> DmlResult:
-    """ATET for panel data via the doubly robust score on outcome
-    differences: learner_g models E[Y2 - Y1 | X] among controls and
-    learner_m the treatment propensity."""
+    """ATET for panel data: under conditional parallel trends it is the
+    ATET of the outcome change Y2 - Y1, so this is ``dml_atet`` on that
+    change. learner_g models E[Y2 - Y1 | X] among controls and learner_m
+    the treatment propensity."""
     y1, y2, d = as_vectors(y1=y1, y2=y2, d=d)
-    _check_binary(d, "treatment")
-    dy = y2 - y1
-    X = as_columns(X, dy.size)
-    if not np.any(d == 1):
-        raise NoTreatedUnits("no treated units")
-    p_hat = float(np.mean(d))
-    g0 = _subset_fit(learner_g, X, dy, plan, d == 0.0)
-    m, trimmed = _propensity(learner_m, X, d, plan, trim)
-    psi_b = (d - m) / (p_hat * (1.0 - m)) * (dy - g0)
-    return linear_score_result(
-        psi_a=d / p_hat,
-        psi_b=psi_b,
-        alpha=alpha,
-        trim_count=trimmed,
-        diagnostics={"rmse_dy0": _rmse(dy[d == 0], g0[d == 0]),
-                     "rmse_d": _rmse(d, m)},
-    )
+    out = dml_atet(y2 - y1, d, X, learner_g, learner_m, plan, trim=trim,
+                   alpha=alpha)
+    out.diagnostics["rmse_dy0"] = out.diagnostics.pop("rmse_y0")
+    return out
 
 
 def dml_did_rcs(y, t, d, X, learner_g, learner_m, plan,

@@ -1,7 +1,8 @@
 """Estimators for randomized experiments.
 
-Three classical estimators of the ATE under random assignment: the
-unadjusted two-means contrast (CL), the classical additive regression
+Three classical estimators of the ATE under random assignment, each the
+OLS slope on the treatment indicator: the unadjusted two-means contrast
+(CL, the regression on (1, D) alone), the classical additive regression
 adjustment (CRA), and the interactive adjustment with treatment-by-
 covariate terms (IRA). All center covariates internally and report the
 relative ATE by the delta method.
@@ -25,8 +26,9 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
                    alpha: float = 0.05) -> DmlResult:
     """ATE and relative ATE in a randomized experiment.
 
-    mode "CL" compares arm means, "CRA" runs OLS of y on (1, d, W), and
-    "IRA" adds the d*W interactions so each arm gets its own linear
+    Each mode is one OLS fit: "CL" regresses y on (1, d), whose slope is
+    the difference of arm means, "CRA" adds the covariates W, and "IRA"
+    also the d*W interactions so each arm gets its own linear
     adjustment. The relative ATE is ate / E[Y(0)]; its negative is the
     conventional efficacy measure for adverse outcomes.
 
@@ -49,19 +51,11 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
     mode = mode.upper()
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "CL":
-        mu1 = float(np.mean(y[d == 1]))
-        mu0 = float(np.mean(y[d == 0]))
-        ate = mu1 - mu0
-        eps = y - np.where(d == 1, mu1, mu0)
-    else:
-        design = np.column_stack([np.ones(n), d, Wc])
-        if mode == "IRA":
-            design = np.column_stack([design, d[:, None] * Wc])
-        fit = ols_fit(design, y)
-        ate = float(fit.coefficients[1])
-        mu0 = float(fit.coefficients[0])
-        eps = fit.residuals
+    adjustment = {"CL": [], "CRA": [Wc], "IRA": [Wc, d[:, None] * Wc]}[mode]
+    fit = ols_fit(np.column_stack([np.ones(n), d, *adjustment]), y)
+    ate = float(fit.coefficients[1])
+    mu0 = float(fit.coefficients[0])
+    eps = fit.residuals
 
     # Influence values of the ATE and of the control mean, from their
     # partialled-out representations: D - E_n[D] for the treatment

@@ -167,7 +167,8 @@ def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
 
     Solved by column-pivoted QR. If X is rank deficient beyond the
     relative tolerance, RankDeficient is raised unless the caller opts
-    into the minimum-norm solution.
+    into the minimum-norm solution. The leverages are the squared row
+    norms of the factor's Q over its numerical rank.
     """
     y, w = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
@@ -183,28 +184,22 @@ def ols_fit(X, y, weights=None, minimum_norm: bool = False) -> OlsFit:
     if p == 0:
         beta = np.empty(0)
         rank = 0
+        leverage = np.zeros(n)
     else:
         factor = _factor(Xw, rank_deficient_ok=minimum_norm)
-        rank = factor[-1]
+        Q, rank = factor[0], factor[-1]
         if rank < p:
             beta, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
         else:
             beta = _solve(factor, yw)
+        # Leverage of row i in the weighted hat matrix, the projection
+        # onto the column space of Xw: Q_r Q_r' for its first rank columns.
+        leverage = np.sum(Q[:, :rank] ** 2, axis=1)
 
     fitted = X @ beta
     resid = y - fitted
     wsum = np.sum(w)
     second_moment = (Xw.T @ Xw) / wsum if p else np.empty((0, 0))
-
-    # Leverage of row i in the weighted hat matrix.
-    if p and rank == p:
-        G = np.linalg.solve(X.T @ (X * w[:, None]), (X * w[:, None]).T).T
-        leverage = np.sum(X * G, axis=1) * 1.0
-    elif p:
-        pinv = np.linalg.pinv(Xw.T @ Xw)
-        leverage = np.sum((Xw @ pinv) * Xw, axis=1)
-    else:
-        leverage = np.zeros(n)
 
     return OlsFit(
         coefficients=beta,

@@ -397,7 +397,15 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
     instead returns per-coefficient loadings sqrt(E_n[eps^2 x_j^2]) and
     sigma_hat = 1 in the lambda formula. ``_path``, passed only by
     ``lasso_plugin``, goes to each refit's ``lasso_fit``.
+
+    Raises ``NonFinitePenalty`` unless 0 < a < 1 and c is positive and
+    finite: otherwise z or c can be 0 and lambda with it, which would make
+    the fit unpenalized least squares.
     """
+    if not (0.0 < a < 1.0 and 0.0 < c < np.inf):
+        raise NonFinitePenalty(
+            f"plug-in level a must lie in (0, 1) and constant c be positive "
+            f"and finite; got a={a!r}, c={c!r}")
     X, y = _plugin_inputs(X, y)
     n, p = X.shape
     z = normal_quantile(1.0 - a / (2.0 * p))

@@ -149,6 +149,16 @@ def test_depth_zero_tree_runs(data, tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("spec", ["lasso(a=2)", "lasso(c=0)"])
+def test_plugin_lasso_without_a_penalty_is_a_named_failure(data, tmp_path,
+                                                            capsys, spec):
+    # Before, both ran with lambda = 0 and exited 0.
+    config = _config(tmp_path, {**PLM, "learner": spec})
+    assert main(["estimate", "--config", config, "--data", data,
+                 "--out", str(tmp_path / "out")]) == 4
+    assert "NonFinitePenalty" in capsys.readouterr().err
+
+
 def test_simulate_rejects_unread_key(tmp_path, capsys):
     config = _config(tmp_path, {"dgp": "example_4_3_1", "n": "40",
                                 "replication": "3", "seed": "1"})

@@ -11,9 +11,9 @@ from dmlkit.errors import (BadFoldCount, DimensionMismatch, EmptyCell,
                            NoCompliance, NoTreatedUnits, OneArmEmpty,
                            OneSideEmpty, SingularJacobian,
                            WeakResidualVariation)
-from dmlkit.learners import (FunctionLearner, LogisticLearner, MeanLearner,
-                             ZeroLearner, cross_fit_predict, make_folds,
-                             no_crossfit_plan)
+from dmlkit.learners import (ForestLearner, FunctionLearner, LinearLearner,
+                             LogisticLearner, MeanLearner, ZeroLearner,
+                             cross_fit_predict, make_folds, no_crossfit_plan)
 
 HALF = FunctionLearner(lambda X: np.full(X.shape[0], 0.5))
 
@@ -603,3 +603,35 @@ def test_trim_below_the_logistic_clip_still_counts_it():
     res = dml_irm_ate(y, d, X, MeanLearner(), LogisticLearner(), plan,
                       trim=0.005)
     assert res.trim_count == on_clip
+
+
+def _panel_draw(seed, n=300):
+    r = np.random.default_rng(seed)
+    X = r.standard_normal((n, 2))
+    d = (r.uniform(size=n) < 1.0 / (1.0 + np.exp(-2.0 * X[:, 0]))).astype(float)
+    y1 = X[:, 1] + r.standard_normal(n)
+    y2 = y1 + 0.5 * X[:, 0] + d * (1.0 + X[:, 1]) + r.standard_normal(n)
+    return y1, y2, d, X
+
+
+@pytest.mark.parametrize("learner_g", [LinearLearner(),
+                                       ForestLearner(B=3, max_depth=3)],
+                         ids=["linear", "forest"])
+@pytest.mark.parametrize("controls", [True, False], ids=["X", "no_X"])
+@pytest.mark.parametrize("trim", [0.01, 0.2], ids=["trim_0.01", "trim_0.2"])
+def test_panel_did_is_the_atet_of_the_outcome_change(learner_g, controls,
+                                                      trim):
+    y1, y2, d, X = _panel_draw(3)
+    X = X if controls else None
+    plan = make_folds(d.size, 3, seed=1)
+    panel = dml_did_panel(y1, y2, d, X, learner_g, LogisticLearner(), plan,
+                          trim=trim)
+    atet = dml_atet(y2 - y1, d, X, learner_g, LogisticLearner(), plan,
+                    trim=trim)
+    assert panel.theta == pytest.approx(atet.theta, rel=1e-12)
+    assert panel.std_error == atet.std_error
+    assert panel.trim_count == atet.trim_count
+    assert panel.diagnostics == {"rmse_dy0": atet.diagnostics["rmse_y0"],
+                                 "rmse_d": atet.diagnostics["rmse_d"]}
+    if controls and trim == 0.2:
+        assert panel.trim_count > 0  # the trim binds

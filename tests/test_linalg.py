@@ -273,3 +273,40 @@ class TestWeightedSandwich:
         expected = bread @ meat @ bread
         got = robust_variance(fit, kind="HC0").matrix
         assert np.allclose(got, expected, rtol=1e-10, atol=0.0)
+
+
+def _reference_leverage(X, w, full_rank):
+    """The hat-matrix diagonal by the explicit formulas: a solve against
+    X'WX for a full-rank design, the pseudo-inverse of Xw'Xw otherwise."""
+    if full_rank:
+        G = np.linalg.solve(X.T @ (X * w[:, None]), (X * w[:, None]).T).T
+        return np.sum(X * G, axis=1)
+    Xw = X * np.sqrt(w)[:, None]
+    return np.sum((Xw @ np.linalg.pinv(Xw.T @ Xw)) * Xw, axis=1)
+
+
+def _leverage_case(seed, case):
+    r = np.random.default_rng(seed)
+    n = int(r.integers(10, 60))
+    p = int(r.integers(1, 6))
+    X = np.column_stack([np.ones(n), r.standard_normal((n, p))])
+    w = np.ones(n)
+    if case == "weighted":
+        w = r.uniform(0.1, 3.0, n)
+        w[r.choice(n, size=3, replace=False)] = 0.0
+    elif case == "rank_deficient":
+        # A scaled copy, a sum of two columns and an all-zero column.
+        X = np.column_stack([X, 2.0 * X[:, -1], X[:, 0] + X[:, -1],
+                             np.zeros(n)])
+    return X, r.standard_normal(n), w
+
+
+@pytest.mark.parametrize("case", ["full_rank", "weighted", "rank_deficient"])
+@given(seed=st.integers(0, 10_000))
+def test_leverage_is_the_hat_matrix_diagonal(case, seed):
+    X, y, w = _leverage_case(seed, case)
+    full_rank = case != "rank_deficient"
+    fit = ols_fit(X, y, weights=w, minimum_norm=not full_rank)
+    assert (fit.rank == X.shape[1]) == full_rank
+    expected = _reference_leverage(X, w, full_rank)
+    assert np.max(np.abs(fit.leverage - expected)) <= 1e-12

@@ -148,6 +148,21 @@ class TestPluginLambda:
         assert rule["loadings"].shape == (3,)
         assert np.all(rule["loadings"] >= 0)
 
+    # a = 2 with p = 2 and c = 0 both gave lambda = 0: unpenalized least
+    # squares under the name of a Lasso.
+    @pytest.mark.parametrize("a, c", [
+        (2.0, 1.1), (1.0, 1.1), (0.0, 1.1), (-0.1, 1.1), (np.nan, 1.1),
+        (0.05, 0.0), (0.05, -1.0), (0.05, np.inf), (0.05, np.nan),
+    ])
+    @pytest.mark.parametrize("heteroskedastic", [False, True])
+    def test_level_and_constant_are_checked(self, a, c, heteroskedastic):
+        r = np.random.default_rng(4)
+        X, y = r.standard_normal((240, 2)), r.standard_normal(240)
+        with pytest.raises(NonFinitePenalty, match="plug-in"):
+            plugin_lambda(X, y, c=c, a=a, heteroskedastic=heteroskedastic)
+        with pytest.raises(NonFinitePenalty, match="plug-in"):
+            lasso_plugin(X, y, c=c, a=a)
+
 
 class TestPostLasso:
     def test_full_active_set_equals_ols(self):
