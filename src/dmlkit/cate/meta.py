@@ -17,7 +17,7 @@ import numpy as np
 from ..dml.estimators import (DEFAULT_TRIM, _check_binary, _propensity,
                               _subset_fit)
 from ..errors import OneArmEmpty, WeightOverflow, WeightsNotSupported
-from ..learners import cross_fit_predict
+from ..learners import cross_fit_predict, cross_fit_residuals
 from ..linalg import as_columns, as_matrix, as_vectors
 from .signals import dr_signal
 
@@ -112,10 +112,8 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
         labels = sig.values
         meta["trim_count"] = sig.trim_count
     else:  # R
-        h_hat, _ = cross_fit_predict(learner_y, Z, y, plan)
-        mu, _ = cross_fit_predict(learner_prop, Z, d, plan)
-        ry = y - h_hat
-        rd = d - mu
+        ry, rd = cross_fit_residuals(Z, plan, (learner_y, y),
+                                     (learner_prop, d))
         weights = rd**2
         if float(np.max(weights, initial=0.0)) < 1e-12:
             raise WeightOverflow("residualized treatment carries no weight")

@@ -21,6 +21,8 @@ from ..errors import EmptyBin, EmptyTopGroup
 from ..linalg import as_vectors
 
 DEFAULT_GRID_POINTS = 20  # log(p)^5 / n must stay small; 20 is plenty
+UPLIFT_COLUMNS = ("q", "toc", "toc_lo", "toc_hi", "qini", "qini_lo",
+                  "qini_hi")
 
 
 @dataclass(kw_only=True)
@@ -109,16 +111,18 @@ class UpliftCurves:
     alpha: float
     n: int
 
+    def rows(self) -> list[dict]:
+        """The uplift table: per grid point q, both curves and their
+        two-sided bands."""
+        table = zip(self.grid, self.toc, *self.toc_band, self.qini,
+                    *self.qini_band)
+        return [dict(zip(UPLIFT_COLUMNS, map(float, row))) for row in table]
+
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["q", "toc", "toc_lo", "toc_hi",
-                             "qini", "qini_lo", "qini_hi"])
-            for i, q in enumerate(self.grid):
-                writer.writerow([
-                    q, self.toc[i], self.toc_band[0][i], self.toc_band[1][i],
-                    self.qini[i], self.qini_band[0][i], self.qini_band[1][i],
-                ])
+            writer = csv.DictWriter(fh, UPLIFT_COLUMNS)
+            writer.writeheader()
+            writer.writerows(self.rows())
 
 
 def top_share_rule(tau, ref, q):

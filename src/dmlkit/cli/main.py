@@ -22,7 +22,7 @@ from ..dml.estimators import DEFAULT_TRIM
 from ..errors import (BadFoldCount, ConfigError, ConstantModel, DmlkitError,
                       NonBinaryTreatment, ParseError, UnknownDgp,
                       WeightsNotSupported)
-from ..learners import cross_fit_predict, make_folds
+from ..learners import cross_fit_residuals, make_folds
 from ..rng import derive_seed
 from ..sensitivity import ovb_from_data
 from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
@@ -167,25 +167,19 @@ def _sensitivity_report(config, spec, data):
         "n": n,
         "warnings": [],
     }
-    artifacts = {"contour": [
-        {"r2_y": a, "r2_d": b, "phi_bound": phi}
-        for a, b, phi in bound.contour
-    ]}
-    return report, artifacts
+    return report, {"contour": bound.contour_rows()}
 
 
 def _weak_id_report(config, spec, data, alpha):
     n = data["outcome"].size
-    plan = _plan(config, n)
-    resid = {}
-    for role, default in spec.learners:
-        fit, _ = cross_fit_predict(_learner(config, role, default),
-                                   data["controls"], data[role], plan)
-        resid[role] = data[role] - fit
+    # spec.learners lists the outcome, treatment and instrument roles.
+    ry, rd, rz = cross_fit_residuals(
+        data["controls"], _plan(config, n),
+        *((_learner(config, role, default), data[role])
+          for role, default in spec.learners))
     grid = np.linspace(config.get("grid_lower", GRID_BOUNDS[0]),
                        config.get("grid_upper", GRID_BOUNDS[1]),
                        config.get("grid_points", GRID_POINTS))
-    ry, rd, rz = resid["outcome"], resid["treatment"], resid["instrument"]
     region = robust_region(ry, rd, rz, grid, alpha=alpha)
     stage = first_stage_diag(rd, rz)
     warnings = []
@@ -277,17 +271,7 @@ def _cate_pipeline_report(config, spec, data, alpha):
         "split_sizes": [train.size, valid.size, test.size],
         "warnings": warnings,
     }
-    artifacts = {"uplift": [
-        {"q": float(curves.grid[i]),
-         "toc": float(curves.toc[i]),
-         "toc_lo": float(curves.toc_band[0][i]),
-         "toc_hi": float(curves.toc_band[1][i]),
-         "qini": float(curves.qini[i]),
-         "qini_lo": float(curves.qini_band[0][i]),
-         "qini_hi": float(curves.qini_band[1][i])}
-        for i in range(curves.grid.size)
-    ]}
-    return report, artifacts
+    return report, {"uplift": curves.rows()}
 
 
 def _write_outputs(report: dict, artifacts: dict, out_dir) -> None:

@@ -108,7 +108,7 @@ def dml_did_rcs(y, t, d, X, learner_g, learner_m, plan,
         + d / p_hat * (g[(1.0, 1.0)] - g[(1.0, 0.0)])
         - d / p_hat * (g[(0.0, 1.0)] - g[(0.0, 0.0)])
     )
-    diag = {"p_hat": p_hat, "lambda_hat": lam, "rmse_d": _rmse(d, m)}
+    diag = {"p_hat": p_hat, "lambda_hat": lam, "rmse_d": _rmse(d - m)}
     if degenerate_lambda:
         diag["degenerate_lambda"] = True
     return linear_score_result(

@@ -12,7 +12,7 @@ from ..errors import (
     NoTreatedUnits,
     OneArmEmpty,
 )
-from ..learners import cross_fit_predict
+from ..learners import cross_fit_predict, cross_fit_residuals
 from ..linalg import as_columns, as_vectors, check_rows
 from .engine import DmlResult, _check_variation, linear_score_result
 
@@ -24,8 +24,8 @@ def _check_binary(v, name: str) -> None:
         raise DimensionMismatch(f"{name} must be binary 0/1")
 
 
-def _rmse(target, pred) -> float:
-    return float(np.sqrt(np.mean((np.asarray(target) - pred) ** 2)))
+def _rmse(residual) -> float:
+    return float(np.sqrt(np.mean(residual**2)))
 
 
 def _subset_fit(learner, X, target, plan, rows, error=OneArmEmpty):
@@ -53,13 +53,10 @@ def _plm_residuals(y, d, X, learner_l, learner_m, plan):
     """Cross-fitted residuals Y - l(X) and D - m(X) with their RMSEs."""
     y, d = as_vectors(y=y, d=d)
     X = as_columns(X, y.size)
-    ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
-    m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
-    rd = d - m_hat
+    ry, rd = cross_fit_residuals(X, plan, (learner_l, y), (learner_m, d))
     _check_variation(float(np.mean(rd**2)), d,
                      "treatment residual variation is degenerate")
-    return y - ell_hat, rd, {"rmse_y": _rmse(y, ell_hat),
-                             "rmse_d": _rmse(d, m_hat)}
+    return ry, rd, {"rmse_y": _rmse(ry), "rmse_d": _rmse(rd)}
 
 
 def dml_plm(y, d, X, learner_l, learner_m, plan, alpha: float = 0.05) -> DmlResult:
@@ -83,13 +80,9 @@ def irm_signals(y, d, X, learner_g, learner_m, plan,
     g0 = _subset_fit(learner_g, X, y, plan, d == 0.0)
     m, trimmed = _propensity(learner_m, X, d, plan, trim)
     H = d / m - (1.0 - d) / (1.0 - m)
-    gd = np.where(d == 1.0, g1, g0)
-    phi = g1 - g0 + H * (y - gd)
-    diag = {
-        "rmse_y": _rmse(y, gd),
-        "rmse_d": _rmse(d, m),
-    }
-    return phi, trimmed, diag
+    ry = y - np.where(d == 1.0, g1, g0)
+    phi = g1 - g0 + H * ry
+    return phi, trimmed, {"rmse_y": _rmse(ry), "rmse_d": _rmse(d - m)}
 
 
 def dml_irm_ate(y, d, X, learner_g, learner_m, plan,
@@ -150,13 +143,13 @@ def dml_atet(y, d, X, learner_g0, learner_m, plan,
     g0 = _subset_fit(learner_g0, X, y, plan, d == 0.0)
     m, trimmed = _propensity(learner_m, X, d, plan, trim)
     hm = d - (1.0 - d) * m / (1.0 - m)
+    ry0 = y - g0
     return linear_score_result(
         psi_a=d,
-        psi_b=hm * (y - g0),
+        psi_b=hm * ry0,
         alpha=alpha,
         trim_count=trimmed,
-        diagnostics={"rmse_y0": _rmse(y[d == 0], g0[d == 0]),
-                     "rmse_d": _rmse(d, m)},
+        diagnostics={"rmse_y0": _rmse(ry0[d == 0]), "rmse_d": _rmse(d - m)},
     )
 
 
@@ -169,18 +162,16 @@ def dml_pliv(y, d, z, X, learner_l, learner_r, learner_m, plan,
     """
     y, d, z = as_vectors(y=y, d=d, z=z)
     X = as_columns(X, y.size)
-    ell_hat, _ = cross_fit_predict(learner_l, X, y, plan)
-    r_hat, _ = cross_fit_predict(learner_r, X, z, plan)
-    m_hat, _ = cross_fit_predict(learner_m, X, d, plan)
-    ry, rz, rd = y - ell_hat, z - r_hat, d - m_hat
+    ry, rz, rd = cross_fit_residuals(X, plan, (learner_l, y), (learner_r, z),
+                                     (learner_m, d))
     cov_dz = float(np.mean(rd * rz))
     if cov_dz == 0.0:
         raise ExactlyZeroCovariance("instrument orthogonal to treatment residual")
     scale = float(np.sqrt(np.mean(rd**2) * np.mean(rz**2)))
     diag = {
-        "rmse_y": _rmse(y, ell_hat),
-        "rmse_z": _rmse(z, r_hat),
-        "rmse_d": _rmse(d, m_hat),
+        "rmse_y": _rmse(ry),
+        "rmse_z": _rmse(rz),
+        "rmse_d": _rmse(rd),
         "weak_instrument": bool(scale > 0 and abs(cov_dz) < 0.01 * scale),
     }
     return linear_score_result(psi_a=rd * rz, psi_b=ry * rz, alpha=alpha,
@@ -209,10 +200,10 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
     m1 = np.clip(m1, 0.0, 1.0)
     m0 = np.clip(m0, 0.0, 1.0)
     H = z / p - (1.0 - z) / (1.0 - p)
-    mu_z = np.where(z == 1.0, mu1, mu0)
-    m_z = np.where(z == 1.0, m1, m0)
-    psi_b = mu1 - mu0 + H * (y - mu_z)
-    psi_a = m1 - m0 + H * (d - m_z)
+    ry = y - np.where(z == 1.0, mu1, mu0)
+    rd = d - np.where(z == 1.0, m1, m0)
+    psi_b = mu1 - mu0 + H * ry
+    psi_a = m1 - m0 + H * rd
     denom = float(np.mean(psi_a))
     if abs(denom) < 1e-10:
         raise NoCompliance("instrument does not move treatment take-up")
@@ -225,6 +216,6 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
         alpha=alpha,
         jacobian=J,
         trim_count=trimmed,
-        diagnostics={"rmse_y": _rmse(y, mu_z), "rmse_d": _rmse(d, m_z),
-                     "rmse_z": _rmse(z, p), "first_stage": denom},
+        diagnostics={"rmse_y": _rmse(ry), "rmse_d": _rmse(rd),
+                     "rmse_z": _rmse(z - p), "first_stage": denom},
     )

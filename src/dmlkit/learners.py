@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (BadFoldCount, DimensionMismatch, FoldTooSmall,
                      OneArmEmpty, Separation, WeightsNotSupported)
 from .linalg import as_columns, as_matrix, as_vectors, check_rows, ols_fit
+from .penalized import _check_plugin_level, lasso_plugin
 from .rng import stream
 
 DEFAULT_CLIP = 0.01
@@ -105,6 +106,15 @@ def cross_fit_predict(learner, X, y, plan: CrossFitPlan, weights=None,
     return preds, predictors
 
 
+def cross_fit_residuals(X, plan: CrossFitPlan, *pairs) -> list:
+    """Cross-fitted residuals ``v - cross_fit_predict(learner, X, v,
+    plan)[0]``, one per ``(learner, v)`` pair, in order: the partialling
+    out that PLM, PLIV, score inversion, proxy IV and the R-learner
+    share."""
+    return [v - cross_fit_predict(learner, X, v, plan)[0]
+            for learner, v in pairs]
+
+
 def learner_select(candidates, X, y, plan: CrossFitPlan, weights=None) -> dict:
     """Pick the candidate with the smallest cross-fitted MSPE.
 
@@ -178,9 +188,10 @@ class LassoPluginLearner:
     a: float = 0.05
     takes_weights: ClassVar[bool] = False
 
-    def fit(self, X, y, weights=None):
-        from .penalized import lasso_plugin
+    def __post_init__(self):
+        _check_plugin_level(self.c, self.a)
 
+    def fit(self, X, y, weights=None):
         if weights is not None:
             raise WeightsNotSupported("the plug-in Lasso takes no "
                                       "observation weights")
@@ -337,6 +348,13 @@ def _presort(X):
     return order, _column_values(X, order)
 
 
+def _check_tree(max_depth, min_leaf) -> None:
+    if min_leaf < 1:
+        raise DimensionMismatch("min_leaf must be >= 1")
+    if max_depth < 0:
+        raise DimensionMismatch("max_depth must be >= 0")
+
+
 def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
              mtry: int | None = None, rng: np.random.Generator | None = None,
              _sorted=None) -> RegressionTree:
@@ -366,10 +384,7 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     y, w = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
     n, p = X.shape
-    if min_leaf < 1:
-        raise DimensionMismatch("min_leaf must be >= 1")
-    if max_depth < 0:
-        raise DimensionMismatch("max_depth must be >= 0")
+    _check_tree(max_depth, min_leaf)
     if w is None:
         channels = wy = y
     else:
@@ -447,6 +462,9 @@ class TreeLearner:
     max_depth: int = 3
     min_leaf: int = 5
 
+    def __post_init__(self):
+        _check_tree(self.max_depth, self.min_leaf)
+
     def fit(self, X, y, weights=None):
         return tree_fit(X, y, max_depth=self.max_depth,
                         min_leaf=self.min_leaf, weights=weights)
@@ -456,16 +474,23 @@ class TreeLearner:
 # Forests and boosting
 
 
-class _AveragePredictor:
-    def __init__(self, trees):
-        self._trees = trees
+class _EnsemblePredictor:
+    """Sum of ``rate``-scaled stage predictions over ``count``: a forest
+    averages its trees (rate 1, count B), boosting adds its rate-scaled
+    stages (count 1). ``1.0 * p`` and ``acc / 1`` are exact, so either
+    is the plain mean or sum to the bit."""
+
+    def __init__(self, stages, rate, count):
+        self._stages = stages
+        self._rate = rate
+        self._count = count
 
     def predict(self, X):
         X = as_matrix(X)
         acc = np.zeros(X.shape[0])
-        for tree in self._trees:
-            acc += tree.predict(X)
-        return acc / len(self._trees)
+        for stage in self._stages:
+            acc += self._rate * stage.predict(X)
+        return acc / self._count
 
 
 def _rank_keys(X):
@@ -492,9 +517,15 @@ def _resample_sort(X, keys, idx):
     return order, _column_values(X, idx.take(order))
 
 
+def _check_forest(B, max_depth, min_leaf) -> None:
+    if B < 1:
+        raise DimensionMismatch("forest needs B >= 1 trees")
+    _check_tree(max_depth, min_leaf)
+
+
 def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
                max_depth: int = 8, min_leaf: int = 5, seed: int = 0,
-               weights=None) -> _AveragePredictor:
+               weights=None) -> _EnsemblePredictor:
     """Bagged regression trees: each tree grows on a bootstrap resample
     (``sample_mode="full"``: on all rows), and every split considers
     every feature. Each tree's resample is drawn from an independent RNG
@@ -506,8 +537,7 @@ def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
     y, weights = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
     n = X.shape[0]
-    if B < 1:
-        raise DimensionMismatch("forest needs B >= 1 trees")
+    _check_forest(B, max_depth, min_leaf)
     keys = _rank_keys(X)
     trees = []
     for b in range(B):
@@ -522,7 +552,7 @@ def forest_fit(X, y, B: int = 50, sample_mode: str = "bootstrap",
         trees.append(tree_fit(X[idx], y[idx], max_depth=max_depth,
                               min_leaf=min_leaf, weights=w,
                               _sorted=_resample_sort(X, keys, idx)))
-    return _AveragePredictor(trees)
+    return _EnsemblePredictor(trees, 1.0, B)
 
 
 @dataclass(frozen=True)
@@ -534,27 +564,24 @@ class ForestLearner:
     min_leaf: int = 5
     seed: int = 0
 
+    def __post_init__(self):
+        _check_forest(self.B, self.max_depth, self.min_leaf)
+
     def fit(self, X, y, weights=None):
         return forest_fit(X, y, B=self.B, max_depth=self.max_depth,
                           min_leaf=self.min_leaf, seed=self.seed,
                           weights=weights)
 
 
-class _BoostPredictor:
-    def __init__(self, stages, rate):
-        self._stages = stages
-        self._rate = rate
-
-    def predict(self, X):
-        X = as_matrix(X)
-        acc = np.zeros(X.shape[0])
-        for stage in self._stages:
-            acc += self._rate * stage.predict(X)
-        return acc
+def _check_boost(J, rate) -> None:
+    if not 0 < rate <= 1:
+        raise DimensionMismatch("learning rate must be in (0, 1]")
+    if J < 1:
+        raise DimensionMismatch("boosting needs J >= 1 rounds")
 
 
 def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
-              weights=None) -> _BoostPredictor:
+              weights=None) -> _EnsemblePredictor:
     """Gradient boosting on squared loss: repeatedly fit the base learner
     to current residuals and accumulate rate-scaled stage predictions.
 
@@ -562,10 +589,7 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
     (``_presort``) and every round's ``tree_fit`` starts from that root
     order; unweighted rounds carry no weight channel. Any other base is
     refit through its own ``fit``."""
-    if not 0 < rate <= 1:
-        raise DimensionMismatch("learning rate must be in (0, 1]")
-    if J < 1:
-        raise DimensionMismatch("boosting needs J >= 1 rounds")
+    _check_boost(J, rate)
     y, weights = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
     if base is None:
@@ -582,13 +606,16 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
                              _sorted=presorted)
         stages.append(stage)
         residual = residual - rate * stage.predict(X)
-    return _BoostPredictor(stages, rate)
+    return _EnsemblePredictor(stages, rate, 1)
 
 
 @dataclass(frozen=True)
 class BoostLearner:
     J: int = 100
     rate: float = 0.1
+
+    def __post_init__(self):
+        _check_boost(self.J, self.rate)
 
     def fit(self, X, y, weights=None):
         return boost_fit(X, y, J=self.J, rate=self.rate, weights=weights)

@@ -386,6 +386,13 @@ def _plugin_inputs(X, y):
     return X, y
 
 
+def _check_plugin_level(c, a) -> None:
+    if not (0.0 < a < 1.0 and 0.0 < c < np.inf):
+        raise NonFinitePenalty(
+            f"plug-in level a must lie in (0, 1) and constant c be positive "
+            f"and finite; got a={a!r}, c={c!r}")
+
+
 def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
                   sigma_iters: int = 1,
                   heteroskedastic: bool = False, _path=None) -> dict:
@@ -402,10 +409,7 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
     finite: otherwise z or c can be 0 and lambda with it, which would make
     the fit unpenalized least squares.
     """
-    if not (0.0 < a < 1.0 and 0.0 < c < np.inf):
-        raise NonFinitePenalty(
-            f"plug-in level a must lie in (0, 1) and constant c be positive "
-            f"and finite; got a={a!r}, c={c!r}")
+    _check_plugin_level(c, a)
     X, y = _plugin_inputs(X, y)
     n, p = X.shape
     z = normal_quantile(1.0 - a / (2.0 * p))

@@ -17,12 +17,15 @@ from .dml.engine import (influence_covariance, linear_score_result,
 from .dist import chi2_sf
 from .dml.estimators import _plm_residuals
 from .errors import BadR2, NotADistribution, SingularProxyMatrix
+from .learners import cross_fit_residuals
 from .linalg import (as_matrix, as_vectors, constant_columns, ols_fit,
                      robust_variance)
+from .weak_id import first_stage_diag
 
 CONTOUR_POINTS = 50
 CONTOUR_R_MAX = 0.5  # the contour spans partial R-squares in [0, this]
 PROXY_MAX_CONDITION = 1e10
+CONTOUR_COLUMNS = ("r2_y", "r2_d", "phi_bound")
 
 
 @dataclass
@@ -43,11 +46,15 @@ class OvbBound:
     upper: float
     contour: list[tuple[float, float, float]] = field(default_factory=list)
 
+    def contour_rows(self) -> list[dict]:
+        """The contour table: one row per (r2_y, r2_d) grid point."""
+        return [dict(zip(CONTOUR_COLUMNS, point)) for point in self.contour]
+
     def write_contour_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r2_y", "r2_d", "phi_bound"])
-            writer.writerows(self.contour)
+            writer = csv.DictWriter(fh, CONTOUR_COLUMNS)
+            writer.writeheader()
+            writer.writerows(self.contour_rows())
 
 
 def _bias(r2_y, r2_d, s) -> float:
@@ -139,14 +146,8 @@ def proxy_linear_iv(y, d, s, q, X, learner, plan, alpha: float = 0.05):
     instrument-side proxy Q) residuals as instruments. Returns the
     TargetInference-style summary for the treatment coefficient.
     """
-    from .learners import cross_fit_predict
-    from .weak_id import first_stage_diag
-
-    resids = []
-    for v in as_vectors(y=y, d=d, s=s, q=q):
-        pred, _ = cross_fit_predict(learner, X, v, plan)
-        resids.append(v - pred)
-    ry, rd, rs, rq = resids
+    ry, rd, rs, rq = cross_fit_residuals(
+        X, plan, *((learner, v) for v in as_vectors(y=y, d=d, s=s, q=q)))
     n = ry.size
 
     diag = first_stage_diag(rs, rq)

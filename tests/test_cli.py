@@ -8,8 +8,11 @@ from dmlkit.cli.config import (ESTIMANDS, parse_config_text,
 from dmlkit.cli.dgps import REGISTRY, Dgp
 from dmlkit.cli.ingest import ingest_csv
 from dmlkit.cli.main import main
-from dmlkit.cli.reports import render_report
+from dmlkit.cli.reports import render_report, write_table
+from dmlkit.cate import toc_qini
 from dmlkit.errors import ConfigError, NonBinaryTreatment, ParseError
+from dmlkit.learners import LinearLearner, make_folds
+from dmlkit.sensitivity import ovb_from_data
 
 
 def _write(path, text):
@@ -575,3 +578,26 @@ def test_simulate_defaults_to_the_first_listed_estimator(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["estimator"] == next(iter(REGISTRY["weak_iv"].estimators))
     assert report["estimator"] == "score_inversion"
+
+
+@pytest.mark.parametrize("seed, n", [(0, 60), (1, 300), (2, 400)])
+def test_library_and_cli_write_the_same_table_bytes(tmp_path, seed, n):
+    r = np.random.default_rng(seed)
+    tau, s = r.standard_normal(n), r.standard_normal(n)
+    # Ranking the test sample by itself (n = 300, 400) leaves rounding
+    # dust in TOC(1); the two writers must still agree on its digits.
+    for name, ref in (("other", r.standard_normal(n)), ("self", tau)):
+        curves = toc_qini(tau, s, ref, seed=seed)
+        curves.write_csv(tmp_path / f"lib_{name}.csv")
+        write_table(curves.rows(), tmp_path / f"cli_{name}.csv")
+    X = r.standard_normal((n, 2))
+    d = X[:, 0] + r.standard_normal(n)
+    y = 0.5 * d + X[:, 1] + r.standard_normal(n)
+    bound = ovb_from_data(y, d, X, LinearLearner(), LinearLearner(),
+                          make_folds(n, 5, seed), r2_y=0.1, r2_d=0.05)
+    bound.write_contour_csv(tmp_path / "lib_contour.csv")
+    write_table(bound.contour_rows(), tmp_path / "cli_contour.csv")
+    for name in ("other", "self", "contour"):
+        lib = (tmp_path / f"lib_{name}.csv").read_bytes()
+        assert lib == (tmp_path / f"cli_{name}.csv").read_bytes()
+        assert lib.count(b"\n") > 2

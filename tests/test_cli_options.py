@@ -143,6 +143,32 @@ def test_degenerate_learner_option_is_a_named_failure(data, tmp_path, capsys,
     assert "DimensionMismatch" in err and message in err
 
 
+@pytest.mark.parametrize("spec, error, message", [
+    ("forest(trees=0)", "DimensionMismatch", "B >= 1"),
+    ("forest(min_leaf=0)", "DimensionMismatch", "min_leaf must be >= 1"),
+    ("forest(depth=-1)", "DimensionMismatch", "max_depth must be >= 0"),
+    ("tree(min_leaf=0)", "DimensionMismatch", "min_leaf must be >= 1"),
+    ("tree(depth=-1)", "DimensionMismatch", "max_depth must be >= 0"),
+    ("boost(rounds=0)", "DimensionMismatch", "J >= 1"),
+    ("boost(rate=0)", "DimensionMismatch", "rate must be in (0, 1]"),
+    ("boost(rate=1.5)", "DimensionMismatch", "rate must be in (0, 1]"),
+    ("lasso(a=2)", "NonFinitePenalty", "a=2.0"),
+    ("lasso(c=-1)", "NonFinitePenalty", "c=-1.0"),
+])
+def test_degenerate_learner_option_fails_before_the_data(tmp_path, capsys,
+                                                         spec, error,
+                                                         message):
+    # The CSV does not exist: a data error would exit 3.
+    config = _config(tmp_path, {**PLM, "learner": spec})
+    assert main(["validate-config", "--config", config]) == 4
+    err = capsys.readouterr().err
+    assert error in err and message in err
+    assert main(["estimate", "--config", config,
+                 "--data", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "out")]) == 4
+    assert error in capsys.readouterr().err
+
+
 def test_depth_zero_tree_runs(data, tmp_path):
     config = _config(tmp_path, {**PLM, "learner": "tree(depth=0)"})
     assert main(["estimate", "--config", config, "--data", data,

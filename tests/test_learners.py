@@ -11,9 +11,9 @@ from dmlkit.learners import (BoostLearner, CrossFitPlan, ForestLearner,
                              LassoPluginLearner, LinearLearner,
                              LogisticLearner, MeanLearner, TreeLearner,
                              ZeroLearner, boost_fit, cross_fit_predict,
-                             forest_fit, learner_select, logistic_fit,
-                             make_folds, no_crossfit_plan, perm_importance,
-                             tree_fit)
+                             cross_fit_residuals, forest_fit, learner_select,
+                             logistic_fit, make_folds, no_crossfit_plan,
+                             perm_importance, tree_fit)
 from dmlkit import learners
 from dmlkit.learners import _presort, _rank_keys, _resample_sort
 
@@ -923,3 +923,19 @@ def test_linear_predict_rejects_a_design_of_another_width(Xq):
     assert model.predict(X).shape == (30,)
     with pytest.raises(DimensionMismatch):
         model.predict(Xq)
+
+
+@pytest.mark.parametrize("plan", [make_folds(90, 5, seed=6),
+                                  no_crossfit_plan(90)], ids=["K5", "K1"])
+def test_cross_fit_residuals_are_v_minus_the_cross_fitted_prediction(plan):
+    r = np.random.default_rng(14)
+    X = r.standard_normal((90, 3))
+    y = X[:, 0] - X[:, 1] ** 2 + r.standard_normal(90)
+    d = (r.uniform(size=90) < 1 / (1 + np.exp(-X[:, 2]))).astype(float)
+    pairs = [(LinearLearner(), y), (ForestLearner(B=4, max_depth=3), y),
+             (LogisticLearner(), d)]
+    residuals = cross_fit_residuals(X, plan, *pairs)
+    assert len(residuals) == len(pairs)
+    for (learner, v), got in zip(pairs, residuals):
+        want = v - cross_fit_predict(learner, X, v, plan)[0]
+        assert np.array_equal(got, want)
