@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dml.estimators import (DEFAULT_TRIM, _check_binary, _propensity,
+from ..dml.estimators import (DEFAULT_TRIM, _check_arms, _propensity,
                               _subset_fit)
-from ..errors import OneArmEmpty, WeightOverflow, WeightsNotSupported
+from ..errors import WeightOverflow, WeightsNotSupported
 from ..learners import cross_fit_predict, cross_fit_residuals
 from ..linalg import as_columns, as_matrix, as_vectors
 from .signals import dr_signal
@@ -67,11 +67,9 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
         raise ValueError(f"unknown meta-learner kind {kind!r}")
     check_effect_learner(kind, learner_final)
     y, d = as_vectors(y=y, d=d)
-    _check_binary(d, "treatment")
+    _check_arms(d, "treatment")
     Z = as_columns(Z, y.size)
     X = Z if X_effect is None else as_columns(X_effect, y.size)
-    if not (np.any(d == 1) and np.any(d == 0)):
-        raise OneArmEmpty("both arms must be present")
     meta: dict = {}
 
     if kind == "S":

@@ -52,20 +52,14 @@ def write_report(report: dict, path) -> None:
 
 
 def write_table(rows: list[dict], path) -> None:
-    """Write a list of flat records as CSV with a stable column order."""
+    """Write a list of flat records, all with the first one's keys, as
+    CSV in that key order. Cells go through ``sanitize``, so a
+    non-finite float is an empty cell, as None is."""
     if not rows:
         with open(path, "w", newline="") as fh:
             fh.write("")
         return
-    columns = list(rows[0])
-    for row in rows[1:]:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(sanitize(row.get(c)))
-                             if isinstance(row.get(c), float)
-                             else sanitize(row.get(c)) for c in columns])
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(sanitize(rows))

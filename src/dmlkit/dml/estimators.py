@@ -24,6 +24,13 @@ def _check_binary(v, name: str) -> None:
         raise DimensionMismatch(f"{name} must be binary 0/1")
 
 
+def _check_arms(v, name: str) -> None:
+    """``_check_binary``, then ``OneArmEmpty`` unless both arms occur."""
+    _check_binary(v, name)
+    if not (np.any(v == 1) and np.any(v == 0)):
+        raise OneArmEmpty(f"both {name} arms must be present")
+
+
 def _rmse(residual) -> float:
     return float(np.sqrt(np.mean(residual**2)))
 
@@ -72,10 +79,8 @@ def irm_signals(y, d, X, learner_g, learner_m, plan,
     """Per-observation doubly robust ATE signals
     g(1,X) - g(0,X) + H (Y - g(D,X)) and the trim count."""
     y, d = as_vectors(y=y, d=d)
-    _check_binary(d, "treatment")
+    _check_arms(d, "treatment")
     X = as_columns(X, y.size)
-    if not (np.any(d == 1) and np.any(d == 0)):
-        raise OneArmEmpty("both treatment arms must be present")
     g1 = _subset_fit(learner_g, X, y, plan, d == 1.0)
     g0 = _subset_fit(learner_g, X, y, plan, d == 0.0)
     m, trimmed = _propensity(learner_m, X, d, plan, trim)
@@ -187,10 +192,8 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
     """
     y, d, z = as_vectors(y=y, d=d, z=z)
     _check_binary(d, "treatment")
-    _check_binary(z, "instrument")
+    _check_arms(z, "instrument")
     X = as_columns(X, y.size)
-    if not (np.any(z == 1) and np.any(z == 0)):
-        raise OneArmEmpty("both instrument arms must be present")
     on, off = z == 1.0, z == 0.0
     mu1 = _subset_fit(learner_mu, X, y, plan, on)
     mu0 = _subset_fit(learner_mu, X, y, plan, off)

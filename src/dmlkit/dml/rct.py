@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import OneArmEmpty
 from ..linalg import as_columns, as_vectors, constant_columns, ols_fit
 from .engine import (DmlResult, influence_covariance, linear_score_result,
                      normal_interval)
-from .estimators import _check_binary
+from .estimators import _check_arms
 
 # The estimators that ``mode`` names; the value is read case-insensitively.
 MODES = ("CL", "CRA", "IRA")
@@ -38,11 +37,9 @@ def rct_estimators(y, d, W=None, mode: str = "CL",
     covariance of the stacked (ATE, control-mean) influence values.
     """
     y, d = as_vectors(y=y, d=d)
-    _check_binary(d, "treatment")
+    _check_arms(d, "treatment")
     n = y.size
     W = as_columns(W, n)
-    if not (np.any(d == 1) and np.any(d == 0)):
-        raise OneArmEmpty("both arms must be present")
     # Constant covariates carry no adjustment information and would make
     # the regression designs singular; drop them up front.
     Wc = W - W.mean(axis=0)

@@ -20,7 +20,7 @@ from .dml.engine import (InferenceResult, _check_variation,
 from .errors import DimensionMismatch
 from .linalg import as_columns, as_matrix, as_vectors, check_rows, partial_out
 from .penalized import (_design, _lambda_max, _prepare, cv_fit, lasso_fit,
-                        lasso_plugin)
+                        lasso_plugin, post_lasso)
 from .rng import derive_seed, stream
 
 SIMULTANEOUS_DRAWS = 100_000
@@ -57,19 +57,15 @@ class TargetInference(InferenceResult):
 def _lasso_residual(y, W, lam_rule: str, seed: int = 0):
     """Partial a vector out of high-dimensional controls via Lasso.
 
-    The selected columns are refit by least squares before residualizing,
-    which removes the shrinkage that the penalty leaves in the fitted
-    values.
+    The selected columns are refit by least squares (``post_lasso``)
+    before residualizing, which removes the shrinkage that the penalty
+    leaves in the fitted values. A selection of n or more columns leaves
+    no residual to take and raises ``RankDeficient``.
     """
     y = as_vectors(y=y)
     if W.shape[1] == 0:
         return y - np.mean(y)
-    active = np.flatnonzero(_rule_fit(y, W, lam_rule, seed).coefficients)
-    if active.size == 0 or active.size >= y.size:
-        return y - np.mean(y)
-    Z = np.column_stack([np.ones(y.size), W[:, active]])
-    coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
-    return y - Z @ coef
+    return post_lasso(W, y, _rule_fit(y, W, lam_rule, seed)).residuals
 
 
 def _rule_fit(y, W, lam_rule: str, seed: int = 0):

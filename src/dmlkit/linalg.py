@@ -61,20 +61,6 @@ class OlsFit:
             return 0.0
         return 1.0 - self.mse_sample / total
 
-    @property
-    def mse_adjusted(self) -> float:
-        if self.p >= self.n:
-            raise DegreesOfFreedom("adjusted MSE requires p < n")
-        return self.n / (self.n - self.p) * self.mse_sample
-
-    @property
-    def r2_adjusted(self) -> float:
-        w = self.weights
-        total = float(np.sum(w * self.y**2) / np.sum(w))
-        if total == 0.0:
-            return 0.0
-        return 1.0 - self.mse_adjusted / total
-
 
 @dataclass
 class VarianceEstimate:

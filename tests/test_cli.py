@@ -601,3 +601,87 @@ def test_library_and_cli_write_the_same_table_bytes(tmp_path, seed, n):
         lib = (tmp_path / f"lib_{name}.csv").read_bytes()
         assert lib == (tmp_path / f"cli_{name}.csv").read_bytes()
         assert lib.count(b"\n") > 2
+
+
+def test_write_table_leaves_non_finite_and_none_cells_empty(tmp_path):
+    rows = [{"a": 0.1, "b": float("nan"), "c": 3},
+            {"a": float("inf"), "b": None, "c": -float("inf")}]
+    write_table(rows, tmp_path / "t.csv")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines == ["a,b,c", "0.1,,3", ",,"]
+
+
+def _write_columns(path, cols):
+    """Named columns, rounded to 6 decimals, as a CSV; returns
+    (path, columns) as the ``study`` fixture does."""
+    cols = {k: np.round(v, 6) for k, v in cols.items()}
+    lines = [",".join(cols)]
+    lines += [",".join(repr(float(v[i])) for v in cols.values())
+              for i in range(len(cols["y"]))]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path), cols
+
+
+def test_gate_one_row_group_writes_empty_cells(study, tmp_path):
+    # Row 0 alone in group 9: its GATE has no standard error, which the
+    # report writes as null and the table as an empty cell.
+    cols = dict(study[1], g=np.where(np.arange(400) == 0, 9.0, study[1]["g"]))
+    data = _write_columns(tmp_path / "gate.csv", cols)
+    code, report = _run_study(data, tmp_path, "estimate", "gate",
+                              **STUDY_KEYS["gate"])
+    assert code == 0
+    (single,) = [row for row in report["estimates"] if row["label"] == "9.0"]
+    assert single["std_error"] is None and single["ci_lower"] is None
+    assert single["ci_upper"] is None and np.isfinite(single["estimate"])
+    lines = (tmp_path / "out" / "estimates.csv").read_text().splitlines()
+    assert lines[0] == "label,estimate,std_error,ci_lower,ci_upper"
+    (line,) = [line for line in lines if line.startswith("9.0,")]
+    assert line == f"9.0,{single['estimate']!r},,,"
+
+
+@pytest.fixture(scope="module")
+def irrelevant_instrument(tmp_path_factory):
+    """A 200-row CSV whose instrument z is drawn independently of the
+    treatment d. At this draw the score-inversion region over a wide grid
+    is two rays, with the gap between them around [-4.5, 0.75]."""
+    r = np.random.default_rng(17)
+    n = 200
+    w1, w2 = r.standard_normal(n), r.standard_normal(n)
+    z = r.standard_normal(n)
+    d = w1 + r.standard_normal(n)
+    y = 0.5 * d + w2 + r.standard_normal(n)
+    path = tmp_path_factory.mktemp("weak") / "weak.csv"
+    return _write_columns(path, {"y": y, "d": d, "z": z, "w1": w1, "w2": w2})
+
+
+def _run_weak_id(data, tmp_path, lower, upper, points):
+    return _run_study(data, tmp_path, "estimate", "weak_id", treatment="d",
+                      instrument="z", controls=CONTROLS, grid_lower=lower,
+                      grid_upper=upper, grid_points=points)
+
+
+def test_weak_id_warns_of_a_weak_disconnected_unbounded_region(
+        irrelevant_instrument, tmp_path, capsys):
+    code, report = _run_weak_id(irrelevant_instrument, tmp_path, "-50", "50",
+                                "401")
+    assert code == 0
+    warnings = ["weak_first_stage", "disconnected_region",
+                "unbounded at grid edge"]
+    assert report["warnings"] == warnings
+    err = capsys.readouterr().err
+    assert all(f"warning: {w}\n" in err for w in warnings)
+    assert not report["first_stage"]["strong"]
+    first, second = report["intervals"]
+    assert first["open_lower"] and first["lower"] == -50.0
+    assert second["open_upper"] and second["upper"] == 50.0
+    assert first["upper"] < second["lower"]
+    assert not report["empty"]
+
+
+def test_weak_id_narrow_grid_in_the_gap_is_empty(irrelevant_instrument,
+                                                  tmp_path):
+    code, report = _run_weak_id(irrelevant_instrument, tmp_path, "-3", "-1",
+                                "21")
+    assert code == 0
+    assert report["empty"] is True and report["intervals"] == []
+    assert report["warnings"] == ["weak_first_stage"]

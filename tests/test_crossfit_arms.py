@@ -1,13 +1,14 @@
 """Estimators whose nuisances train on one treatment arm, instrument arm
 or DiD cell fail with their own error type when a fold's training rows
-hold none of it."""
+hold none of it, and with ``OneArmEmpty`` naming the arm's role when the
+input holds none of it."""
 
 import numpy as np
 import pytest
 
 from dmlkit.cate import meta_learn
 from dmlkit.dml import (dml_atet, dml_did_panel, dml_did_rcs, dml_irm_ate,
-                        dml_late)
+                        dml_late, rct_estimators)
 from dmlkit.errors import EmptyCell, OneArmEmpty
 from dmlkit.learners import CrossFitPlan, LinearLearner, LogisticLearner
 
@@ -78,3 +79,21 @@ def test_arm_held_by_one_fold(name, run, error, held):
     arm, plan = _held_in_fold_zero(held)
     with pytest.raises(error):
         run(arm, plan)
+
+
+ONE_ARM = [
+    ("rct", "treatment", lambda arm, plan: rct_estimators(Y, arm, X)),
+    ("meta_T", "treatment", _meta("T")),
+    ("meta_DR", "treatment", _meta("DR")),
+    ("ate", "treatment", _ate),
+    ("late", "instrument", _late),
+]
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+@pytest.mark.parametrize("name,role,run", ONE_ARM,
+                         ids=[case[0] for case in ONE_ARM])
+def test_one_arm_input_names_the_role(name, role, run, value):
+    _, plan = _held_in_fold_zero("treated")
+    with pytest.raises(OneArmEmpty, match=f"both {role} arms must be present"):
+        run(np.full(N, value), plan)

@@ -7,7 +7,8 @@ from dmlkit.double_lasso import (desparsified_lasso, double_lasso,
                                  double_selection, many_targets,
                                  naive_single_selection,
                                  simultaneous_critical_value)
-from dmlkit.errors import DimensionMismatch, WeakResidualVariation
+from dmlkit.errors import (DimensionMismatch, RankDeficient,
+                           WeakResidualVariation)
 from dmlkit.linalg import ols_fit, robust_variance
 
 
@@ -331,3 +332,12 @@ def test_cv_fold_plans_follow_the_seed(cv_fold_plans):
     first, _, second, _ = cv_fold_plans
     assert cv_fold_plans == [first, first, second, second]
     assert first != second
+
+
+def test_selection_of_n_or_more_controls_is_rank_deficient():
+    # With no penalty the Lasso keeps all 30 controls of a 20-row draw;
+    # their least-squares refit has no residual left to take, so the
+    # fit fails rather than fall back to the unadjusted slope.
+    y, d, W = _confounded_data(0, n=20, p=30)
+    with pytest.raises(RankDeficient):
+        double_lasso(y, d, W, lam_rule="zero")
