@@ -3,7 +3,10 @@ prediction bins and TOC/QINI uplift curves with uniform bands.
 
 Thresholds, bin edges, and tie-breaking probabilities always come from
 non-test data so that the test-sample quantities are sample averages of
-fixed functions.
+fixed functions. The one exception is an uplift grid point whose
+non-test threshold lies above every test prediction: its top group is
+the test rows tied at the highest test prediction, and the curves mark
+it in ``adjusted``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from ..dist import normal_quantile
 from ..dml.engine import (InferenceResult, influence_covariance,
                           linear_score_result, normal_interval)
 from ..double_lasso import band_critical_value
-from ..errors import EmptyBin, EmptyTopGroup
+from ..errors import EmptyBin
 from ..linalg import as_vectors
 
 DEFAULT_GRID_POINTS = 20  # log(p)^5 / n must stay small; 20 is plenty
@@ -110,6 +113,7 @@ class UpliftCurves:
     auqc_lower: float
     alpha: float
     n: int
+    adjusted: np.ndarray  # grid points whose top group fell back
 
     def rows(self) -> list[dict]:
         """The uplift table: per grid point q, both curves and their
@@ -165,9 +169,14 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     for ell, q in enumerate(grid):
         thresholds[ell], lambdas[ell], indicators[:, ell] = top_share_rule(
             tau, ref, q)
+    # A non-test threshold can leave the top group empty on the test
+    # split (a tree's top leaf may hold non-test rows only); such a point
+    # treats the test rows tied at the highest test prediction instead.
+    adjusted = ~indicators.any(axis=0)
+    top = tau.max()
+    thresholds[adjusted], lambdas[adjusted] = top, 1.0
+    indicators[:, adjusted] = (tau == top)[:, None]
     shares = indicators.mean(axis=0)
-    if np.any(shares <= 0.0):
-        raise EmptyTopGroup("no test observations above a threshold")
 
     # Per-grid-point influence values: each curve is their mean and its
     # joint variance their covariance.
@@ -225,4 +234,5 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
         auqc_lower=auqc_lower,
         alpha=alpha,
         n=n,
+        adjusted=adjusted,
     )

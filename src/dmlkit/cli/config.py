@@ -10,7 +10,9 @@ the key to its parser, a description ("a positive integer", "in (0, 0.5)",
 "one of CL, CRA, IRA") and a test of the parsed value, which NaN fails.
 ``RunConfig.get`` parses and tests through it, and both validators read
 every key a config sets, so a bad value raises ``'<key>' must be
-<description>; got '<text>'`` before any compute runs.
+<description>; got '<text>'`` before any compute runs. The DGP registry
+declares the ``dgp`` and ``estimator`` values instead, and
+``validate_simulation_config`` checks them with the same message.
 
 ``LEARNERS`` is the one place a learner spec ``name(key=value, ...)`` is
 declared; ``make_learner`` parses a spec and ``build_learner`` picks and
@@ -54,7 +56,6 @@ from ..learners import (BoostLearner, ForestLearner, LassoPluginLearner,
                         LinearLearner, LogisticLearner, MeanLearner,
                         TreeLearner, ZeroLearner)
 from ..rng import derive_seed
-from .dgps import REGISTRY
 
 COMMON_KEYS = ("estimand", "seed")
 # Read by every estimand that fits nuisance learners.
@@ -150,7 +151,7 @@ _R2 = (float, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
 _FINITE = (float, "finite", math.isfinite)
 # Key -> (parser, what the key accepts, test of the parsed value).
 VALUES = {
-    "estimand": _choice(ESTIMANDS), "dgp": _choice(REGISTRY),
+    "estimand": _choice(ESTIMANDS),
     "controls": _NAMES, "effect_covariates": _NAMES,
     "seed": (int, "an integer", lambda v: True),
     "folds": (int, "an integer of at least 2", lambda v: v >= 2),
@@ -306,13 +307,20 @@ def validate_config(config: RunConfig) -> None:
 
 
 def validate_simulation_config(config: RunConfig) -> None:
-    """Check a ``simulate`` config before any compute runs."""
+    """Check a ``simulate`` config before any compute runs. The DGP
+    registry imports every estimator a simulation can run, so it loads
+    here, not with this module."""
+    from .dgps import REGISTRY
     _check_keys(config, SIMULATE_KEYS, "simulate")
+    _check_choice(config, "dgp", REGISTRY)
     dgp = REGISTRY[config.require("dgp")]
-    if config.get("estimator") not in (None, *dgp.estimators):
-        raise ConfigError(f"'estimator' must be one of "
-                          f"{', '.join(dgp.estimators)}; "
-                          f"got {config.raw['estimator']!r}")
+    _check_choice(config, "estimator", dgp.estimators)
+
+
+def _check_choice(config: RunConfig, key: str, names) -> None:
+    if key in config.raw and config.raw[key] not in names:
+        raise ConfigError(f"{key!r} must be one of {', '.join(names)}; "
+                          f"got {config.raw[key]!r}")
 
 
 def _check_keys(config: RunConfig, keys, reader: str) -> None:

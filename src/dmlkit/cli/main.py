@@ -3,6 +3,10 @@
 Subcommands: estimate, simulate, placebo, validate-config, list-dgps.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
+
+The CATE pipeline, sensitivity, weak-ID and the DGP registry are
+imported by the handlers that run them, not with this module, so a
+command loads only the subsystems its config uses.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import dml
-from ..cate import (calibration, dr_signal, heterogeneity_blp_test,
-                    meta_learn, three_way_split, toc_qini)
 from ..dml import did_canonical, rct_estimators, rdd_sharp
 from ..dml.estimators import DEFAULT_TRIM
 from ..errors import (BadFoldCount, ConfigError, ConstantModel, DmlkitError,
@@ -24,9 +26,6 @@ from ..errors import (BadFoldCount, ConfigError, ConstantModel, DmlkitError,
                       WeightsNotSupported)
 from ..learners import cross_fit_residuals, make_folds
 from ..rng import derive_seed
-from ..sensitivity import ovb_from_data
-from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
-from . import dgps
 from .config import (ESTIMANDS, GRID_BOUNDS, LIST_KEYS, Estimand, RunConfig,
                      build_learner as _learner, load_config, make_learner,
                      read_value, validate_config, validate_simulation_config)
@@ -150,6 +149,7 @@ def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
 
 
 def _sensitivity_report(config, spec, data):
+    from ..sensitivity import ovb_from_data
     n = data["outcome"].size
     bound = ovb_from_data(data["outcome"], data["treatment"],
                           data["controls"], *_learners(config, spec),
@@ -171,6 +171,7 @@ def _sensitivity_report(config, spec, data):
 
 
 def _weak_id_report(config, spec, data, alpha):
+    from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
     n = data["outcome"].size
     # spec.learners lists the outcome, treatment and instrument roles.
     ry, rd, rz = cross_fit_residuals(
@@ -214,6 +215,8 @@ def _weak_id_report(config, spec, data, alpha):
 
 
 def _cate_pipeline_report(config, spec, data, alpha):
+    from ..cate import (calibration, dr_signal, heterogeneity_blp_test,
+                        meta_learn, three_way_split, toc_qini)
     y, d = data["outcome"], data["treatment"]
     Z = data["controls"]
     X_effect = data.get("effect_covariates", Z)
@@ -237,7 +240,9 @@ def _cate_pipeline_report(config, spec, data, alpha):
                       K=config.get("bins", 5), alpha=alpha)
     curves = toc_qini(tau_test, s_test, tau_valid, alpha=alpha,
                       seed=derive_seed(seed, "uplift-band", 0))
-    warnings = []
+    warnings = [f"uplift top group at q = {q:g} was empty on the test "
+                "split; used the test rows tied at the highest prediction"
+                for q in curves.grid[curves.adjusted]]
     try:
         het = heterogeneity_blp_test(tau_test, s_test, alpha=alpha)
     except ConstantModel:
@@ -324,6 +329,7 @@ def run_placebo(config: RunConfig, data_path, out_dir) -> dict:
 
 
 def _simulate_record(args):
+    from . import dgps
     dgp_name, estimator, n, seed, rep = args
     return dgps.simulate_once(dgp_name, estimator, n, seed, rep)
 
@@ -343,6 +349,7 @@ def _summarize(records: list[dict]) -> dict:
 
 
 def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> dict:
+    from . import dgps
     validate_simulation_config(config)
     name = config.raw["dgp"]
     dgp = dgps.get_dgp(name)
@@ -415,6 +422,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "list-dgps":
+            from . import dgps
             for name in sorted(dgps.REGISTRY):
                 print(f"{name}: {dgps.REGISTRY[name].description}")
             return 0

@@ -105,10 +105,6 @@ class EmptyBin(DmlkitError):
     pass
 
 
-class EmptyTopGroup(DmlkitError):
-    pass
-
-
 class WeightOverflow(DmlkitError):
     pass
 

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (BadFoldCount, DimensionMismatch, FoldTooSmall,
                      OneArmEmpty, Separation, WeightsNotSupported)
 from .linalg import as_columns, as_matrix, as_vectors, check_rows, ols_fit
-from .penalized import _check_plugin_level, lasso_plugin
 from .rng import stream
 
 DEFAULT_CLIP = 0.01
@@ -168,7 +167,14 @@ class MeanLearner:
 
 
 class LinearLearner:
-    """OLS with intercept; the workhorse low-dimensional nuisance oracle."""
+    """OLS with intercept; the workhorse low-dimensional nuisance oracle.
+
+    ``linalg`` loads scipy.linalg on its first fit; building the learner
+    loads it already, so a config that names one, validated before the
+    run, does not leave the import to the run."""
+
+    def __init__(self):
+        import scipy.linalg  # noqa: F401
 
     def fit(self, X, y, weights=None):
         X = as_matrix(X)
@@ -182,19 +188,26 @@ class LinearLearner:
 @dataclass(frozen=True)
 class LassoPluginLearner:
     """Plug-in-penalty Lasso; its predictor is the ``LassoFit``. The
-    plug-in rule has no weighted form, so it takes no weights."""
+    plug-in rule has no weighted form, so it takes no weights.
+
+    ``penalized`` (and with it scipy's BLAS and LAPACK) is imported by
+    the learner, not by this module, so a run without a Lasso learner
+    never loads it; building one, as config validation does, loads it
+    before the run starts."""
 
     c: float = 1.1
     a: float = 0.05
     takes_weights: ClassVar[bool] = False
 
     def __post_init__(self):
+        from .penalized import _check_plugin_level
         _check_plugin_level(self.c, self.a)
 
     def fit(self, X, y, weights=None):
         if weights is not None:
             raise WeightsNotSupported("the plug-in Lasso takes no "
                                       "observation weights")
+        from .penalized import lasso_plugin
         return lasso_plugin(as_matrix(X), y, c=self.c, a=self.a)
 
 
@@ -214,8 +227,11 @@ class RegressionTree:
     with ``x[feature[i]] <= threshold[i]`` go to ``left[i]`` and the rest
     to ``right[i]``; at a leaf ``feature[i]`` is -1. ``value[i]`` is the
     weighted mean outcome of the training rows that reached node ``i``.
-    Ties in SSE improvement break to the lower feature index, then the
-    lower threshold, so fitting is fully deterministic. ``p`` is the
+    Fitting is fully deterministic. Within a feature the lowest threshold
+    wins among equal gains; across features, in ascending order, a later
+    feature displaces the best so far only when its gain is larger by
+    more than 1e-12, so a near-tie goes to whichever feature's rounding
+    came out ahead, not always to the lower index. ``p`` is the
     column count of the training design; ``predict`` raises
     ``DimensionMismatch`` for any other.
     """

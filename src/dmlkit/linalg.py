@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import (
     DegreesOfFreedom,
@@ -129,6 +128,9 @@ def _factor(Xw, rank_deficient_ok: bool = False):
     """Column-pivoted QR of Xw with its numerical rank, ``(Q, R, piv,
     rank)``. Raises RankDeficient if the rank falls short of the column
     count beyond the relative tolerance, unless ``rank_deficient_ok``."""
+    # scipy.linalg and its BLAS load on the first fit, not at start-up:
+    # a run whose learners are all trees never fits by QR.
+    from scipy import linalg as sla
     Q, R, piv = sla.qr(Xw, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     top = diag[0] if diag.size else 0.0
@@ -141,6 +143,7 @@ def _factor(Xw, rank_deficient_ok: bool = False):
 
 def _solve(factor, yw):
     """Least-squares coefficients of yw on a full-rank ``_factor``."""
+    from scipy import linalg as sla
     Q, R, piv, rank = factor
     beta = np.zeros(R.shape[1])
     rhs = Q.T @ yw

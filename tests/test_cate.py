@@ -276,6 +276,18 @@ class TestUpliftCurves:
         dq = np.array([0.25, 0.5, 0.0])
         assert curves.autoc == pytest.approx(float(curves.toc @ dq))
 
+    def test_empty_top_group_falls_back_to_the_highest_test_rows(self):
+        # The non-test top quarter sits above every test prediction: that
+        # point treats the test rows tied at 4.0, the rest are unchanged.
+        ref = np.array([1.0, 2.0, 3.0, 9.0])
+        model = np.array([4.0, 4.0, 2.0, 1.0])
+        grid = np.array([0.25, 0.5, 1.0])
+        curves = toc_qini(model, UP_SIGNALS, ref, grid=grid)
+        assert curves.adjusted.tolist() == [True, False, False]
+        assert curves.thresholds[0] == 4.0 and curves.tie_lambdas[0] == 1.0
+        assert curves.shares.tolist() == [0.5, 0.5, 1.0]
+        assert curves.toc[0] == curves.toc[1] == pytest.approx(2.0)
+
     def test_csv_layout(self, tmp_path):
         curves = toc_qini(UP_MODEL, UP_SIGNALS, UP_MODEL,
                           grid=np.array([0.5, 1.0]))

@@ -529,6 +529,19 @@ def test_cate_pipeline_default_learners_run(study, tmp_path):
     assert sum(report["calibration"]["counts"]) == report["split_sizes"][2]
 
 
+def test_cate_pipeline_with_tree_learners_reports_an_empty_top_group(
+        study, tmp_path):
+    # The effect tree's top leaf holds validation rows but no test row,
+    # so the q = 0.05 threshold leaves no test row in the top group.
+    code, report = _run_study(study, tmp_path, "estimate", "cate-pipeline",
+                              treatment="d", controls=CONTROLS,
+                              learner="tree")
+    assert code == 0
+    assert [w for w in report["warnings"] if w.startswith("uplift")] == [
+        "uplift top group at q = 0.05 was empty on the test split; used "
+        "the test rows tied at the highest prediction"]
+
+
 def test_python_and_numpy_bools_render_as_json_bools():
     # A Python bool is an int, so it must be recognised as a bool first.
     text = render_report({"a": True, "b": np.bool_(True), "n": 1})
