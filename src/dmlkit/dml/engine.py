@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dist import normal_quantile
-from ..errors import BadFoldCount, SingularJacobian, WeakResidualVariation
+from ..errors import (BadFoldCount, BadLevel, SingularJacobian,
+                      WeakResidualVariation)
 from ..linalg import as_vectors
 
 JACOBIAN_RTOL = 1e-12
@@ -87,14 +88,24 @@ def influence_covariance(influence) -> np.ndarray:
     return centered.T @ centered / phi.shape[0]
 
 
+def check_level(alpha) -> None:
+    """Raise ``BadLevel`` unless each level in ``alpha`` lies in (0, 1):
+    otherwise a quantile at 1 - alpha is NaN, infinite or meaningless."""
+    levels = np.asarray(alpha, dtype=float)
+    if not np.all((levels > 0.0) & (levels < 1.0)):
+        raise BadLevel(f"level alpha must lie in (0, 1); got {alpha!r}")
+
+
 def normal_interval(estimates, std_errors, alpha: float,
                     critical_value: float | None = None):
     """Two-sided interval estimates -/+ c * std_errors, elementwise.
 
     c is the normal 1 - alpha/2 quantile, or ``critical_value`` when
     given (a sup-t critical value turns pointwise intervals into a
-    simultaneous band). Returns (lower, upper).
+    simultaneous band). Returns (lower, upper). Raises ``BadLevel``
+    unless 0 < alpha < 1.
     """
+    check_level(alpha)
     c = (normal_quantile(1.0 - alpha / 2.0) if critical_value is None
          else critical_value)
     return estimates - c * std_errors, estimates + c * std_errors

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import normal_p_value, normal_quantile
-from .dml.engine import (InferenceResult, _check_variation,
+from .dml.engine import (InferenceResult, _check_variation, check_level,
                          influence_covariance, linear_score_result,
                          normal_interval)
 from .errors import DimensionMismatch
@@ -173,8 +173,10 @@ def simultaneous_critical_value(correlation: np.ndarray, alpha,
     ``alpha`` may be a sequence of levels: one set of draws then gives
     an array with one quantile per level. ``correlation`` may also be a
     stack of k matrices of one size: the same draws then serve each, and
-    the result gains a leading axis of length k.
+    the result gains a leading axis of length k. Raises ``BadLevel``
+    unless each level lies in (0, 1).
     """
+    check_level(alpha)
     correlation = np.asarray(correlation, dtype=float)
     stacked = correlation.ndim == 3
     if not stacked:

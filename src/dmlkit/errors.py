@@ -29,6 +29,10 @@ class NonFinitePenalty(DmlkitError):
     pass
 
 
+class BadLevel(DmlkitError):
+    """A significance level outside (0, 1)."""
+
+
 class NoConvergence(DmlkitError):
     pass
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+# Imported here, not on first use, so that loading it counts as start-up
+# rather than as part of the first stream() of a run.
+from numpy.random import Generator, default_rng
 
 
 def derive_seed(master_seed: int, tag: str, index: int = 0) -> int:
@@ -20,6 +22,6 @@ def derive_seed(master_seed: int, tag: str, index: int = 0) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def stream(master_seed: int, tag: str, index: int = 0) -> np.random.Generator:
+def stream(master_seed: int, tag: str, index: int = 0) -> Generator:
     """Return a Generator on an independent stream for the given unit."""
-    return np.random.default_rng(derive_seed(master_seed, tag, index))
+    return default_rng(derive_seed(master_seed, tag, index))

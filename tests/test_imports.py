@@ -41,6 +41,22 @@ loaded["run"] = [m for m in json.loads(unused) if m in sys.modules]
 print(json.dumps(loaded))
 """
 
+SCIPY_FREE = """
+import json, sys
+data, out = sys.argv[1:]
+import dmlkit.cli as cli
+loaded = {"numpy.random": "numpy.random" in sys.modules}
+config = cli.parse_config_text(
+    "estimand = plm\\nseed = 4\\noutcome = y\\ntreatment = d\\n"
+    "controls = x1, x2\\nfolds = 2\\nlearner = forest(trees=2)\\n")
+cli.validate_config(config)
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded["validated"] = scipy()
+cli.run_estimate(config, data, out)
+loaded["run"] = scipy()
+print(json.dumps(loaded))
+"""
+
 EXPORTS = """
 import importlib, sys, types
 name = sys.argv[1]
@@ -76,7 +92,7 @@ def _child(code, *args):
     return proc.stdout.strip().splitlines()[-1]
 
 
-def test_forest_plm_loads_no_module_it_never_calls(tmp_path):
+def _plm_csv(tmp_path):
     r = np.random.default_rng(8)
     X = r.standard_normal((120, 2))
     d = X[:, 0] + r.standard_normal(120)
@@ -84,6 +100,11 @@ def test_forest_plm_loads_no_module_it_never_calls(tmp_path):
     data = tmp_path / "data.csv"
     np.savetxt(data, np.column_stack([y, d, X]), delimiter=",",
                header="y,d,x1,x2", comments="", fmt="%.17g")
+    return data
+
+
+def test_forest_plm_loads_no_module_it_never_calls(tmp_path):
+    data = _plm_csv(tmp_path)
     unused = json.dumps(UNUSED_BY_FOREST_PLM)
     loaded = json.loads(_child(ESTIMATE, str(data), str(tmp_path / "lazy"),
                                unused, "0"))
@@ -93,6 +114,15 @@ def test_forest_plm_loads_no_module_it_never_calls(tmp_path):
     _child(ESTIMATE, str(data), str(tmp_path / "eager"), unused, "1")
     report = (tmp_path / "lazy" / "report.json").read_bytes()
     assert report == (tmp_path / "eager" / "report.json").read_bytes()
+
+
+def test_forest_plm_loads_no_scipy(tmp_path):
+    # Its intervals come from dist's ports of ndtri and ndtr; numpy.random
+    # loads with the CLI, so the first stream() does not import it mid-run.
+    loaded = json.loads(_child(SCIPY_FREE, str(_plm_csv(tmp_path)),
+                               str(tmp_path / "out")))
+    assert loaded == {"numpy.random": True, "validated": [], "run": []}
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("package", ["dmlkit.dml", "dmlkit.cate",

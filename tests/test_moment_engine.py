@@ -26,8 +26,8 @@ from dmlkit.dml.rct import MODES
 from dmlkit.dml.rdd import KERNELS
 from dmlkit.double_lasso import (_lasso_residual, _rule_fit, _support_refit,
                                  desparsified_lasso, double_lasso,
-                                 many_targets)
-from dmlkit.errors import SingularJacobian
+                                 many_targets, simultaneous_critical_value)
+from dmlkit.errors import BadLevel, SingularJacobian
 from dmlkit.learners import LinearLearner, LogisticLearner, make_folds
 from dmlkit.linalg import constant_columns, ols_fit, robust_variance
 from dmlkit.rng import derive_seed
@@ -365,6 +365,26 @@ def test_pliv_estimate_scales_with_treatment_and_instrument(s):
 def test_cancelling_jacobian_is_singular():
     with pytest.raises(SingularJacobian):
         linear_score_result(np.tile([1.0, -1.0], 5), np.ones(10))
+
+
+@pytest.mark.parametrize("alpha", [3.0, 1.0, 0.0, -0.05, np.nan])
+def test_level_outside_unit_interval_raises(alpha):
+    # Before, alpha = 3 gave a NaN interval and alpha = 0 an infinite one.
+    with pytest.raises(BadLevel, match="alpha"):
+        linear_score_result(np.ones(10), np.arange(10.0), alpha=alpha)
+    with pytest.raises(BadLevel):
+        normal_interval(np.zeros(2), np.ones(2), alpha, critical_value=2.0)
+    # The sup-t critical value took alpha = 3 to numpy's ValueError and
+    # alpha = 0 or 1 to a finite number.
+    with pytest.raises(BadLevel):
+        simultaneous_critical_value(np.eye(2), [0.05, alpha], draws=16)
+
+
+def test_valid_level_keeps_its_interval():
+    result = linear_score_result(np.ones(10), np.arange(10.0), alpha=0.05)
+    c = 1.959963984540054
+    assert result.ci == (4.5 - c * result.std_error,
+                         4.5 + c * result.std_error)
 
 
 # ---------------------------------------------------------------------------
