@@ -11,7 +11,6 @@ it in ``adjusted``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +122,8 @@ class UpliftCurves:
         return [dict(zip(UPLIFT_COLUMNS, map(float, row))) for row in table]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, UPLIFT_COLUMNS)
-            writer.writeheader()
-            writer.writerows(self.rows())
+        from ..cli.reports import write_table
+        write_table(self.rows(), path)
 
 
 def top_share_rule(tau, ref, q):

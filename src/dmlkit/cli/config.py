@@ -12,12 +12,21 @@ the key to its parser, a description ("a positive integer", "in (0, 0.5)",
 every key a config sets, so a bad value raises ``'<key>' must be
 <description>; got '<text>'`` before any compute runs. The DGP registry
 declares the ``dgp`` and ``estimator`` values instead, and
-``validate_simulation_config`` checks them with the same message.
+``validate_simulation_config`` checks them with the same message and
+returns the DGP record and the estimator (the DGP's first by default).
+
+``DEFAULTS`` holds every option default that needs no context, and
+``RunConfig.get`` falls back to it. The defaults of ``mode`` (by
+controls), ``n`` (by DGP) and the learner specs (by estimand and role)
+depend on context and are worked out where they are read. The one of
+``grid_points`` is ``weak_id.GRID_POINTS``: importing ``weak_id`` here
+would load ``scipy.linalg`` at start-up.
 
 ``LEARNERS`` is the one place a learner spec ``name(key=value, ...)`` is
 declared; ``make_learner`` parses a spec and ``build_learner`` picks and
 builds a role's. ``validate_config`` builds every learner its estimand
-fits, so a bad spec is rejected before any data is read.
+fits, so a bad spec is rejected before any data is read, and returns
+them to the run as a role -> learner dict in ``learners`` order.
 
 ``ESTIMANDS`` is the one place an estimand is declared. Validation,
 column loading, learner construction and dispatch all read it. Each
@@ -49,6 +58,7 @@ import re
 from dataclasses import dataclass
 
 from ..cate.meta import META_KINDS, check_effect_learner
+from ..dml.estimators import DEFAULT_TRIM
 from ..dml.rct import MODES
 from ..dml.rdd import KERNELS
 from ..errors import ConfigError
@@ -62,7 +72,11 @@ COMMON_KEYS = ("estimand", "seed")
 LEARNER_KEYS = ("folds", "learner")
 # Every key ``simulate`` reads.
 SIMULATE_KEYS = ("dgp", "seed", "estimator", "n", "replications", "workers")
-GRID_BOUNDS = (-2.0, 2.0)  # weak_id's grid when the config sets none
+# Key -> its value when the config sets none.
+DEFAULTS = {"alpha": 0.05, "folds": 5, "trim": DEFAULT_TRIM, "bins": 5,
+            "meta_learner": "DR", "grid_lower": -2.0, "grid_upper": 2.0,
+            "cutoff": 0.0, "kernel": "triangular", "replications": 100,
+            "workers": 1}
 
 
 @dataclass(frozen=True)
@@ -183,10 +197,11 @@ def read_value(key: str, text: str):
 @dataclass
 class RunConfig:
     raw: dict[str, str]
-    path: str | None = None
 
     def get(self, key: str, default=None):
-        return read_value(key, self.raw[key]) if key in self.raw else default
+        if key in self.raw:
+            return read_value(key, self.raw[key])
+        return DEFAULTS.get(key, default)
 
     def require(self, key: str):
         value = self.get(key)
@@ -209,7 +224,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
 
-def parse_config_text(text: str, path: str | None = None) -> RunConfig:
+def parse_config_text(text: str) -> RunConfig:
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -225,12 +240,12 @@ def parse_config_text(text: str, path: str | None = None) -> RunConfig:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
-    return RunConfig(raw=raw, path=path)
+    return RunConfig(raw=raw)
 
 
 def load_config(path) -> RunConfig:
     with open(path) as fh:
-        return parse_config_text(fh.read(), path=str(path))
+        return parse_config_text(fh.read())
 
 
 _LEARNER_SPEC = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
@@ -289,9 +304,9 @@ def build_learner(config: RunConfig, role: str, default: str):
     return make_learner(spec, derive_seed(config.seed, f"learner-{role}", 0))
 
 
-def validate_config(config: RunConfig) -> None:
+def validate_config(config: RunConfig) -> dict:
     """Check estimand, roles, keys, values and learner specs before any
-    compute runs."""
+    compute runs; returns the role -> learner dict the run fits."""
     spec = ESTIMANDS[config.estimand]
     for key in spec.roles + spec.required:
         config.require(key)
@@ -299,14 +314,13 @@ def validate_config(config: RunConfig) -> None:
     learners = {role: build_learner(config, role, default)
                 for role, default in spec.learners}
     if "effect" in learners:
-        check_effect_learner(config.get("meta_learner", "DR"),
-                             learners["effect"])
-    if (config.get("grid_lower", GRID_BOUNDS[0])
-            >= config.get("grid_upper", GRID_BOUNDS[1])):
+        check_effect_learner(config.get("meta_learner"), learners["effect"])
+    if config.get("grid_lower") >= config.get("grid_upper"):
         raise ConfigError("'grid_lower' must be below 'grid_upper'")
+    return learners
 
 
-def validate_simulation_config(config: RunConfig) -> None:
+def validate_simulation_config(config: RunConfig) -> tuple:
     """Check a ``simulate`` config before any compute runs. The DGP
     registry imports every estimator a simulation can run, so it loads
     here, not with this module."""
@@ -315,6 +329,7 @@ def validate_simulation_config(config: RunConfig) -> None:
     _check_choice(config, "dgp", REGISTRY)
     dgp = REGISTRY[config.require("dgp")]
     _check_choice(config, "estimator", dgp.estimators)
+    return dgp, config.get("estimator", next(iter(dgp.estimators)))
 
 
 def _check_choice(config: RunConfig, key: str, names) -> None:

@@ -20,26 +20,20 @@ import numpy as np
 
 from .. import dml
 from ..dml import did_canonical, rct_estimators, rdd_sharp
-from ..dml.estimators import DEFAULT_TRIM
 from ..errors import (BadFoldCount, ConfigError, ConstantModel, DmlkitError,
                       NonBinaryTreatment, ParseError, UnknownDgp,
                       WeightsNotSupported)
 from ..learners import cross_fit_residuals, make_folds
 from ..rng import derive_seed
-from .config import (ESTIMANDS, GRID_BOUNDS, LIST_KEYS, Estimand, RunConfig,
+# ``_learner`` and ``make_learner`` are re-exported for callers.
+from .config import (ESTIMANDS, LIST_KEYS, Estimand, RunConfig,
                      build_learner as _learner, load_config, make_learner,
                      read_value, validate_config, validate_simulation_config)
 from .ingest import ingest_csv
 from .reports import provenance, write_report, write_table
 
-DEFAULT_ALPHA = 0.05
-DEFAULT_FOLDS = 5
-
 DATA_ERRORS = (ParseError, NonBinaryTreatment, FileNotFoundError,
                IsADirectoryError)
-
-def _learners(config: RunConfig, spec: Estimand) -> list:
-    return [_learner(config, role, default) for role, default in spec.learners]
 
 
 # ---------------------------------------------------------------------------
@@ -95,36 +89,36 @@ def _result_report(config: RunConfig, result):
     return report, {"estimates": rows}
 
 
-def _plan(config: RunConfig, n: int):
-    K = config.get("folds", DEFAULT_FOLDS)
-    return make_folds(n, K, derive_seed(config.seed, "folds", 0))
+def _plan(config: RunConfig, n: int, tag: str = "folds"):
+    return make_folds(n, config.get("folds"), derive_seed(config.seed, tag, 0))
 
 
-def _cross_fit(config: RunConfig, spec: Estimand, data: dict, alpha: float):
+def _cross_fit(config: RunConfig, spec: Estimand, data: dict, learners: dict,
+               alpha: float):
     """Call ``spec.estimator`` with the columns in role order (a missing
     optional role is an intercept column), the learners and the plan."""
     n = data["outcome"].size
     columns = [data[role] if role in data else np.ones((n, 1))
                for role in spec.roles + spec.optional]
-    kwargs = {"trim": config.get("trim", DEFAULT_TRIM)} if spec.trim else {}
+    kwargs = {"trim": config.get("trim")} if spec.trim else {}
     # Looked up at call time, so a tracer that rebinds the package's
     # names sees the call.
     estimator = getattr(dml, spec.estimator)
-    return estimator(*columns, *_learners(config, spec), _plan(config, n),
+    return estimator(*columns, *learners.values(), _plan(config, n),
                      alpha=alpha, **kwargs)
 
 
 def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
     """Run the configured estimand; returns (report, artifact tables)."""
-    validate_config(config)
+    learners = validate_config(config)
     estimand = config.estimand
     spec = ESTIMANDS[estimand]
     data = _load_columns(config, data_path, spec.roles + spec.optional,
                          spec.binary)
     y = data["outcome"]
-    alpha = config.get("alpha", DEFAULT_ALPHA)
+    alpha = config.get("alpha")
     if spec.estimator is not None:
-        result = _cross_fit(config, spec, data, alpha)
+        result = _cross_fit(config, spec, data, learners, alpha)
     elif estimand == "did_canonical":
         result = did_canonical(y, data["treatment"], data["time"],
                                alpha=alpha)
@@ -135,24 +129,24 @@ def estimate_report(config: RunConfig, data_path) -> tuple[dict, dict]:
                                 alpha=alpha)
     elif estimand == "rdd":
         result = rdd_sharp(y, data["running"],
-                           cutoff=config.get("cutoff", 0.0),
+                           cutoff=config.get("cutoff"),
                            bandwidth=config.get("bandwidth"),
-                           kernel=config.get("kernel", "triangular"),
+                           kernel=config.get("kernel"),
                            Z=data.get("controls"), alpha=alpha)
     elif estimand == "sensitivity":
-        return _sensitivity_report(config, spec, data)
+        return _sensitivity_report(config, data, learners)
     elif estimand == "weak_id":
-        return _weak_id_report(config, spec, data, alpha)
+        return _weak_id_report(config, data, learners, alpha)
     else:
-        return _cate_pipeline_report(config, spec, data, alpha)
+        return _cate_pipeline_report(config, data, learners, alpha)
     return _result_report(config, result)
 
 
-def _sensitivity_report(config, spec, data):
+def _sensitivity_report(config, data, learners):
     from ..sensitivity import ovb_from_data
     n = data["outcome"].size
     bound = ovb_from_data(data["outcome"], data["treatment"],
-                          data["controls"], *_learners(config, spec),
+                          data["controls"], *learners.values(),
                           _plan(config, n), r2_y=config.get("r2_y"),
                           r2_d=config.get("r2_d"))
     report = {
@@ -170,16 +164,14 @@ def _sensitivity_report(config, spec, data):
     return report, {"contour": bound.contour_rows()}
 
 
-def _weak_id_report(config, spec, data, alpha):
+def _weak_id_report(config, data, learners, alpha):
     from ..weak_id import GRID_POINTS, first_stage_diag, robust_region
     n = data["outcome"].size
-    # spec.learners lists the outcome, treatment and instrument roles.
+    # The learners are the outcome's, the treatment's and the instrument's.
     ry, rd, rz = cross_fit_residuals(
         data["controls"], _plan(config, n),
-        *((_learner(config, role, default), data[role])
-          for role, default in spec.learners))
-    grid = np.linspace(config.get("grid_lower", GRID_BOUNDS[0]),
-                       config.get("grid_upper", GRID_BOUNDS[1]),
+        *((learner, data[role]) for role, learner in learners.items()))
+    grid = np.linspace(config.get("grid_lower"), config.get("grid_upper"),
                        config.get("grid_points", GRID_POINTS))
     region = robust_region(ry, rd, rz, grid, alpha=alpha)
     stage = first_stage_diag(rd, rz)
@@ -214,7 +206,7 @@ def _weak_id_report(config, spec, data, alpha):
     return report, artifacts
 
 
-def _cate_pipeline_report(config, spec, data, alpha):
+def _cate_pipeline_report(config, data, learners, alpha):
     from ..cate import (calibration, dr_signal, heterogeneity_blp_test,
                         meta_learn, three_way_split, toc_qini)
     y, d = data["outcome"], data["treatment"]
@@ -222,22 +214,21 @@ def _cate_pipeline_report(config, spec, data, alpha):
     X_effect = data.get("effect_covariates", Z)
     n = y.size
     seed = config.seed
-    plan = _plan(config, n)
-    trim = config.get("trim", DEFAULT_TRIM)
-    learner_y, learner_prop, learner_effect = _learners(config, spec)
-    signals = dr_signal(y, d, Z, learner_y, learner_prop, plan, trim=trim)
+    trim = config.get("trim")
+    learner_y, learner_prop, learner_effect = learners.values()
+    signals = dr_signal(y, d, Z, learner_y, learner_prop, _plan(config, n),
+                        trim=trim)
     train, valid, test = three_way_split(n, derive_seed(seed, "split", 0))
-    kind = config.get("meta_learner", "DR")
-    plan_train = make_folds(train.size, config.get("folds", DEFAULT_FOLDS),
-                            derive_seed(seed, "train-folds", 0))
+    kind = config.get("meta_learner")
     model = meta_learn(kind, y[train], d[train], Z[train], learner_y,
-                       learner_prop, learner_effect, plan_train,
+                       learner_prop, learner_effect,
+                       _plan(config, train.size, "train-folds"),
                        X_effect=X_effect[train], trim=trim)
     tau_valid = model.predict(X_effect[valid])
     tau_test = model.predict(X_effect[test])
     s_test = signals.values[test]
     cal = calibration(tau_test, s_test, tau_valid,
-                      K=config.get("bins", 5), alpha=alpha)
+                      K=config.get("bins"), alpha=alpha)
     curves = toc_qini(tau_test, s_test, tau_valid, alpha=alpha,
                       seed=derive_seed(seed, "uplift-band", 0))
     warnings = [f"uplift top group at q = {q:g} was empty on the test "
@@ -302,7 +293,7 @@ def run_placebo(config: RunConfig, data_path, out_dir) -> dict:
     the post-period; a significant estimate flags a pre-trend."""
     if config.get("estimand") != "did_panel":
         raise ConfigError("placebo requires estimand = did_panel")
-    validate_config(config)
+    learners = validate_config(config)
     if config.get("outcome_placebo_pre") is None:
         raise ConfigError(
             "placebo requires 'outcome_placebo_pre', an earlier pre-period "
@@ -314,8 +305,7 @@ def run_placebo(config: RunConfig, data_path, out_dir) -> dict:
     # Shift both outcome periods one step back.
     data["outcome"] = data["outcome_pre"]
     data["outcome_pre"] = data["outcome_placebo_pre"]
-    result = _cross_fit(config, spec, data,
-                        config.get("alpha", DEFAULT_ALPHA))
+    result = _cross_fit(config, spec, data, learners, config.get("alpha"))
     report, artifacts = _result_report(config, result)
     lo, hi = result.ci
     report["flags"] = ["placebo"]
@@ -349,21 +339,17 @@ def _summarize(records: list[dict]) -> dict:
 
 
 def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> dict:
-    from . import dgps
-    validate_simulation_config(config)
-    name = config.raw["dgp"]
-    dgp = dgps.get_dgp(name)
+    dgp, estimator = validate_simulation_config(config)
     seed = config.seed
-    reps = config.get("replications", 100)
+    reps = config.get("replications")
     n = config.get("n", dgp.default_n)
-    estimator = config.raw.get("estimator", next(iter(dgp.estimators)))
     if workers is None:
-        workers = config.get("workers", 1)
+        workers = config.get("workers")
     else:
         read_value("workers", str(workers))
     # A pool starts all its workers up front: start no idle ones.
     workers = min(workers, reps)
-    tasks = [(name, estimator, n, seed, rep) for rep in range(reps)]
+    tasks = [(dgp.name, estimator, n, seed, rep) for rep in range(reps)]
     if workers == 1:
         records = [_simulate_record(t) for t in tasks]
     else:
@@ -372,7 +358,7 @@ def run_simulation(config: RunConfig, out_dir, workers: int | None = None) -> di
     # Reduction is order-independent: sort by replication index.
     records.sort(key=lambda r: r["replication"])
     report = {
-        "dgp": name,
+        "dgp": dgp.name,
         "estimator": estimator,
         "n": n,
         "replications": reps,

@@ -54,12 +54,10 @@ def write_report(report: dict, path) -> None:
 def write_table(rows: list[dict], path) -> None:
     """Write a list of flat records, all with the first one's keys, as
     CSV in that key order. Cells go through ``sanitize``, so a
-    non-finite float is an empty cell, as None is."""
-    if not rows:
-        with open(path, "w", newline="") as fh:
-            fh.write("")
-        return
+    non-finite float is an empty cell, as None is. No rows write an
+    empty file."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, list(rows[0]))
-        writer.writeheader()
-        writer.writerows(sanitize(rows))
+        if rows:
+            writer = csv.DictWriter(fh, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(sanitize(rows))

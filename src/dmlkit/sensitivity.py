@@ -7,7 +7,6 @@ Horvitz-Thompson transforms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +50,8 @@ class OvbBound:
         return [dict(zip(CONTOUR_COLUMNS, point)) for point in self.contour]
 
     def write_contour_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, CONTOUR_COLUMNS)
-            writer.writeheader()
-            writer.writerows(self.contour_rows())
+        from .cli.reports import write_table
+        write_table(self.contour_rows(), path)
 
 
 def _bias(r2_y, r2_d, s) -> float:
