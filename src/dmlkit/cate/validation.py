@@ -43,6 +43,22 @@ class CalibrationReport(InferenceResult):
         return self.estimates
 
 
+def _inputs(tau_test, signals_test, tau_nontest):
+    """The test predictions, test signals and non-test predictions as
+    float vectors, the first two on the same rows. Raises
+    ``FloatingPointError`` if one holds a NaN or an inf, naming it and
+    its first such row."""
+    tau, s = as_vectors(tau_test=tau_test, signals_test=signals_test)
+    ref = as_vectors(tau_nontest=tau_nontest)
+    for name, v in zip(("tau_test", "signals_test", "tau_nontest"),
+                       (tau, s, ref)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise FloatingPointError(
+                f"{name} holds a non-finite value at row {bad[0]}")
+    return tau, s, ref
+
+
 def calibration(tau_test, signals_test, tau_nontest, K: int,
                 alpha: float = 0.05) -> CalibrationReport:
     """Bin test observations by predicted effect and compare the mean
@@ -53,11 +69,10 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
     prediction) are merged, so a model with few distinct predictions
     gets fewer than K bins, with one entry of ``counts`` per bin used.
     cal1 is the count-weighted mean absolute gap, cal2 its squared
-    analogue.
+    analogue. A NaN or an inf in any input raises ``FloatingPointError``.
     """
-    tau_test, signals = as_vectors(tau_test=tau_test,
-                                   signals_test=signals_test)
-    tau_nontest = as_vectors(tau_nontest=tau_nontest)
+    tau_test, signals, tau_nontest = _inputs(tau_test, signals_test,
+                                             tau_nontest)
     if K < 1:
         raise EmptyBin("need at least one bin")
     # Cut points that tie with each other or with the smallest non-test
@@ -149,10 +164,10 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     (prioritized by the model) with the overall average; QINI rescales
     by the treated share. Thresholds and tie-breaking come from the
     non-test predictions; inference follows the joint Gaussian
-    approximation with sup-norm Monte Carlo bands.
+    approximation with sup-norm Monte Carlo bands. A NaN or an inf in
+    any input raises ``FloatingPointError``.
     """
-    tau, s = as_vectors(tau_test=tau_test, signals_test=signals_test)
-    ref = as_vectors(tau_nontest=tau_nontest)
+    tau, s, ref = _inputs(tau_test, signals_test, tau_nontest)
     if grid is None:
         grid = np.linspace(1.0 / DEFAULT_GRID_POINTS, 1.0, DEFAULT_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)

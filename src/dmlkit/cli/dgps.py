@@ -71,17 +71,10 @@ def _est_selection(lam_rule):
 def _inference_record(result, target):
     """Record of a scalar estimate: the estimate, SE and pointwise CI of
     any ``dml.engine.InferenceResult`` (here a ``DmlResult`` or a
-    ``TargetInference``)."""
-    estimate = result.estimate
-    lo, hi = result.ci
-    return {
-        "estimate": estimate,
-        "std_error": result.std_error,
-        "ci_lower": lo,
-        "ci_upper": hi,
-        "error": estimate - target,
-        "covered": float(lo <= target <= hi),
-    }
+    ``TargetInference``), its error and whether the CI covers."""
+    row = result.row()
+    return {**row, "error": row["estimate"] - target,
+            "covered": float(row["ci_lower"] <= target <= row["ci_upper"])}
 
 
 # ---------------------------------------------------------------------------

@@ -58,16 +58,15 @@ def _load_columns(config: RunConfig, data_path, roles, binary) -> dict:
 def _result_rows(result) -> list[dict]:
     """One row per estimate, labelled by its group for GATEs."""
     labels = result.diagnostics.get("group_labels")
-    rows = []
-    for i in range(result.estimates.size):
-        rows.append({
-            "label": str(labels[i]) if labels is not None else "theta",
-            "estimate": float(result.estimates[i]),
-            "std_error": float(result.std_errors[i]),
-            "ci_lower": float(result.ci_lower[i]),
-            "ci_upper": float(result.ci_upper[i]),
-        })
-    return rows
+    return [{"label": str(labels[i]) if labels is not None else "theta",
+             **result.row(i)} for i in range(result.estimates.size)]
+
+
+def _report(config: RunConfig, n: int, warnings: list, fields: dict) -> dict:
+    """An estimate report: ``fields`` plus the keys every report carries,
+    the estimand, the provenance, the row count and the warnings."""
+    return {"estimand": config.estimand, "provenance": provenance(config),
+            **fields, "n": n, "warnings": warnings}
 
 
 def _result_report(config: RunConfig, result):
@@ -75,17 +74,14 @@ def _result_report(config: RunConfig, result):
     diag = dict(result.diagnostics)
     rmse = {k: diag.pop(k) for k in list(diag) if k.startswith("rmse_")}
     rows = _result_rows(result)
-    report = {
-        "estimand": config.estimand,
-        "provenance": provenance(config),
-        "warnings": sorted(k for k, v in diag.items() if v is True),
+    warnings = sorted(k for k, v in diag.items() if v is True)
+    report = _report(config, result.n, warnings, {
         "estimates": rows,
         "alpha": result.alpha,
-        "n": result.n,
         "trim_count": result.trim_count,
         "nuisance_rmse": rmse,
         "diagnostics": diag,
-    }
+    })
     return report, {"estimates": rows}
 
 
@@ -149,18 +145,14 @@ def _sensitivity_report(config, data, learners):
                           data["controls"], *learners.values(),
                           _plan(config, n), r2_y=config.get("r2_y"),
                           r2_d=config.get("r2_d"))
-    report = {
-        "estimand": "sensitivity",
-        "provenance": provenance(config),
+    report = _report(config, n, [], {
         "estimate": bound.estimate,
         "bias_bound": bound.bias_bound,
         "bound_interval": [bound.lower, bound.upper],
         "r2_y": bound.r2_y,
         "r2_d": bound.r2_d,
         "variance_ratio": bound.s,
-        "n": n,
-        "warnings": [],
-    }
+    })
     return report, {"contour": bound.contour_rows()}
 
 
@@ -183,9 +175,7 @@ def _weak_id_report(config, data, learners, alpha):
     if region.intervals and (region.intervals[0].open_lower
                              or region.intervals[-1].open_upper):
         warnings.append("unbounded at grid edge")
-    report = {
-        "estimand": "weak_id",
-        "provenance": provenance(config),
+    report = _report(config, n, warnings, {
         "intervals": [
             {"lower": iv.lower, "upper": iv.upper,
              "open_lower": iv.open_lower, "open_upper": iv.open_upper}
@@ -194,10 +184,8 @@ def _weak_id_report(config, data, learners, alpha):
         "empty": region.empty,
         "critical_value": region.critical_value,
         "first_stage": stage,
-        "n": n,
         "alpha": alpha,
-        "warnings": warnings,
-    }
+    })
     # ``accepted`` is written 0/1: the table is a CSV, which has no bools.
     artifacts = {"region": [
         {"theta": float(t), "statistic": float(s), "accepted": int(a)}
@@ -244,9 +232,7 @@ def _cate_pipeline_report(config, data, learners, alpha):
     model_trim = model.metadata.get("trim_count", 0)
     if model_trim > 0:
         warnings.append(f"meta-learner trimmed {model_trim} propensities")
-    report = {
-        "estimand": "cate-pipeline",
-        "provenance": provenance(config),
+    report = _report(config, n, warnings, {
         "meta_learner": kind,
         "ate": signals.ate,
         "trim_count": signals.trim_count,
@@ -263,10 +249,8 @@ def _cate_pipeline_report(config, data, learners, alpha):
         "autoc_se": curves.autoc_se,
         "autoc_lower": curves.autoc_lower,
         "auqc": curves.auqc,
-        "n": n,
         "split_sizes": [train.size, valid.size, test.size],
-        "warnings": warnings,
-    }
+    })
     return report, {"uplift": curves.rows()}
 
 

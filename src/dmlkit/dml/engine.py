@@ -68,6 +68,15 @@ class InferenceResult:
     def ci(self) -> tuple[float, float]:
         return float(self.ci_lower[0]), float(self.ci_upper[0])
 
+    def row(self, i: int = 0) -> dict:
+        """Estimate ``i`` as a flat record of floats: the estimate, its
+        SE and its pointwise interval, the columns of every table of
+        estimates."""
+        return {"estimate": float(self.estimates[i]),
+                "std_error": float(self.std_errors[i]),
+                "ci_lower": float(self.ci_lower[i]),
+                "ci_upper": float(self.ci_upper[i])}
+
 
 @dataclass(kw_only=True)
 class DmlResult(InferenceResult):

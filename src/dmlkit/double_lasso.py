@@ -80,10 +80,10 @@ def _rule_fit(y, W, lam_rule: str, seed: int = 0):
 
     # One standardized design serves the grid's top and the final refit.
     design = _design(*_prepare(W, y))
-    grid = (_lambda_max(W, y, _full_design=design)
+    grid = (_lambda_max(W, y, _prepared=design)
             * np.geomspace(0.01, 1.0, 16))
     return cv_fit("lasso", W, y, grid, make_folds(y.size, 5, seed),
-                  _full_design=design).refit
+                  _prepared=design).refit
 
 
 def _inputs(y, d, W):

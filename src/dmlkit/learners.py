@@ -60,8 +60,8 @@ class CrossFitPlan:
 
     def complement_indices(self, k: int) -> np.ndarray:
         if self.K == 1:
-            # Degenerate no-cross-fitting plan (testing ablation only):
-            # the "out of fold" data is the full sample.
+            # The in-sample ablation plan of ``no_crossfit_plan``: the
+            # "out of fold" data is the full sample.
             return np.arange(self.n)
         return np.flatnonzero(self.assignment != k)
 
@@ -82,7 +82,10 @@ def make_folds(n: int, K: int, seed: int) -> CrossFitPlan:
 
 
 def no_crossfit_plan(n: int) -> CrossFitPlan:
-    """K=1 ablation plan: nuisances are fit in-sample. Testing only."""
+    """K=1 in-sample ablation plan: nuisances are fit and predicted on
+    the same rows. ``simulate``'s ``plm_smooth`` DGP runs it as its
+    ``plm_overfit_nocrossfit`` estimator, to show the bias that
+    cross-fitting removes."""
     return CrossFitPlan(n=n, K=1, assignment=np.zeros(n, dtype=int), seed=0)
 
 

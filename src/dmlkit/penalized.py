@@ -51,6 +51,9 @@ class LassoFit:
     n_sweeps: int
     kkt_gap: float
     degenerate_columns: list[int] = field(default_factory=list)
+    # The solution in the standardized parametrization: a path's warm start.
+    _standardized_coefficients: np.ndarray | None = field(default=None,
+                                                          repr=False)
 
     @property
     def active_set(self) -> np.ndarray:
@@ -106,16 +109,12 @@ def _design(X, y):
     return design + (np.einsum("ij,ij->j", Xs, Xs), Xs.T @ yc)
 
 
-def _lambda_max(X, y, _full_design=None) -> float:
+def _lambda_max(X, y, _prepared=None) -> float:
     """Smallest penalty at which the Lasso solution is all zeros (1.0
-    when y is constant). ``_full_design``, passed only by Double
-    Lasso's CV rule, is ``_design(X, y)``: its ``Xs'yc`` is read rather
-    than standardizing X again."""
-    if _full_design is None:
-        Xs, yc = _standardize(*_prepare(X, y))[:2]
-        xty = Xs.T @ yc
-    else:
-        xty = _full_design[-1]
+    when y is constant). ``_prepared``, passed only by Double Lasso's CV
+    rule, is ``_design(X, y)``: its ``Xs'yc`` is read rather than
+    standardizing X again."""
+    xty = (_prepared or _design(*_prepare(X, y)))[-1]
     top = float(np.max(np.abs(xty), initial=0.0))
     return 2.0 * top if top > 0 else 1.0
 
@@ -301,19 +300,21 @@ def _kkt_gap(Xc, yc, beta, lam, lam_ridge, loadings):
 
 
 def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
-              _path=None) -> LassoFit:
+              _prepared=None, _warm=None) -> LassoFit:
     """Lasso (optionally Elastic Net via lam_ridge > 0) with unpenalized
     intercept.
 
     Default penalty loadings are psi_j = sqrt(E_n[x_j^2]) computed on the
     centered columns, which makes predictions invariant to column
     rescaling. Constant columns get loading zero, stay at coefficient
-    zero, and are reported in ``degenerate_columns``. ``_path``, passed
-    only by ``lasso_path``, ``plugin_lambda``, ``lasso_plugin`` and
-    ``cv_fit``, is ``(_design(X, y), warm start or None)``.
+    zero, and are reported in ``degenerate_columns``. ``_prepared``,
+    passed only by ``lasso_path``, ``plugin_lambda``, ``lasso_plugin``
+    and ``cv_fit``, is ``_design(X, y)``, solved on rather than
+    standardizing X again. ``_warm``, passed only by ``lasso_path``, is
+    the previous penalty's ``_standardized_coefficients``.
     """
-    design, warm = _path or (_design(*_prepare(X, y)), None)
-    Xs, yc, xbar, ybar, scale, colsq, xty = design
+    Xs, yc, xbar, ybar, scale, colsq, xty = (_prepared
+                                             or _design(*_prepare(X, y)))
     p = Xs.shape[1]
     if not np.isfinite(lam) or lam < 0 or not np.isfinite(lam_ridge) or lam_ridge < 0:
         raise NonFinitePenalty("penalty levels must be finite and nonnegative")
@@ -342,10 +343,10 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
         gap = _kkt_gap(Xs, yc, beta_s, lam, lam_ridge, psi)
     else:
         beta_s, sweeps, gap = _coordinate_descent(
-            Xs, yc, lam, lam_ridge, psi, beta0=warm, consts=(colsq, xty))
+            Xs, yc, lam, lam_ridge, psi, beta0=_warm, consts=(colsq, xty))
     beta = np.where(scale > 0, beta_s / safe, 0.0)
     intercept = ybar - float(beta @ xbar)
-    fit = LassoFit(
+    return LassoFit(
         coefficients=beta,
         intercept=intercept,
         lam=lam,
@@ -355,9 +356,8 @@ def lasso_fit(X, y, lam, loadings=None, lam_ridge: float = 0.0,
         n_sweeps=sweeps,
         kkt_gap=gap,
         degenerate_columns=degenerate,
+        _standardized_coefficients=beta_s,
     )
-    fit._standardized_coefficients = beta_s
-    return fit
 
 
 def lasso_path(X, y, lams) -> list[LassoFit]:
@@ -374,7 +374,7 @@ def lasso_path(X, y, lams) -> list[LassoFit]:
     fits = {}
     warm = None
     for lam in sorted({float(l) for l in lams}, reverse=True):
-        fits[lam] = lasso_fit(X, y, lam=lam, _path=(design, warm))
+        fits[lam] = lasso_fit(X, y, lam=lam, _prepared=design, _warm=warm)
         warm = fits[lam]._standardized_coefficients
     return [fits[float(l)] for l in lams]
 
@@ -395,15 +395,16 @@ def _check_plugin_level(c, a) -> None:
 
 def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
                   sigma_iters: int = 1,
-                  heteroskedastic: bool = False, _path=None) -> dict:
+                  heteroskedastic: bool = False, _prepared=None) -> dict:
     """Plug-in penalty level lambda = 2 c sigma_hat sqrt(n) z_{1-a/(2p)}.
 
     sigma_hat starts at the intercept-only residual standard deviation and
     is refined by refitting the Lasso ``sigma_iters`` times (one pass is
     the recommended default). With ``heteroskedastic=True`` the function
     instead returns per-coefficient loadings sqrt(E_n[eps^2 x_j^2]) and
-    sigma_hat = 1 in the lambda formula. ``_path``, passed only by
-    ``lasso_plugin``, goes to each refit's ``lasso_fit``.
+    sigma_hat = 1 in the lambda formula. ``_prepared``, passed only by
+    ``lasso_plugin``, is ``_design(X, y)`` and goes to each refit's
+    ``lasso_fit``.
 
     Raises ``NonFinitePenalty`` unless 0 < a < 1 and c is positive and
     finite: otherwise z or c can be 0 and lambda with it, which would make
@@ -413,35 +414,37 @@ def plugin_lambda(X, y, c: float = 1.1, a: float = 0.05,
     X, y = _plugin_inputs(X, y)
     n, p = X.shape
     z = normal_quantile(1.0 - a / (2.0 * p))
-    if heteroskedastic:
-        Xc = X - X.mean(axis=0)
-        lam = 2.0 * c * np.sqrt(n) * z
-        resid = y - y.mean()  # intercept-only start, as for sigma
-        loadings = np.sqrt(np.mean(resid[:, None] ** 2 * Xc**2, axis=0))
-        for _ in range(max(sigma_iters, 0)):
-            fit = lasso_fit(X, y, lam=lam, loadings=loadings, _path=_path)
-            resid = y - fit.predict(X)
-            loadings = np.sqrt(np.mean(resid[:, None] ** 2 * Xc**2, axis=0))
-        return {"lam": lam, "sigma_hat": 1.0, "loadings": loadings, "z": z}
+    # Centred X only for the loadings: a homoskedastic rule needs no copy.
+    Xc = X - X.mean(axis=0) if heteroskedastic else None
 
-    sigma = float(np.std(y))  # intercept-only residual sd
+    def rule(resid):
+        """(lambda, sigma_hat, loadings) from the current residuals."""
+        if heteroskedastic:
+            sigma = 1.0
+            loadings = np.sqrt(np.mean(resid[:, None] ** 2 * Xc**2, axis=0))
+        else:
+            sigma, loadings = float(np.sqrt(np.mean(resid**2))), None
+        return 2.0 * c * sigma * np.sqrt(n) * z, sigma, loadings
+
+    lam, sigma, loadings = rule(y - y.mean())  # the intercept-only start
     for _ in range(max(sigma_iters, 0)):
         if sigma == 0.0:
             break
-        fit = lasso_fit(X, y, lam=2.0 * c * sigma * np.sqrt(n) * z,
-                        _path=_path)
-        sigma = float(np.sqrt(np.mean((y - fit.predict(X)) ** 2)))
-    lam = 2.0 * c * sigma * np.sqrt(n) * z
-    return {"lam": lam, "sigma_hat": sigma, "z": z}
+        fit = lasso_fit(X, y, lam=lam, loadings=loadings, _prepared=_prepared)
+        lam, sigma, loadings = rule(y - fit.predict(X))
+    out = {"lam": lam, "sigma_hat": sigma, "z": z}
+    if heteroskedastic:
+        out["loadings"] = loadings
+    return out
 
 
 def lasso_plugin(X, y, c: float = 1.1, a: float = 0.05) -> LassoFit:
     """Lasso with the plug-in penalty; convenience wrapper. The sigma refit
     and the final fit share one standardized design."""
     X, y = _plugin_inputs(X, y)
-    path = (_design(X, y), None)
-    rule = plugin_lambda(X, y, c=c, a=a, _path=path)
-    fit = lasso_fit(X, y, lam=rule["lam"], _path=path)
+    design = _design(X, y)
+    rule = plugin_lambda(X, y, c=c, a=a, _prepared=design)
+    fit = lasso_fit(X, y, lam=rule["lam"], _prepared=design)
     fit.sigma_hat = rule["sigma_hat"]
     return fit
 
@@ -480,13 +483,13 @@ def elastic_net_fit(X, y, lam_ridge: float, lam_lasso: float) -> LassoFit:
                      lam_ridge=lam_ridge)
 
 
-def cv_fit(method: str, X, y, grid, plan, _full_design=None) -> CvReport:
+def cv_fit(method: str, X, y, grid, plan, _prepared=None) -> CvReport:
     """K-fold cross-validation over a parameter grid.
 
     For each grid point the model is trained on K-1 folds and scored on
     the held-out fold; the CV MSE is the plain mean of fold MSEs. Ties
     break to the smallest grid index and the winner is refit on the full
-    data. ``_full_design``, passed only by Double Lasso's CV rule, is
+    data. ``_prepared``, passed only by Double Lasso's CV rule, is
     ``_design(X, y)``: a Lasso refit then solves on it rather than
     standardizing X again.
     """
@@ -496,8 +499,8 @@ def cv_fit(method: str, X, y, grid, plan, _full_design=None) -> CvReport:
         raise DimensionMismatch("grid must be nonempty")
     if method == "lasso":
         # Only the final refit: the folds solve along lasso_path.
-        path = None if _full_design is None else (_full_design, None)
-        fitter = lambda X, y, lam: lasso_fit(X, y, lam=lam, _path=path)
+        fitter = lambda X, y, lam: lasso_fit(X, y, lam=lam,
+                                             _prepared=_prepared)
     elif method == "ridge":
         fitter = lambda X, y, lam: ridge_fit(X, y, lam)
     else:
