@@ -19,7 +19,7 @@ from ..dist import normal_quantile
 from ..dml.engine import (InferenceResult, influence_covariance,
                           linear_score_result, normal_interval)
 from ..double_lasso import band_critical_value
-from ..errors import EmptyBin
+from ..errors import DimensionMismatch, EmptyBin
 from ..linalg import as_vectors
 
 DEFAULT_GRID_POINTS = 20  # log(p)^5 / n must stay small; 20 is plenty
@@ -45,13 +45,16 @@ class CalibrationReport(InferenceResult):
 
 def _inputs(tau_test, signals_test, tau_nontest):
     """The test predictions, test signals and non-test predictions as
-    float vectors, the first two on the same rows. Raises
-    ``FloatingPointError`` if one holds a NaN or an inf, naming it and
-    its first such row."""
+    float vectors, the first two on the same rows. Checked in that
+    order, the first that is empty raises ``DimensionMismatch`` and the
+    first that holds a NaN or an inf ``FloatingPointError``, naming it
+    and its first such row."""
     tau, s = as_vectors(tau_test=tau_test, signals_test=signals_test)
     ref = as_vectors(tau_nontest=tau_nontest)
     for name, v in zip(("tau_test", "signals_test", "tau_nontest"),
                        (tau, s, ref)):
+        if not v.size:
+            raise DimensionMismatch(f"{name} is empty")
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             raise FloatingPointError(
@@ -69,7 +72,8 @@ def calibration(tau_test, signals_test, tau_nontest, K: int,
     prediction) are merged, so a model with few distinct predictions
     gets fewer than K bins, with one entry of ``counts`` per bin used.
     cal1 is the count-weighted mean absolute gap, cal2 its squared
-    analogue. A NaN or an inf in any input raises ``FloatingPointError``.
+    analogue. An empty input raises ``DimensionMismatch``, and a NaN or
+    an inf in any input ``FloatingPointError``.
     """
     tau_test, signals, tau_nontest = _inputs(tau_test, signals_test,
                                              tau_nontest)
@@ -164,8 +168,9 @@ def toc_qini(tau_test, signals_test, tau_nontest, grid=None,
     (prioritized by the model) with the overall average; QINI rescales
     by the treated share. Thresholds and tie-breaking come from the
     non-test predictions; inference follows the joint Gaussian
-    approximation with sup-norm Monte Carlo bands. A NaN or an inf in
-    any input raises ``FloatingPointError``.
+    approximation with sup-norm Monte Carlo bands. An empty input raises
+    ``DimensionMismatch``, and a NaN or an inf in any input
+    ``FloatingPointError``.
     """
     tau, s, ref = _inputs(tau_test, signals_test, tau_nontest)
     if grid is None:

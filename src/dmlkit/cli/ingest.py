@@ -4,30 +4,35 @@ Every referenced cell must parse as a finite number; missing or
 malformed values are reported with their row and column rather than
 dropped.
 
-The data block is first parsed in bulk by numpy's C reader
-(``np.loadtxt``). That result is kept only where it must equal what the
-row-by-row pass returns: every data line is non-empty, quote-free, no
-longer than ``csv``'s field limit and has as many commas as the header
-(so ``csv`` splits it exactly at its commas), ``loadtxt`` returns one row
-per line, and every cell read is finite. Any other file -- a blank,
-ragged or quoted line, a ``nan``, ``inf`` or ``NA`` cell, a cell such as
-``1_000`` that only Python's ``float`` accepts -- goes through the
-row-by-row pass. That pass gives the same arrays and raises every
-``ParseError``, with its row and column.
+The data block of a regular file is first parsed in bulk by numpy's C
+reader (``np.loadtxt`` on the path). That result is kept only where it must
+equal what the row-by-row pass returns: every data line is non-empty,
+quote-free, no longer than ``csv``'s field limit and has as many commas
+as the header (so ``csv`` splits it exactly at its commas), ``loadtxt``
+returns one row per line, and every cell read is finite. The line
+conditions are checked before ``loadtxt`` runs, with numpy, on chunks of
+whole lines. Any other file -- a blank, ragged or quoted line, a
+``nan``, ``inf`` or ``NA`` cell, a cell such as ``1_000`` that only
+Python's ``float`` accepts -- goes through the row-by-row pass. That
+pass gives the same arrays and raises every ``ParseError``, with its
+row and column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 
 import numpy as np
 
 from ..errors import NonBinaryTreatment, ParseError
 
-
-class _Declined(Exception):
-    """The bulk parse cannot vouch for a line of the data block."""
+# Characters per read of the bulk line check, before the read is
+# extended to the end of its last line.
+_CHUNK = 1 << 16
+# Suffixes on which ``loadtxt`` decompresses the path it is given.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def ingest_csv(path, columns, binary=()) -> dict:
@@ -58,41 +63,64 @@ def ingest_csv(path, columns, binary=()) -> dict:
 
 def _parse_block(path, columns):
     """The columns as ``_parse_rows`` returns them, parsed in bulk, or
-    None where the two passes might differ."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            return None
-        header = [h.strip() for h in header]
-        if any(c not in header for c in columns):
+    None where the two passes might differ.
+
+    The header is read apart from the data, since a quoted header could
+    span lines; a quote in it declines. The data lines are checked a
+    chunk of whole lines at a time, from the newline and comma positions
+    in the chunk's UTF-8 bytes; a line's length in bytes is at least its
+    length in characters. The file is read with universal newlines, as
+    ``loadtxt`` reads the path: for quote-free text they split lines at
+    \\n, \\r\\n and a lone \\r, where ``csv`` ends rows under
+    ``newline=""``. A ``ValueError`` from a decode or from ``loadtxt``
+    declines, and the row-by-row pass then raises what it raises.
+
+    ``loadtxt`` opens the path again, so anything but a regular file (a
+    pipe reads empty or blocks the second time) declines before it is
+    read, and so does a name ``loadtxt`` would decompress by its suffix
+    (the row-by-row pass reads every file as text).
+    """
+    path = os.fsdecode(path)
+    if not os.path.isfile(path) or path.endswith(_COMPRESSED):
+        return None
+    try:
+        with open(path) as fh:
+            line = fh.readline()
+            if not line or '"' in line:
+                return None
+            header = [h.strip() for h in next(csv.reader([line]))]
+            if any(c not in header for c in columns):
+                return None
+            commas = len(header) - 1
+            # A longer line could hold a field over the limit ``csv``
+            # raises on.
+            longest = csv.field_size_limit()
+            nrows = 0
+            while chunk := fh.read(_CHUNK):
+                chunk += fh.readline()
+                if '"' in chunk:
+                    return None
+                text = np.frombuffer(chunk.encode(), np.uint8)
+                ends = np.flatnonzero(text == ord("\n"))
+                if chunk[-1] != "\n":
+                    ends = np.append(ends, text.size)
+                starts = np.concatenate(([0], ends[:-1] + 1))
+                lengths = ends - starts
+                if lengths.min() == 0 or lengths.max() > longest:
+                    return None
+                if (np.add.reduceat(text == ord(","), starts, dtype=np.intp)
+                        != commas).any():
+                    return None
+                nrows += ends.size
+        if nrows == 0:
+            # Header only: the row-by-row pass raises "no data rows".
             return None
         names = list(dict.fromkeys(columns))
-        commas = len(header) - 1
-        # A longer line could hold a field over the limit ``csv`` raises on.
-        longest = csv.field_size_limit()
-        nrows = 0
-
-        def data_lines():
-            # ``open(newline="")`` splits lines where ``csv`` ends rows,
-            # at \n, \r\n and a lone \r.
-            nonlocal nrows
-            for line in fh:
-                line = line.rstrip("\r\n")
-                if (not line or len(line) > longest or '"' in line
-                        or line.count(",") != commas):
-                    raise _Declined
-                nrows += 1
-                yield line
-            if nrows == 0:
-                # Header only: the row-by-row pass raises "no data rows".
-                raise _Declined
-
-        try:
-            block = np.loadtxt(
-                data_lines(), dtype=float, delimiter=",", comments=None,
-                usecols=[header.index(c) for c in names], ndmin=2)
-        except (_Declined, ValueError):
-            return None
+        block = np.loadtxt(
+            path, dtype=float, delimiter=",", comments=None, skiprows=1,
+            usecols=[header.index(c) for c in names], ndmin=2)
+    except ValueError:
+        return None
     if block.shape[0] != nrows or not np.isfinite(block).all():
         return None
     return {c: block[:, k].copy() for k, c in enumerate(names)}

@@ -386,7 +386,7 @@ def _check_tree(max_depth, min_leaf) -> None:
 
 def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
              mtry: int | None = None, rng: np.random.Generator | None = None,
-             _sorted=None) -> RegressionTree:
+             _sorted=None, _fitted=None) -> RegressionTree:
     """Fit a regression tree by greedy best-SSE-improvement splitting.
 
     Exact greedy search on presorted columns (Chen & Guestrin 2016,
@@ -408,7 +408,12 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
     only when its gain is larger by more than 1e-12. Nodes grow depth
     first, left before right, which is also the order of the ``rng``
     draws; a split partitions the sorted columns only for the children
-    that will be searched in turn.
+    that will be searched in turn. The private ``_fitted``, from
+    ``boost_fit``, is a length-n buffer the fit fills with
+    ``tree.predict(X)`` to the bit: each node writes its value at its
+    rows, and a parent is grown before its children, so each row ends
+    at its leaf's value (``predict`` routes a row by the same
+    ``x <= threshold`` comparison that split it here).
     """
     y, w = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
@@ -451,6 +456,8 @@ def tree_fit(X, y, max_depth: int = 3, min_leaf: int = 1, weights=None,
             total_w, total_wy = w[idx].sum(), wy[idx].sum()
         value.append(float(total_wy / total_w) if total_w > 0
                      else float(np.mean(yn)))
+        if _fitted is not None:
+            _fitted[idx] = value[-1]
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
@@ -616,8 +623,11 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
 
     With a ``TreeLearner`` base (the default) X is sorted once
     (``_presort``) and every round's ``tree_fit`` starts from that root
-    order; unweighted rounds carry no weight channel. Any other base is
-    refit through its own ``fit``."""
+    order; unweighted rounds carry no weight channel. Each round's
+    in-sample predictions come from the rows the tree placed in its
+    leaves (``tree_fit``'s ``_fitted``), not from routing X through the
+    tree again. Any other base is refit through its own ``fit`` and
+    predicts through its own ``predict``."""
     _check_boost(J, rate)
     y, weights = as_vectors(y=y, weights=weights)
     X = as_columns(X, y.size)
@@ -625,16 +635,18 @@ def boost_fit(X, y, J: int = 100, rate: float = 0.1, base=None,
         base = TreeLearner(max_depth=2, min_leaf=1)
     presorted = _presort(X) if type(base) is TreeLearner else None
     residual = y.copy()
+    fitted = np.empty(y.size)
     stages = []
     for _ in range(J):
         if presorted is None:
             stage = base.fit(X, residual, weights=weights)
+            fitted = stage.predict(X)
         else:
             stage = tree_fit(X, residual, max_depth=base.max_depth,
                              min_leaf=base.min_leaf, weights=weights,
-                             _sorted=presorted)
+                             _sorted=presorted, _fitted=fitted)
         stages.append(stage)
-        residual = residual - rate * stage.predict(X)
+        residual = residual - rate * fitted
     return _EnsemblePredictor(stages, rate, 1)
 
 

@@ -16,6 +16,12 @@ that paths in its output match. The matrix:
   same four variants. A variant an estimand does not read fails with
   exit 2 on both sides, which is compared too;
 - ``cate-pipeline`` with each of the six meta-learners;
+- ``estimate`` of ``plm``, ``ate`` and ``cate-pipeline`` (default
+  learners) on the study CSV written four more ways: with CRLF endings,
+  with bare-CR endings, with no final newline, and with an extra text
+  column that no config names. Ingest parses each in bulk, so the
+  matrix compares the bulk parse's line check across checkouts on
+  every line ending;
 - ``simulate`` of every registered DGP x estimator pair at 3
   replications and n = min(the DGP's default n, 1000);
 - ``validate-config`` on every config above.
@@ -60,6 +66,12 @@ STUDY_KEYS = {
 }
 VARIANTS = {"default": {}, "tree": {"learner": "tree"},
             "lasso": {"learner": "lasso"}, "alpha": {"alpha": "0.1"}}
+STUDY = "study.csv"
+# Layout name -> write_study's keyword arguments.
+LAYOUTS = {"crlf": {"ending": "\r\n"}, "cr": {"ending": "\r"},
+           "no_final_newline": {"final_newline": False},
+           "text_column": {"text_column": True}}
+LAYOUT_ESTIMANDS = ("plm", "ate", "cate-pipeline")
 META_KINDS = ("S", "T", "X", "DAX", "DR", "R")
 SIM_MAX_N, SIM_REPLICATIONS = 1000, 3
 PAIRS = """
@@ -71,8 +83,11 @@ print(json.dumps([[name, est, dgp.default_n]
 """
 
 
-def write_study(path: Path) -> None:
-    """The 400-row study CSV, drawn as ``tests/test_cli.py`` draws it."""
+def write_study(path: Path, ending="\n", final_newline=True,
+                text_column=False) -> None:
+    """The 400-row study CSV, drawn as ``tests/test_cli.py`` draws it,
+    with its lines ended by ``ending`` and, with ``text_column``, a last
+    column ``note`` of words."""
     r = np.random.default_rng(4031)
     n = 400
     w1, w2 = r.standard_normal(n), r.standard_normal(n)
@@ -92,14 +107,15 @@ def write_study(path: Path) -> None:
     cols["y"] = (cols["y_pre"] + cols["d"] + 0.5 * cols["dc"]
                  + (cols["r"] >= 0) + r.standard_normal(n))
     cols = {k: np.round(v, 6) for k, v in cols.items()}
-    lines = [",".join(cols)]
+    lines = [",".join(cols) + (",note" if text_column else "")]
     lines += [",".join(repr(float(v[i])) for v in cols.values())
-              for i in range(n)]
-    path.write_text("\n".join(lines) + "\n")
+              + (f",unit {i}" if text_column else "") for i in range(n)]
+    path.write_bytes((ending.join(lines)
+                      + (ending if final_newline else "")).encode())
 
 
-def cases(pairs) -> dict[str, tuple[str, dict]]:
-    """Case name -> (command, config keys)."""
+def cases(pairs) -> dict[str, tuple[str, dict, str]]:
+    """Case name -> (command, config keys, data file name)."""
     out = {}
     study = {**STUDY_KEYS, "placebo": {**STUDY_KEYS["did_panel"],
                                        "outcome_placebo_pre": "y0"}}
@@ -108,15 +124,21 @@ def cases(pairs) -> dict[str, tuple[str, dict]]:
         for variant, extra in VARIANTS.items():
             out[f"{estimand}/{variant}"] = (command, {
                 "estimand": "did_panel" if command == "placebo" else estimand,
-                "seed": "3", "outcome": "y", **keys, **extra})
+                "seed": "3", "outcome": "y", **keys, **extra}, STUDY)
     for kind in META_KINDS:
-        _, keys = out["cate-pipeline/default"]
-        out[f"meta/{kind}"] = ("estimate", {**keys, "meta_learner": kind})
+        _, keys, _ = out["cate-pipeline/default"]
+        out[f"meta/{kind}"] = ("estimate", {**keys, "meta_learner": kind},
+                               STUDY)
+    for layout in LAYOUTS:
+        for estimand in LAYOUT_ESTIMANDS:
+            _, keys, _ = out[f"{estimand}/default"]
+            out[f"layout/{layout}/{estimand}"] = ("estimate", keys,
+                                                  f"study_{layout}.csv")
     for dgp, estimator, default_n in pairs:
         out[f"simulate/{dgp}/{estimator}"] = ("simulate", {
             "dgp": dgp, "estimator": estimator, "seed": "3",
             "n": str(min(default_n, SIM_MAX_N)),
-            "replications": str(SIM_REPLICATIONS)})
+            "replications": str(SIM_REPLICATIONS)}, STUDY)
     return out
 
 
@@ -152,17 +174,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     shutil.rmtree(args.work, ignore_errors=True)
     args.work.mkdir(parents=True)
-    data = args.work / "study.csv"
-    write_study(data)
+    write_study(args.work / STUDY)
+    for layout, options in LAYOUTS.items():
+        write_study(args.work / f"study_{layout}.csv", **options)
     pairs = json.loads(subprocess.run(
         [sys.executable, "-c", PAIRS], check=True, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(args.old_src)},
     ).stdout)
     differences = files = 0
     codes = {}
-    for name, (command, keys) in cases(pairs).items():
+    for name, (command, keys, data) in cases(pairs).items():
         old, new = (run(src.resolve(), args.work / side / name, command, keys,
-                        data.resolve())
+                        (args.work / data).resolve())
                     for side, src in (("old", args.old_src),
                                       ("new", args.new_src)))
         codes[old["run"][0]] = codes.get(old["run"][0], 0) + 1
