@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dml.estimators import (DEFAULT_TRIM, _check_arms, _propensity,
-                              _subset_fit)
-from ..errors import WeightOverflow, WeightsNotSupported
-from ..learners import cross_fit_predict, cross_fit_residuals
+from ..dml.estimators import (DEFAULT_TRIM, _check_arms, _plm_residuals,
+                              _propensity, _subset_fit)
+from ..errors import WeightsNotSupported
+from ..learners import cross_fit_predict
 from ..linalg import as_columns, as_matrix, as_vectors
 from .signals import dr_signal
 
@@ -61,6 +61,11 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
     learner_y models outcomes, learner_prop the propensity, and
     learner_final carries out the last-stage effect regression on
     ``X_effect`` (defaults to Z).
+
+    The R-learner partials y and d out of Z as the PLM does
+    (``_plm_residuals``), so it raises ``WeakResidualVariation`` when
+    E_n[rd^2] is at or below 1e-10 E_n[d^2]; it then fits ry / rd with
+    weights rd^2 (label 0 where rd is exactly 0).
     """
     kind = kind.upper()
     if kind not in META_KINDS:
@@ -71,6 +76,7 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
     Z = as_columns(Z, y.size)
     X = Z if X_effect is None else as_columns(X_effect, y.size)
     meta: dict = {}
+    weights = None
 
     if kind == "S":
         # Own-arm predictions come with the fits; one more pass predicts
@@ -110,15 +116,9 @@ def meta_learn(kind: str, y, d, Z, learner_y, learner_prop, learner_final,
         labels = sig.values
         meta["trim_count"] = sig.trim_count
     else:  # R
-        ry, rd = cross_fit_residuals(Z, plan, (learner_y, y),
-                                     (learner_prop, d))
+        ry, rd, _ = _plm_residuals(y, d, Z, learner_y, learner_prop, plan)
         weights = rd**2
-        if float(np.max(weights, initial=0.0)) < 1e-12:
-            raise WeightOverflow("residualized treatment carries no weight")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(rd != 0.0, ry / np.where(rd == 0.0, 1.0, rd), 0.0)
-        predictor = learner_final.fit(X, ratio, weights=weights)
-        return CateModel(kind=kind, predictor=predictor, metadata=meta)
+        labels = np.where(rd != 0.0, ry / np.where(rd == 0.0, 1.0, rd), 0.0)
 
-    predictor = learner_final.fit(X, labels)
+    predictor = learner_final.fit(X, labels, weights=weights)
     return CateModel(kind=kind, predictor=predictor, metadata=meta)

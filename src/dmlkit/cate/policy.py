@@ -67,16 +67,15 @@ def policy_learn(signals, X, max_depth: int = 2, min_leaf: int = 10,
     signs of the cost-adjusted signals encoded as +/-1, weights their
     magnitudes. Returns the policy, its tree and its in-sample value;
     to evaluate the rule on held-out signals, pass
-    ``policy.assign(X_held_out)`` to ``policy_value``.
+    ``policy.assign(X_held_out)`` to ``policy_value``. When every signal
+    equals ``cost``, all weights are 0 and every label +1: the tree is
+    one leaf that treats every row.
     """
     signals = as_vectors(signals=signals)
     adjusted = signals - cost
     labels = np.where(adjusted >= 0.0, 1.0, -1.0)
-    weights = np.abs(adjusted)
-    if not np.any(weights > 0):
-        weights = np.ones_like(weights)
     tree = tree_fit(X, labels, max_depth=max_depth, min_leaf=min_leaf,
-                    weights=weights)
+                    weights=np.abs(adjusted))
     policy = TreePolicy(tree, cost)
     return {"policy": policy, "tree": tree,
             "in_sample_value": float(np.mean(policy.assign(X) * signals))}

@@ -175,6 +175,8 @@ def _weak_id_report(config, data, learners, alpha):
     if region.intervals and (region.intervals[0].open_lower
                              or region.intervals[-1].open_upper):
         warnings.append("unbounded at grid edge")
+    if region.jitter_used:
+        warnings.append("moment covariance needed a Cholesky jitter")
     report = _report(config, n, warnings, {
         "intervals": [
             {"lower": iv.lower, "upper": iv.upper,
@@ -425,7 +427,3 @@ def main(argv=None) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     print(f"report written to {args.out}/report.json")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,13 +23,16 @@ JACOBIAN_RTOL = 1e-12
 WEAK_VARIATION_RTOL = 1e-10
 
 
-def _check_variation(denom: float, target, message: str) -> None:
-    """Raise ``WeakResidualVariation`` when ``denom``, the moment whose
-    inverse scales the target's slope, is at or below WEAK_VARIATION_RTOL
-    times E_n[target^2] in absolute value (so also for an all-zero
-    target)."""
+def _check_variation(denom: float, target, message: str,
+                     error=WeakResidualVariation) -> None:
+    """Raise ``error`` (``WeakResidualVariation`` by default) when
+    ``denom``, the moment whose inverse scales the target's slope, is at
+    or below WEAK_VARIATION_RTOL times E_n[target^2] in absolute value
+    (so also for an all-zero target). It is the one identification check
+    of the partialled-out scores: PLM, Double Lasso, PLIV, LATE and the
+    R-learner."""
     if abs(denom) <= WEAK_VARIATION_RTOL * float(np.mean(target**2)):
-        raise WeakResidualVariation(message)
+        raise error(message)
 
 
 @dataclass(kw_only=True)

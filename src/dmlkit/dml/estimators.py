@@ -6,7 +6,6 @@ import numpy as np
 
 from ..errors import (
     DimensionMismatch,
-    ExactlyZeroCovariance,
     FoldTooSmall,
     NoCompliance,
     NoTreatedUnits,
@@ -163,15 +162,19 @@ def dml_pliv(y, d, z, X, learner_l, learner_r, learner_m, plan,
     """Partially linear IV: residualized two-stage least squares.
 
     learner_l predicts Y from X, learner_r predicts the instrument Z,
-    and learner_m predicts the treatment D.
+    and learner_m predicts the treatment D. Raises
+    ``WeakResidualVariation`` when the instrument's residual variation
+    E_n[rz^2] is degenerate (``_check_variation``'s rule, as the PLM's
+    for the treatment), and ``SingularJacobian`` when E_n[rd rz] is
+    numerically zero.
     """
     y, d, z = as_vectors(y=y, d=d, z=z)
     X = as_columns(X, y.size)
     ry, rz, rd = cross_fit_residuals(X, plan, (learner_l, y), (learner_r, z),
                                      (learner_m, d))
+    _check_variation(float(np.mean(rz**2)), z,
+                     "instrument residual variation is degenerate")
     cov_dz = float(np.mean(rd * rz))
-    if cov_dz == 0.0:
-        raise ExactlyZeroCovariance("instrument orthogonal to treatment residual")
     scale = float(np.sqrt(np.mean(rd**2) * np.mean(rz**2)))
     diag = {
         "rmse_y": _rmse(ry),
@@ -188,7 +191,10 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
     """Local average treatment effect with a binary instrument.
 
     Ratio of two doubly robust signals: the instrument's effect on the
-    outcome over its effect on treatment take-up.
+    outcome over its effect on treatment take-up. Raises ``NoCompliance``
+    when either the take-up signal's mean or the first-stage regression
+    difference E_n[m1 - m0] is at or below ``_check_variation``'s
+    relative floor, 1e-10 E_n[d^2].
     """
     y, d, z = as_vectors(y=y, d=d, z=z)
     _check_binary(d, "treatment")
@@ -208,11 +214,11 @@ def dml_late(y, d, z, X, learner_mu, learner_m, learner_p, plan,
     psi_b = mu1 - mu0 + H * ry
     psi_a = m1 - m0 + H * rd
     denom = float(np.mean(psi_a))
-    if abs(denom) < 1e-10:
-        raise NoCompliance("instrument does not move treatment take-up")
+    _check_variation(denom, d, "instrument does not move treatment take-up",
+                     NoCompliance)
     J = float(np.mean(m1 - m0))
-    if abs(J) < 1e-10:
-        raise NoCompliance("first-stage regression difference is degenerate")
+    _check_variation(J, d, "first-stage regression difference is degenerate",
+                     NoCompliance)
     return linear_score_result(
         psi_a=psi_a,
         psi_b=psi_b,

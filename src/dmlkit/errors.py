@@ -73,10 +73,6 @@ class OneSideEmpty(DmlkitError):
     pass
 
 
-class ExactlyZeroCovariance(DmlkitError):
-    pass
-
-
 class SingularJacobian(DmlkitError):
     pass
 
@@ -106,10 +102,6 @@ class ConstantModel(DmlkitError):
 
 
 class EmptyBin(DmlkitError):
-    pass
-
-
-class WeightOverflow(DmlkitError):
     pass
 
 

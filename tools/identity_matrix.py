@@ -15,7 +15,9 @@ that paths in its output match. The matrix:
   ``alpha = 0.1``, and ``placebo`` on the panel DiD columns with the
   same four variants. A variant an estimand does not read fails with
   exit 2 on both sides, which is compared too;
-- ``cate-pipeline`` with each of the six meta-learners;
+- ``cate-pipeline`` with each of the six meta-learners, effect learner
+  ``linear``, and with the two weighted ones (DAX, R) also with
+  ``forest(trees=5)`` and ``boost(rounds=20)``;
 - ``estimate`` of ``plm``, ``ate`` and ``cate-pipeline`` (default
   learners) on the study CSV written four more ways: with CRLF endings,
   with bare-CR endings, with no final newline, and with an extra text
@@ -73,6 +75,10 @@ LAYOUTS = {"crlf": {"ending": "\r\n"}, "cr": {"ending": "\r"},
            "text_column": {"text_column": True}}
 LAYOUT_ESTIMANDS = ("plm", "ate", "cate-pipeline")
 META_KINDS = ("S", "T", "X", "DAX", "DR", "R")
+# The meta-learners that fit their effect model with weights, and more
+# effect learners for them (the meta cases above fit ``linear``).
+WEIGHTED_META_KINDS = ("DAX", "R")
+EFFECT_LEARNERS = {"forest": "forest(trees=5)", "boost": "boost(rounds=20)"}
 SIM_MAX_N, SIM_REPLICATIONS = 1000, 3
 PAIRS = """
 import json
@@ -129,6 +135,11 @@ def cases(pairs) -> dict[str, tuple[str, dict, str]]:
         _, keys, _ = out["cate-pipeline/default"]
         out[f"meta/{kind}"] = ("estimate", {**keys, "meta_learner": kind},
                                STUDY)
+    for kind in WEIGHTED_META_KINDS:
+        _, keys, _ = out[f"meta/{kind}"]
+        for name, spec in EFFECT_LEARNERS.items():
+            out[f"meta/{kind}/{name}"] = (
+                "estimate", {**keys, "learner_effect": spec}, STUDY)
     for layout in LAYOUTS:
         for estimand in LAYOUT_ESTIMANDS:
             _, keys, _ = out[f"{estimand}/default"]
